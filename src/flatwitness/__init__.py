@@ -50,7 +50,6 @@ from .hardy_engine import (
     constant_function,
     coordinate_function,
     from_taylor,
-    grid_function,
     grid_thetas,
     hardy_factor,
     inner_check,

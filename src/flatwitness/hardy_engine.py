@@ -8,12 +8,14 @@ convention: coefficient m is (1/N) sum_j samples_j exp(-i m theta_j) for
 m in [-N/2, N/2), so the squared 2-norm is both the mean squared sample
 and the summed squared spectrum.
 
-The outer synthesis folds the spectrum of the prescribed log-modulus with
-the analytic-signal multiplier (1 at the zero and Nyquist bins, 2 on
-positive bins, 0 on negative bins).  That multiplier makes the real part of
-the synthesized completion reproduce the log-modulus at every grid sample
-exactly, so the boundary modulus of the result matches the prescription to
-rounding error; the completion is kept as an explicit polynomial in z for
+The outer synthesis takes the real transform of the prescribed log-modulus
+k and forms its harmonic conjugate c on the grid by multiplying the
+positive bins by -i (the zero and Nyquist bins are dropped) and
+transforming back.  The boundary samples are exp(k) * (cos c + i sin c), so
+their log-modulus is k itself, sample for sample, and the boundary modulus
+matches the prescription to the rounding of exp.  The analytic completion
+k + i c, whose power-series coefficients come from the same real transform
+(doubled on the positive bins), is kept as an explicit polynomial in z for
 evaluation anywhere in the closed disk.
 """
 
@@ -45,7 +47,6 @@ __all__ = [
     "InnerCheckReport",
     "ProjectionResult",
     "grid_thetas",
-    "grid_function",
     "constant_function",
     "coordinate_function",
     "from_taylor",
@@ -71,6 +72,14 @@ def _signed_modes(n: int) -> np.ndarray:
     m = np.arange(n)
     m[n // 2:] -= n
     return m
+
+
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """exp(i*angle), written through the real and imaginary views of one array."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def grid_thetas(n: int) -> np.ndarray:
@@ -105,17 +114,20 @@ class GridFunction:
         """Fourier coefficients in bin order: modes 0..N/2-1 then -N/2..-1."""
         if self._spectrum is None:
             n = self.n
-            raw = np.fft.fft(self.samples) / n
-            self._spectrum = raw * np.exp(-1j * np.pi * _signed_modes(n) / n)
-            self._spectrum.flags.writeable = False
+            spec = np.fft.fft(self.samples)
+            spec *= _cis((-np.pi / n) * _signed_modes(n))
+            spec /= n
+            spec.flags.writeable = False
+            self._spectrum = spec
         return self._spectrum
 
     @classmethod
     def from_spectrum(cls, coefficients) -> "GridFunction":
         coefficients = np.asarray(coefficients, dtype=complex)
         n = coefficients.size
-        tw = np.exp(1j * np.pi * _signed_modes(n) / n)
-        return cls(np.fft.ifft(coefficients * tw * n))
+        raw = coefficients * _cis((np.pi / n) * _signed_modes(n))
+        raw *= n
+        return cls(np.fft.ifft(raw))
 
     def coeff(self, m: int) -> complex:
         if not -self.n // 2 <= m < self.n // 2:
@@ -133,10 +145,6 @@ class GridFunction:
     @property
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq))
-
-
-def grid_function(samples) -> GridFunction:
-    return GridFunction(samples)
 
 
 def constant_function(n: int, value=1.0) -> GridFunction:
@@ -158,15 +166,23 @@ def from_taylor(coeffs, n: int) -> GridFunction:
 
 
 def analytic_project(h: GridFunction) -> GridFunction:
-    """Zero the negative-mode bins; the orthogonal projection onto the analytic part."""
-    coefficients = h.spectrum().copy()
-    coefficients[h.n // 2:] = 0.0
-    return GridFunction.from_spectrum(coefficients)
+    """Zero the negative-mode bins; the orthogonal projection onto the analytic part.
+
+    The midpoint twiddle is diagonal, so zeroing bins of the raw transform
+    is the same projection without it.
+    """
+    raw = np.fft.fft(h.samples)
+    raw[h.n // 2:] = 0.0
+    return GridFunction(np.fft.ifft(raw))
 
 
 def neg_mode_leakage(h: GridFunction) -> float:
-    """2-norm fraction of the spectrum sitting in negative-mode bins."""
-    coefficients = h.spectrum()
+    """2-norm fraction of the spectrum sitting in negative-mode bins.
+
+    The midpoint twiddle is unimodular and the 1/N scale cancels in the
+    ratio, so the raw transform serves unless the spectrum is cached already.
+    """
+    coefficients = h._spectrum if h._spectrum is not None else np.fft.fft(h.samples)
     total = np.linalg.norm(coefficients)
     if total == 0.0:
         return 0.0
@@ -191,9 +207,6 @@ class ArcLayout:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.region, minlength=self.max_shell + 2)
-
-    def shell_indices(self, n: int) -> np.ndarray:
-        return np.nonzero(self.region == n)[0]
 
 
 def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
@@ -306,30 +319,21 @@ class OuterFunction:
 
     ``boundary`` holds the grid samples; ``log_coeffs`` are the power-series
     coefficients (degree N/2) of the analytic completion A, so the function
-    itself is exp(A(z)) anywhere in the closed disk.  ``taylor`` is the
-    nonnegative part of the boundary spectrum.
+    itself is exp(A(z)) anywhere in the closed disk.  ``taylor``, the
+    nonnegative part of the boundary spectrum, is computed on first access
+    and cached with that spectrum.
     """
 
     boundary: GridFunction
     log_coeffs: np.ndarray
-    taylor: np.ndarray
     clamp_count: int
+
+    @property
+    def taylor(self) -> np.ndarray:
+        return self.boundary.taylor()
 
     def __call__(self, z):
         return np.exp(np.polyval(self.log_coeffs[::-1], z))
-
-
-def _bins_to_polynomial(c_bins: np.ndarray, n: int) -> np.ndarray:
-    """Rewrite analytic-half bin coefficients as power-series coefficients.
-
-    On the midpoint grid, bin m carries exp(2i pi m j / n) = z_j^m * e^{-i pi m/n}
-    for m < n/2, and the Nyquist bin carries (-1)^j = -i * z_j^{n/2}.
-    """
-    p = np.empty(n // 2 + 1, dtype=complex)
-    m = np.arange(n // 2)
-    p[: n // 2] = c_bins[: n // 2] * np.exp(-1j * np.pi * m / n)
-    p[n // 2] = -1j * c_bins[n // 2]
-    return p
 
 
 def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFunction:
@@ -357,26 +361,31 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
         raise InvalidInput("log-modulus must be bounded above and not NaN")
     floor = np.log(clamp)
     clamp_count = int(np.sum(k < floor))
-    k = np.maximum(k, floor)
+    np.maximum(k, floor, out=k)
     peak = float(np.max(k))
     if peak > EXP_OVERFLOW_LIMIT:
         raise ScaleOverflow(float(np.exp(EXP_OVERFLOW_LIMIT - peak)))
 
     n = k.size
-    raw = np.fft.fft(k) / n
-    fold = np.zeros(n)
-    fold[0] = 1.0
-    fold[1: n // 2] = 2.0
-    fold[n // 2] = 1.0
-    c_bins = raw * fold
-    completion = np.fft.ifft(c_bins * n)
-    boundary = GridFunction(np.exp(completion))
-    return OuterFunction(
-        boundary=boundary,
-        log_coeffs=_bins_to_polynomial(c_bins, n),
-        taylor=boundary.taylor(),
-        clamp_count=clamp_count,
-    )
+    half = n // 2
+    spec = np.fft.rfft(k)  # modes 0..N/2 of the real log-modulus
+    # power series of the completion k + i*c: bin m carries
+    # exp(2i pi m j/N) = z_j^m e^{-i pi m/N} for m < N/2, and the Nyquist bin
+    # carries (-1)^j = -i z_j^{N/2}; the positive modes count twice
+    log_coeffs = spec / n
+    log_coeffs[1:half] *= 2.0
+    log_coeffs[:half] *= _cis((-np.pi / n) * np.arange(half))
+    log_coeffs[half] *= -1j
+    # harmonic conjugate c: -i on the positive modes, zero and Nyquist dropped
+    spec *= -1j
+    spec[0] = spec[half] = 0.0
+    conj = np.fft.irfft(spec, n)
+    samples = _cis(conj)
+    modulus = np.exp(k, out=k)
+    samples.real *= modulus
+    samples.imag *= modulus
+    return OuterFunction(boundary=GridFunction(samples), log_coeffs=log_coeffs,
+                         clamp_count=clamp_count)
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +530,10 @@ class InnerCheckReport:
 def inner_check(b: GridFunction, tol: float = 1e-8,
                 analytic_tol: float = 1e-8) -> InnerCheckReport:
     """Unimodular boundary values plus a coarse interior maximum check."""
+    taylor = b.taylor()  # fills the spectrum cache the leakage check reads
     if neg_mode_leakage(b) > analytic_tol:
         raise InvalidInput("candidate is not analytic to tolerance")
     dev = float(np.max(np.abs(np.abs(b.samples) - 1.0)))
-    taylor = b.taylor()
     radii = np.linspace(0.15, 0.9, 6)
     angles = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     pts = (radii[:, None] * angles[None, :]).ravel()

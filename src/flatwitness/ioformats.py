@@ -145,10 +145,13 @@ _GRID_HEADER = struct.Struct("<Q")
 
 def read_grid_function(path) -> GridFunction:
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        with path.open() as fh:
-            return GridFunction(complex_array(json.load(fh)))
-    blob = path.read_bytes()
+    try:
+        if path.suffix.lower() == ".json":
+            with path.open() as fh:
+                return GridFunction(complex_array(json.load(fh)))
+        blob = path.read_bytes()
+    except (OSError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"cannot read grid file {path}: {exc}") from exc
     if len(blob) < _GRID_HEADER.size:
         raise InvalidInput("grid file too short for its header")
     (n,) = _GRID_HEADER.unpack_from(blob)

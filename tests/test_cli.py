@@ -219,3 +219,18 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     code = cli.main(["witness", "--input", str(bad)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["factor", "outer", "project"])
+@pytest.mark.parametrize("defect", ["missing", "truncated"])
+def test_hardy_bad_grid_file_is_input_error(tmp_path, capsys, action, defect):
+    path = tmp_path / "f.json"
+    if defect == "truncated":
+        path.write_text('[[1.0, 0.0], [1.0, 0.')
+    code = cli.main(["hardy", action, "--input", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    lines = out.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidInput"

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,92 @@ def test_outer_rejects_bad_input():
     with pytest.raises(ScaleOverflow) as exc:
         outer_from_modulus(np.full(2**8, 800.0))
     assert exc.value.suggested_rescale < 1.0
+
+
+def _twiddled_spectrum(samples):
+    # reference spectrum: raw transform, 1/N, complex-exp midpoint twiddle
+    n = samples.size
+    modes = np.fft.fftfreq(n, 1.0 / n)
+    return np.fft.fft(samples) / n * np.exp(-1j * np.pi * modes / n)
+
+
+def _reference_outer(k, clamp=1e-12):
+    """Outer synthesis through the complex transform: fft, analytic-signal
+    fold, ifft, exp; power series and Taylor data through complex-exp twiddles."""
+    k = np.maximum(np.asarray(k, dtype=float), np.log(clamp))
+    n = k.size
+    fold = np.zeros(n)
+    fold[0] = fold[n // 2] = 1.0
+    fold[1: n // 2] = 2.0
+    c_bins = np.fft.fft(k) / n * fold
+    boundary = np.exp(np.fft.ifft(c_bins * n))
+    log_coeffs = np.empty(n // 2 + 1, dtype=complex)
+    log_coeffs[: n // 2] = c_bins[: n // 2] * np.exp(-1j * np.pi * np.arange(n // 2) / n)
+    log_coeffs[n // 2] = -1j * c_bins[n // 2]
+    return boundary, log_coeffs, _twiddled_spectrum(boundary)[: n // 2]
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("log2n", range(4, 17))
+def test_outer_matches_complex_transform_reference(log2n):
+    n = 2**log2n
+    rng = np.random.default_rng(log2n)
+    plain = rng.standard_normal(n)
+    zeros = plain.copy()
+    zeros[rng.choice(n, size=max(1, n // 16), replace=False)] = -np.inf
+    for k in (plain, zeros):
+        out = outer_from_modulus(k)
+        boundary, log_coeffs, taylor = _reference_outer(k)
+        assert out.clamp_count == int(np.sum(np.isinf(k)))
+        assert _rel_err(out.boundary.samples, boundary) <= 1e-12
+        assert _rel_err(out.log_coeffs, log_coeffs) <= 1e-12
+        assert _rel_err(out.taylor, taylor) <= 1e-12
+
+
+@pytest.mark.parametrize("log2n", range(4, 17))
+def test_leakage_and_projection_match_twiddled_spectrum(log2n):
+    n = 2**log2n
+    rng = np.random.default_rng(100 + log2n)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    nearly_analytic = from_taylor(rng.standard_normal(n // 2), n).samples + 1e-3 * noise
+    for samples in (noise, nearly_analytic):
+        spec = _twiddled_spectrum(samples)
+        want = np.linalg.norm(spec[n // 2:]) / np.linalg.norm(spec)
+        assert abs(neg_mode_leakage(GridFunction(samples)) - want) <= 1e-12 * want
+        spec[n // 2:] = 0.0
+        projected = GridFunction.from_spectrum(spec).samples
+        assert _rel_err(analytic_project(GridFunction(samples)).samples, projected) <= 1e-12
+
+
+def test_hardy_factor_modulus_is_reciprocal_weight():
+    rng = np.random.default_rng(9)
+    f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=2**11)) / np.arange(1, 2**11 + 1), 2**12)
+    res = hardy_factor(f, 64)
+    w = res.w.grid.samples.real
+    assert np.max(np.abs(np.abs(res.g.samples) * w - 1.0)) <= 1e-14
+    assert res.gw_deviation <= 1e-14
+
+
+def test_hardy_factor_fft_budget(monkeypatch):
+    # two leakage transforms, one real transform pair for the outer factor;
+    # the Taylor data of g costs one more transform, once
+    f = from_taylor([1.0, 0.5, 0.25], 2**12)
+    counts = collections.Counter()
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _kernel=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    res = hardy_factor(f, 64)
+    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [2, 0, 1, 1]
+    first = res.outer.taylor
+    assert counts["fft"] == 3
+    assert np.array_equal(res.outer.taylor, first)
+    assert counts["fft"] == 3
+    assert sum(counts.values()) == 5
 
 
 def test_hardy_factor_constant_small_grid():

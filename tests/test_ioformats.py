@@ -86,6 +86,22 @@ def test_grid_function_binary_length_check(tmp_path):
         ioformats.read_grid_function(path)
 
 
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None),
+    ("missing.bin", None),
+    ("truncated.json", "[[1.0, 0.0], [1.0"),
+    ("null_entry.json", "[[null, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]"),
+    ("text_entry.json", '["one", 1, 1, 1]'),
+    ("scalar.json", "5"),
+])
+def test_grid_function_unreadable_file_is_invalid_input(tmp_path, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(InvalidInput):
+        ioformats.read_grid_function(path)
+
+
 def test_jsonable_handles_reports():
     from flatwitness.seq_core import geometric_profile, verify_olympiad_bound
     from flatwitness.ultralimits import Membership
