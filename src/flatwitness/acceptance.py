@@ -1,11 +1,15 @@
-"""Desk-scale acceptance battery.
+"""Desk-scale acceptance battery and the check vocabulary it shares with the CLI.
 
-Each criterion function runs a self-contained randomized or fixed check and
-returns a result carrying the measured numbers next to the tolerances that
-judge them, so a report is verifiable on its own.  ``run_suite`` executes
-all criteria; the environment variable FLATWITNESS_THREADS caps how many
-run concurrently (they are independent and deterministic, so the combined
-result does not depend on scheduling).
+Each CLI pipeline has one function here (``olympiad_checks``, ``witness_checks``,
+...) that runs it and returns ``Check`` records: name, measured value, the
+tolerance that judges it, and the verdict (None when informational).  A
+subcommand parses its arguments, calls its function once and serialises the
+records.  A criterion calls the same function on pinned inputs, joins the
+instances with ``_all_instances`` (a gate passes only if it passed on every
+instance) and adds only the checks that belong to it alone, such as closed
+forms, round trips and operator laws.  ``run_suite`` executes all criteria;
+the environment variable FLATWITNESS_THREADS caps how many run concurrently
+(they are independent and deterministic, so scheduling does not matter).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .halfplane_transfer import (
     transfer_factorization,
 )
 from .hardy_engine import (
+    DEFAULT_CLAMP,
     GridFunction,
     constant_function,
     coordinate_function,
@@ -35,23 +40,243 @@ from .hardy_engine import (
     project_onto_bH2,
 )
 from .layered_factor import factor, preset_l2, verify_star_bound
-from .pointwise_witness import (
-    pointwise_relation,
-    synthesize_witness,
-    verify_witness,
-)
-from .seq_core import tail_profile, verify_olympiad_bound
+from .pointwise_witness import pointwise_relation, synthesize_witness, verify_witness
+from .seq_core import default_bound_tol, tail_profile, verify_olympiad_bound
 from .ultralimits import (
-    Membership,
     bounded_sequence,
+    eventual_limit,
     ideal_membership_nonprincipal,
     principal_limit,
 )
 
-__all__ = ["CriterionResult", "run_suite"] + [f"criterion_{i}" for i in range(1, 10)]
+__all__ = ["Check", "CriterionResult", "run_suite", "olympiad_checks", "witness_checks",
+           "bezout_checks", "ulim_checks", "layered_checks", "factor_checks", "outer_checks",
+           "project_checks", "transfer_checks", "manufactured_relation", "random_pair",
+           "blaschke", "halfplane_points"] + [f"criterion_{i}" for i in range(1, 10)]
 
 DEFAULT_SEED = 20250811
 EPS = np.finfo(float).eps
+ULP_BUDGET = 2.0 * EPS
+
+
+@dataclass(frozen=True)
+class Check:
+    """One measured quantity; ``passed`` is None for an informational record."""
+
+    name: str
+    value: object
+    tol: object = None
+    passed: Optional[bool] = None
+
+
+def _gate(name, value, tol) -> Check:
+    return Check(name, value, tol, bool(value <= tol))
+
+
+def _all_instances(runs):
+    """Gates that passed on every run of a pipeline, and each name's records in run order."""
+    gates: Dict[str, bool] = {}
+    records: Dict[str, List[Check]] = {}
+    for checks in runs:
+        for c in checks:
+            records.setdefault(c.name, []).append(c)
+            if c.passed is not None:
+                gates[c.name] = gates.get(c.name, True) and bool(c.passed)
+    return gates, records
+
+
+def _worst(records, name) -> float:
+    return max(c.value for c in records[name])
+
+
+# ---------------------------------------------------------------------------
+# pipelines, one per subcommand
+
+
+def olympiad_checks(profile, tol) -> List[Check]:
+    """The telescoping bound on every window between dyadic indices and the last term."""
+    n = profile.n_terms
+    grid = np.unique(np.concatenate([2 ** np.arange(0, 14), [n]]))
+    grid = grid[grid <= n]
+    worst = -np.inf
+    holds = True
+    windows = 0
+    for i, m in enumerate(grid[:-1]):
+        for nn in grid[i + 1:]:
+            out = verify_olympiad_bound(profile, int(m), int(nn), tol_abs=tol)
+            worst = max(worst, out.lhs - out.rhs)
+            holds = holds and out.holds
+            windows += 1
+    return [Check("bound_holds_all_windows", worst, tol, holds), Check("windows", windows),
+            Check("head_mass", profile.head)]
+
+
+def manufactured_relation(weights, r, raw_m):
+    """The relation (weights, r, m), m being raw_m with each row projected so sum_i r_i m_i = 0."""
+    c = np.conj(r)
+    cc = np.einsum("pi,pi->p", c, np.conj(c)).real
+    coef = np.where(cc > 0, np.einsum("pi,pi->p", raw_m, r) / np.where(cc > 0, cc, 1), 0)
+    return pointwise_relation(weights, r, raw_m - coef[:, None] * c)
+
+
+def witness_checks(rel):
+    """Synthesize a certificate for ``rel`` and verify it; returns (checks, certificate)."""
+    cert = synthesize_witness(rel)
+    ver = verify_witness(rel, cert)
+    checks = [
+        _gate("coeff_residual", ver.max_coeff_residual, 1e-10 * ver.coeff_scale),
+        _gate("reconstruction_residual", ver.max_reconstruction_residual,
+              1e-10 * ver.reconstruction_scale),
+        Check("rho_bound", float(np.max(np.abs(cert.rho))), 1.0 + 1e-12, ver.rho_bound_ok),
+        Check("mu_norm_bound", ver.mu_norm_ok, None, ver.mu_norm_ok),
+    ]
+    return checks, cert
+
+
+def random_pair(rng, atoms):
+    """Two complex Gaussian sampled functions, each with about 5% zero atoms."""
+    fv = rng.standard_normal(atoms) + 1j * rng.standard_normal(atoms)
+    gv = rng.standard_normal(atoms) + 1j * rng.standard_normal(atoms)
+    fv[rng.uniform(size=atoms) < 0.05] = 0.0
+    gv[rng.uniform(size=atoms) < 0.05] = 0.0
+    return sampled_function(fv), sampled_function(gv)
+
+
+def _worst_rel(lhs, target, scale) -> float:
+    err = np.abs(lhs - target)
+    rel = err / np.maximum(scale, 1e-300)
+    rel[scale == 0] = err[scale == 0]
+    return float(rel.max())
+
+
+def bezout_checks(f, g) -> List[Check]:
+    """The generator identities of d = |f| + |g|, each at two ulp."""
+    gen = principal_generator(f, g)
+    d = gen.d.values.real
+    errors = (
+        ("f_eq_Fd", _worst_rel(gen.F.values * d, f.values, np.abs(f.values))),
+        ("g_eq_Gd", _worst_rel(gen.G.values * d, g.values, np.abs(g.values))),
+        ("d_membership", _worst_rel(f.values * gen.cf.values + g.values * gen.cg.values, d, d)),
+        ("F_bound", float(np.abs(gen.F.values).max() - 1.0)),
+        ("cf_unimodular", float(np.abs(np.abs(gen.cf.values) - 1.0).max())),
+    )
+    return [_gate(name, err, ULP_BUDGET) for name, err in errors]
+
+
+def ulim_checks(seq, tol, tail_fraction) -> List[Check]:
+    """Eventual limit and ideal-membership verdict; all informational."""
+    certified = eventual_limit(seq, tol, tail_fraction)
+    if certified is None:
+        checks = [Check("eventual_limit", "no verdict")]
+    else:
+        checks = [Check("eventual_limit", certified.limit, tol),
+                  Check("eventual_radius", certified.radius)]
+    verdict = ideal_membership_nonprincipal(seq, tol)
+    return checks + [Check("ideal_membership", verdict.value), Check("sup_norm", seq.sup_norm)]
+
+
+def layered_checks(f, layout, mode, tail, tol):
+    """Factor f over the layered space; returns (checks, factorization)."""
+    res = factor(f, layout, mode=mode, tail_sum_sq=tail)
+    star = verify_star_bound(res)
+    g_shell = res.g_shell_values
+    checks = [
+        _gate("factorization_residual", res.residual, 1e-12 * (1.0 + f.norm)),
+        Check("star_bound_lhs_vs_rhs", star.lhs, star.rhs, star.holds),
+        Check("h_norm_sq", res.h_norm_sq),
+        Check("branch", res.mode),
+    ]
+    if res.mode == "general":
+        # the weight is nondecreasing from shell 2 onward; shell 1 is pinned to 1
+        nonincreasing = bool(np.all(np.diff(g_shell[1:]) <= 1e-15))
+        checks.append(Check("g_shell_nonincreasing", nonincreasing, None, nonincreasing))
+        verdict = ideal_membership_nonprincipal(bounded_sequence(g_shell), tol=tol)
+        checks.append(Check("g_ideal_membership", verdict.value))
+    checks.append(Check("g_last_shell_value", float(g_shell[-1])))
+    checks.append(Check("cauchy_certificate", star.cauchy_bound))
+    return checks, res
+
+
+def factor_checks(f, shells):
+    """Boundary factorization f = g*h with its radial profile; returns (checks, factorization).
+
+    The last three records count the safety valves that fired: floored suffix
+    sums, clamped log-moduli, and shells holding no grid sample (mass taken as 0).
+    """
+    res = hardy_factor(f, shells)
+    radial = res.radial_profile(depths=12)
+    log = res.log_report
+    counts = res.layout.counts()[1: shells + 1]
+    checks = [
+        _gate("g_matches_reciprocal_weight", res.gw_deviation, 1e-10),
+        _gate("h_norm_sq_vs_majorant", res.h_norm_sq, res.star_rhs + 1e-8),
+        _gate("h_leakage", res.h_leakage, 1e-6),
+        _gate("radial_ratio", radial.ratio, 0.1),
+        Check("radial_values", radial.values),
+        Check("log_integral_vs_bound", log.integral_value, log.comparison_bound,
+              log.integral_value <= log.comparison_bound * (1 + 1e-9)),
+        Check("input_rescale", res.scale),
+        Check("weight_floored", res.w.floored),
+        Check("clamp_count", res.outer.clamp_count),
+        Check("empty_shells", int(np.count_nonzero(counts == 0))),
+    ]
+    return checks, res
+
+
+def outer_checks(log_modulus, clamp):
+    """Outer synthesis from a log-modulus array; returns (checks, outer function)."""
+    outer = outer_from_modulus(log_modulus, clamp=clamp)
+    modulus = np.exp(np.maximum(np.asarray(log_modulus, dtype=complex).real, np.log(clamp)))
+    dev = float(np.max(np.abs(np.abs(outer.boundary.samples) - modulus)))
+    checks = [
+        _gate("boundary_modulus_deviation", dev, 1e-10 * (1.0 + float(modulus.max()))),
+        Check("negative_mode_leakage", neg_mode_leakage(outer.boundary)),
+        Check("clamp_count", outer.clamp_count),
+    ]
+    return checks, outer
+
+
+def blaschke(n, a) -> GridFunction:
+    """The Blaschke factor (z - a)/(1 - a z) on the n-point grid."""
+    zs = coordinate_function(n).samples
+    return GridFunction((zs - a) / (1.0 - a * zs))
+
+
+def project_checks(f, b):
+    """Projection of f onto b*H2 and its idempotence; returns (checks, projection)."""
+    out = project_onto_bH2(f, b)
+    again = project_onto_bH2(out.projection, b)
+    idem = float(np.sqrt(np.mean(np.abs(again.projection.samples
+                                        - out.projection.samples) ** 2)))
+    checks = [
+        _gate("inner_boundary_deviation", out.inner.boundary_dev, 1e-8),
+        Check("distance", out.distance),
+        _gate("idempotence_residual", idem, 1e-10),
+        Check("strict_subspace", out.distance > 1e-10),
+    ]
+    return checks, out
+
+
+def halfplane_points(rng, count):
+    """Uniform samples of the box [0.05, 4] x [-4, 4] in the right half-plane."""
+    return rng.uniform(0.05, 4.0, size=count) + 1j * rng.uniform(-4.0, 4.0, size=count)
+
+
+def transfer_checks(grid, shells, points) -> List[Check]:
+    """Move the factorization of the constant 1 to the half-plane and check it there."""
+    res = hardy_factor(constant_function(grid), shells)
+    out = transfer_factorization(*res.evaluators(), points)
+    fixture = disk_to_halfplane_h2(np.array([0.5, -0.5]))  # (1 - z)/2
+    fix_err = float(np.max(np.abs(fixture(points) - 1.0 / (1.0 + points) ** 2)))
+    return [
+        _gate("transferred_identity_residual", out.max_identity_residual, 1e-8),
+        Check("disk_side_residual", out.disk_residual),
+        _gate("fixture_one_minus_z", fix_err, 1e-12),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the criteria: pinned runs of the pipelines above
 
 
 @dataclass(frozen=True)
@@ -80,33 +305,24 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     n = 10_000
-    grid = np.unique(np.concatenate([2 ** np.arange(0, 14), [n]]))
-    worst_excess = -np.inf
-    windows = 0
-    ok = True
+    runs = []
     for _ in range(100):
         power = rng.uniform(0.6, 1.5)
         decay = np.arange(1, n + 1, dtype=float) ** -power
         a = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
         profile = tail_profile(a)
-        tol = 1e-12 * (1.0 + profile.head)
-        for i, m in enumerate(grid[:-1]):
-            for nn in grid[i + 1:]:
-                rep = verify_olympiad_bound(profile, int(m), int(nn), tol_abs=tol)
-                windows += 1
-                worst_excess = max(worst_excess, rep.lhs - rep.rhs)
-                ok = ok and rep.holds
-    checks = {"bound_holds_all_windows": ok}
-    details = {"sequences": 100, "windows": windows, "worst_lhs_minus_rhs": worst_excess}
-    return _result(1, "olympiad bound suite", t0, checks, details)
+        runs.append(olympiad_checks(profile, default_bound_tol(profile)))
+    gates, records = _all_instances(runs)
+    details = {"sequences": 100, "windows": sum(c.value for c in records["windows"]),
+               "worst_lhs_minus_rhs": _worst(records, "bound_holds_all_windows")}
+    return _result(1, "olympiad bound suite", t0, gates, details)
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Synthesize-and-verify on random manufactured pointwise relations."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 2)
-    worst_coeff = worst_recon = worst_rho = 0.0
-    mu_ok = True
+    runs = []
     for _ in range(200):
         n = int(rng.integers(1, 6))
         p = int(rng.integers(1, 513))
@@ -115,81 +331,27 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         r = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         r[rng.uniform(size=p) < 0.1] = 0.0
         raw_m = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
-        # project each module row so the bilinear pairing with r vanishes
-        c = np.conj(r)
-        cc = np.einsum("pi,pi->p", c, np.conj(c)).real
-        coef = np.where(cc > 0, np.einsum("pi,pi->p", raw_m, r) / np.where(cc > 0, cc, 1), 0)
-        m = raw_m - coef[:, None] * c
-        rel = pointwise_relation(weights, r, m)
-        cert = synthesize_witness(rel)
-        rep = verify_witness(rel, cert)
-        worst_coeff = max(worst_coeff, rep.max_coeff_residual / (1e-10 * rep.coeff_scale))
-        worst_recon = max(
-            worst_recon, rep.max_reconstruction_residual / (1e-10 * rep.reconstruction_scale)
-        )
-        worst_rho = max(worst_rho, float(np.max(np.abs(cert.rho))))
-        mu_ok = mu_ok and rep.mu_norm_ok
-    checks = {
-        "coeff_residuals": worst_coeff <= 1.0,
-        "reconstruction_residuals": worst_recon <= 1.0,
-        "rho_bound": worst_rho <= 1.0 + 1e-12,
-        "mu_norm_bound": mu_ok,
-    }
+        runs.append(witness_checks(manufactured_relation(weights, r, raw_m))[0])
+    gates, records = _all_instances(runs)
     details = {
         "relations": 200,
-        "worst_coeff_residual_over_scale": worst_coeff,
-        "worst_reconstruction_residual_over_scale": worst_recon,
-        "max_abs_rho": worst_rho,
+        "worst_coeff_residual_over_scale":
+            max(c.value / c.tol for c in records["coeff_residual"]),
+        "worst_reconstruction_residual_over_scale":
+            max(c.value / c.tol for c in records["reconstruction_residual"]),
+        "max_abs_rho": _worst(records, "rho_bound"),
     }
-    return _result(2, "witness suite", t0, checks, details)
+    return _result(2, "witness suite", t0, gates, details)
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Pointwise generator identities at two ulp on random pairs."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
-    ulp_budget = 2.0 * EPS
-    worst = {"f_eq_Fd": 0.0, "g_eq_Gd": 0.0, "d_membership": 0.0,
-             "F_bound": 0.0, "cf_unimodular": 0.0}
-    for _ in range(100):
-        p = 1000
-        fv = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        gv = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        fv[rng.uniform(size=p) < 0.05] = 0.0
-        gv[rng.uniform(size=p) < 0.05] = 0.0
-        f = sampled_function(fv)
-        g = sampled_function(gv)
-        gen = principal_generator(f, g)
-        d = gen.d.values.real
-
-        def rel_err(lhs, target, scale):
-            err = np.abs(lhs - target)
-            out = err / np.maximum(scale, 1e-300)
-            out[scale == 0] = err[scale == 0]
-            return float(out.max())
-
-        worst["f_eq_Fd"] = max(worst["f_eq_Fd"],
-                               rel_err(gen.F.values * d, fv, np.abs(fv)))
-        worst["g_eq_Gd"] = max(worst["g_eq_Gd"],
-                               rel_err(gen.G.values * d, gv, np.abs(gv)))
-        worst["d_membership"] = max(
-            worst["d_membership"],
-            rel_err(fv * gen.cf.values + gv * gen.cg.values, d, d),
-        )
-        worst["F_bound"] = max(worst["F_bound"], float(np.abs(gen.F.values).max() - 1.0))
-        worst["cf_unimodular"] = max(
-            worst["cf_unimodular"], float(np.abs(np.abs(gen.cf.values) - 1.0).max())
-        )
-    checks = {
-        "f_eq_Fd": worst["f_eq_Fd"] <= ulp_budget,
-        "g_eq_Gd": worst["g_eq_Gd"] <= ulp_budget,
-        "d_membership": worst["d_membership"] <= ulp_budget,
-        "F_bound": worst["F_bound"] <= ulp_budget,
-        "cf_unimodular": worst["cf_unimodular"] <= ulp_budget,
-    }
-    details = {"pairs": 100, "atoms": 1000, "ulp_budget": ulp_budget,
-               "worst_errors": worst}
-    return _result(3, "bezout suite", t0, checks, details)
+    gates, records = _all_instances(bezout_checks(*random_pair(rng, 1000)) for _ in range(100))
+    details = {"pairs": 100, "atoms": 1000, "ulp_budget": ULP_BUDGET,
+               "worst_errors": {name: _worst(records, name) for name in gates}}
+    return _result(3, "bezout suite", t0, gates, details)
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -197,14 +359,14 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     n_shells = 64
     f, layout, tail = preset_l2(n_shells, ratio=0.5)
-    res = factor(f, layout, tail_sum_sq=tail)
+    checks, res = layered_checks(f, layout, "auto", tail, 1e-3)
+    gates, records = _all_instances([checks])
     k = np.arange(1, n_shells + 1, dtype=float)
     g_expected = 2.0 ** (-(k - 1) / 4.0)
     g_err = float(np.max(np.abs(res.g_shell_values - g_expected)))
     x = 2.0 ** -0.5
     h_norm_closed = float(0.5 * (1.0 - x**n_shells) / (1.0 - x))  # sum 2^-(k+1)/2, k<=64
     h_err = abs(res.h_norm_sq - h_norm_closed)
-    star = verify_star_bound(res)
 
     compact_f = sampled_function(
         np.concatenate([[1.0], np.zeros(n_shells - 1)]), layout.flat_weights
@@ -213,20 +375,18 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     w_compact_exact = bool(
         np.array_equal(compact.w_values, np.arange(1, n_shells + 1, dtype=float))
     )
-    checks = {
-        "g_matches_closed_form": g_err <= 1e-12,
-        "h_norm_matches_closed_form": h_err <= 1e-10,
-        "star_bound_holds": star.holds,
-        "compact_weights_exact": w_compact_exact and compact.mode == "compact",
-    }
+    gates["g_matches_closed_form"] = g_err <= 1e-12
+    gates["h_norm_matches_closed_form"] = h_err <= 1e-10
+    gates["compact_weights_exact"] = w_compact_exact and compact.mode == "compact"
+    star = records["star_bound_lhs_vs_rhs"][0]
     details = {
         "g_max_error": g_err,
         "h_norm_sq": res.h_norm_sq,
         "h_norm_closed_form": h_norm_closed,
-        "star_lhs": star.lhs,
-        "star_rhs": star.rhs,
+        "star_lhs": star.value,
+        "star_rhs": star.tol,
     }
-    return _result(4, "layered factorization", t0, checks, details)
+    return _result(4, "layered factorization", t0, gates, details)
 
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -234,9 +394,10 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     n = 2**14
     c = 2.5
-    fix_a = outer_from_modulus(np.full(n, np.log(c)))
+    checks, fix_a = outer_checks(np.full(n, np.log(c)), DEFAULT_CLAMP)
+    gates, records = _all_instances([checks])
     a_err = float(np.max(np.abs(fix_a.boundary.samples - c)))
-    a_leak = neg_mode_leakage(fix_a.boundary)
+    a_leak = records["negative_mode_leakage"][0].value
 
     theta = grid_thetas(n)
     fix_b = outer_from_modulus(np.log(2.0 * np.abs(np.sin(theta / 2.0))))
@@ -245,45 +406,38 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     target[1] = -1.0
     b_err = float(np.max(np.abs(fix_b.taylor[:16] - target)))
 
-    checks = {
-        "constant_reproduced": a_err <= 1e-10,
-        "one_minus_z_coefficients": b_err <= 1e-3,
-        "constant_leakage": a_leak <= 1e-8,
-    }
+    gates["constant_reproduced"] = a_err <= 1e-10
+    gates["one_minus_z_coefficients"] = b_err <= 1e-3
+    gates["constant_leakage"] = a_leak <= 1e-8
     details = {
         "constant_error": a_err,
         "one_minus_z_coeff_error": b_err,
         "constant_leakage": a_leak,
         "clamp_counts": [fix_a.clamp_count, fix_b.clamp_count],
     }
-    return _result(5, "outer-function fixtures", t0, checks, details)
+    return _result(5, "outer-function fixtures", t0, gates, details)
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Full boundary factorization pipeline on the constant function."""
     t0 = time.perf_counter()
-    n, m = 2**14, 256
-    res = hardy_factor(constant_function(n), m)
-    radial = res.radial_profile(depths=12)
-    diffs = np.diff(radial.values[3:])
-    checks = {
-        "g_matches_reciprocal_weight": res.gw_deviation <= 1e-10,
-        "h_norm_bounded": res.h_norm_sq <= res.star_rhs + 1e-8,
-        "h_leakage": res.h_leakage <= 1e-6,
-        "radial_strictly_decreasing_from_4": bool(np.all(diffs < 0)),
-        "radial_ratio": radial.ratio <= 0.1,
-    }
+    checks, res = factor_checks(constant_function(2**14), 256)
+    gates, records = _all_instances([checks])
+    radial = records["radial_values"][0].value
+    gates["radial_strictly_decreasing_from_4"] = bool(np.all(np.diff(radial[3:]) < 0))
     details = {
         "gw_deviation": res.gw_deviation,
         "h_norm_sq": res.h_norm_sq,
         "star_rhs": res.star_rhs,
         "h_leakage": res.h_leakage,
-        "radial_values": radial.values.tolist(),
-        "radial_ratio": radial.ratio,
+        "radial_values": radial.tolist(),
+        "radial_ratio": records["radial_ratio"][0].value,
         "log_integral": res.log_report.integral_value,
         "log_bound": res.log_report.comparison_bound,
     }
-    return _result(6, "boundary factorization pipeline", t0, checks, details)
+    for name in ("weight_floored", "clamp_count", "empty_shells"):
+        details[name] = records[name][0].value
+    return _result(6, "boundary factorization pipeline", t0, gates, details)
 
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -295,34 +449,30 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     proj_z = project_onto_bH2(one, z)
     dist_z_err = abs(proj_z.distance - 1.0)
 
+    runs = []
     worst_dist = 0.0
-    worst_idem = 0.0
     worst_adj = 0.0
     zs = z.samples
     probe = GridFunction(0.5 * zs + 0.25 * zs**3)
     for a in (0.3, 0.5, 0.9):
-        b = GridFunction((zs - a) / (1.0 - a * zs))
-        proj = project_onto_bH2(one, b)
+        b = blaschke(n, a)
+        checks, proj = project_checks(one, b)
+        runs.append(checks)
         worst_dist = max(worst_dist, abs(proj.distance**2 - (1.0 - a * a)))
-        again = project_onto_bH2(proj.projection, b)
-        idem = float(np.sqrt(np.mean(np.abs(again.projection.samples - proj.projection.samples) ** 2)))
-        worst_idem = max(worst_idem, idem)
         lhs = np.mean(proj.projection.samples * np.conj(probe.samples))
         rhs = np.mean(one.samples * np.conj(project_onto_bH2(probe, b).projection.samples))
         worst_adj = max(worst_adj, abs(lhs - rhs))
-    checks = {
-        "distance_to_shifted_space": dist_z_err <= 1e-12,
-        "blaschke_distances": worst_dist <= 1e-8,
-        "idempotent": worst_idem <= 1e-10,
-        "self_adjoint": worst_adj <= 1e-10,
-    }
+    gates, records = _all_instances(runs)
+    gates["distance_to_shifted_space"] = dist_z_err <= 1e-12
+    gates["blaschke_distances"] = worst_dist <= 1e-8
+    gates["self_adjoint"] = bool(worst_adj <= 1e-10)
     details = {
         "dist_one_zH2_error": dist_z_err,
         "worst_blaschke_distance_error": worst_dist,
-        "worst_idempotence_residual": worst_idem,
+        "worst_idempotence_residual": _worst(records, "idempotence_residual"),
         "worst_self_adjointness_residual": worst_adj,
     }
-    return _result(7, "projection strictness", t0, checks, details)
+    return _result(7, "projection strictness", t0, gates, details)
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -338,26 +488,15 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         direct = np.polyval(coeffs[::-1], zpts)
         worst_round = max(worst_round, float(np.max(np.abs(back(zpts) - direct))))
 
-    spts = rng.uniform(0.05, 4.0, size=100) + 1j * rng.uniform(-4.0, 4.0, size=100)
-    fixture = disk_to_halfplane_h2(np.array([0.5, -0.5]))  # (1 - z)/2
-    fix_err = float(np.max(np.abs(fixture(spts) - 1.0 / (1.0 + spts) ** 2)))
-
-    res = hardy_factor(constant_function(2**14), 256)
-    f_eval, g_eval, h_eval = res.evaluators()
-    transfer = transfer_factorization(f_eval, g_eval, h_eval, spts)
-
-    checks = {
-        "round_trip": worst_round <= 1e-10,
-        "fixture": fix_err <= 1e-12,
-        "transferred_identity": transfer.max_identity_residual <= 1e-8,
-    }
+    gates, records = _all_instances([transfer_checks(2**14, 256, halfplane_points(rng, 100))])
+    gates["round_trip"] = worst_round <= 1e-10
     details = {
         "worst_round_trip_error": worst_round,
-        "fixture_error": fix_err,
-        "transferred_identity_residual": transfer.max_identity_residual,
-        "disk_side_residual": transfer.disk_residual,
+        "fixture_error": records["fixture_one_minus_z"][0].value,
+        "transferred_identity_residual": records["transferred_identity_residual"][0].value,
+        "disk_side_residual": records["disk_side_residual"][0].value,
     }
-    return _result(8, "half-plane transfer", t0, checks, details)
+    return _result(8, "half-plane transfer", t0, gates, details)
 
 
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -370,18 +509,18 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     k = np.arange(1, 65, dtype=float)
     decaying = bounded_sequence(2.0 ** (-(k - 1) / 4.0))
-    verdict_decay = ideal_membership_nonprincipal(decaying, tol=1e-3)
     alternating = bounded_sequence((-1.0) ** np.arange(1, 65))
-    verdict_alt = ideal_membership_nonprincipal(alternating, tol=1e-3)
+    _, records = _all_instances(ulim_checks(s, 1e-3, 0.25) for s in (decaying, alternating))
+    verdict_decay, verdict_alt = (c.value for c in records["ideal_membership"])
 
     checks = {
         "principal_limits_exact": exact,
-        "decaying_in_ideal": verdict_decay is Membership.YES,
-        "alternating_undecidable": verdict_alt is Membership.UNDECIDABLE,
+        "decaying_in_ideal": verdict_decay == "yes",
+        "alternating_undecidable": verdict_alt == "undecidable",
     }
     details = {
-        "decaying_verdict": verdict_decay.value,
-        "alternating_verdict": verdict_alt.value,
+        "decaying_verdict": verdict_decay,
+        "alternating_verdict": verdict_alt,
     }
     return _result(9, "ultralimit contracts", t0, checks, details)
 

@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand runs one pipeline and emits a single JSON report carrying
-each measured value next to the tolerance that judges it, so reports are
-self-verifying.  Exit status: 0 when all gated checks pass, 1 when a check
-fails, 2 for usage or input errors.  Verdict-style outputs (an undecidable
-limit classification) are informational and never fail a run.
+Every subcommand parses its arguments, runs its pipeline through the one
+function in ``acceptance`` that the acceptance battery also runs, and emits
+a single JSON report of the resulting check records, each measured value
+next to the tolerance that judges it, so reports are self-verifying and a
+gate carries the same name here as in the battery.  Exit status: 0 when all
+gated checks pass, 1 when a check fails, 2 for usage or input errors.
+Verdict-style outputs (an undecidable limit classification) are
+informational and never fail a run.
 """
 
 from __future__ import annotations
@@ -18,103 +21,70 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, ioformats
-from .bezout_ops import principal_generator, sampled_function, strictness_witness
+from .acceptance import Check
+from .bezout_ops import sampled_function, strictness_witness
 from .errors import FlatwitnessError, InvalidInput
-from .halfplane_transfer import disk_to_halfplane_h2, transfer_factorization
-from .hardy_engine import (
-    GridFunction,
-    constant_function,
-    coordinate_function,
-    hardy_factor,
-    inner_check,
-    neg_mode_leakage,
-    outer_from_modulus,
-    project_onto_bH2,
-    grid_thetas,
-)
-from .layered_factor import (
-    factor,
-    preset_circle,
-    preset_l2,
-    preset_lebesgue_r,
-    verify_star_bound,
-)
-from .pointwise_witness import pointwise_relation, synthesize_witness, verify_witness
-from .seq_core import geometric_profile, tail_profile, verify_olympiad_bound
-from .ultralimits import (
-    bounded_sequence,
-    eventual_limit,
-    ideal_membership_nonprincipal,
-    principal_limit,
-)
-
-EPS = np.finfo(float).eps
+from .hardy_engine import constant_function, coordinate_function, grid_thetas
+from .layered_factor import preset_circle, preset_l2, preset_lebesgue_r
+from .seq_core import default_bound_tol, geometric_profile, tail_profile, verify_olympiad_bound
+from .ultralimits import bounded_sequence, principal_limit
 
 
-def _check(name, value, tol=None, ok=None):
-    return {"name": name, "value": ioformats.jsonable(value), "tol": tol, "pass": ok}
+def _report(subcommand, parameters, checks, **extra):
+    return {"subcommand": subcommand, "parameters": parameters, "checks": checks, **extra}
 
 
-def _emit(report, args) -> int:
-    gated = [c["pass"] for c in report["checks"] if c["pass"] is not None]
-    report["pass"] = bool(all(gated)) if gated else True
-    report["wall_time_s"] = time.perf_counter() - report.pop("_t0")
+def _emit(report, args, t0) -> int:
+    checks = report["checks"]
+    report["checks"] = [{"name": c.name, "value": c.value, "tol": c.tol, "pass": c.passed}
+                        for c in checks]
+    report["pass"] = all(c.passed for c in checks if c.passed is not None)
+    report["wall_time_s"] = time.perf_counter() - t0
     indent = None if args.json else 2
     text = json.dumps(ioformats.jsonable(report), indent=indent, sort_keys=False)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise InvalidInput(f"cannot write the report to {args.out}: {exc}") from exc
     else:
         print(text)
     return 0 if report["pass"] else 1
 
 
-def _report(subcommand, parameters):
-    return {"subcommand": subcommand, "parameters": ioformats.jsonable(parameters),
-            "checks": [], "_t0": time.perf_counter()}
+def _number_after_colon(spec) -> float:
+    try:
+        return float(spec.split(":", 1)[1])
+    except ValueError as exc:
+        raise InvalidInput(f"expected a number after the colon in {spec!r}") from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: parse, run one pipeline, return the report
 
 
-def _cmd_olympiad(args) -> int:
+def _cmd_olympiad(args):
     if args.input:
         profile = tail_profile(ioformats.read_sequence(args.input), args.tail)
     else:
         profile = geometric_profile(args.geometric, args.terms)
-    rep = _report("olympiad", {"input": args.input, "geometric": args.geometric,
-                               "terms": profile.n_terms, "tail": profile.tail,
-                               "m": args.m, "n": args.n})
-    tol = args.tol if args.tol is not None else 1e-12 * (1.0 + profile.head)
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:
             raise InvalidInput("give both --m and --n for a single window")
         out = verify_olympiad_bound(profile, args.m, args.n, tol_abs=args.tol)
-        rep["checks"].append(_check("weighted_sum", out.lhs, out.rhs, out.holds))
-        rep["checks"].append(_check("telescoped_bound", out.rhs))
+        checks = [Check("weighted_sum", out.lhs, out.rhs, out.holds),
+                  Check("telescoped_bound", out.rhs), Check("head_mass", profile.head)]
     else:
-        n = profile.n_terms
-        grid = np.unique(np.concatenate([2 ** np.arange(0, 14), [n]]))
-        grid = grid[grid <= n]
-        worst = -np.inf
-        holds = True
-        windows = 0
-        for i, m in enumerate(grid[:-1]):
-            for nn in grid[i + 1:]:
-                out = verify_olympiad_bound(profile, int(m), int(nn), tol_abs=args.tol)
-                worst = max(worst, out.lhs - out.rhs)
-                holds = holds and out.holds
-                windows += 1
-        rep["checks"].append(_check("bound_holds_all_windows", worst, tol, holds))
-        rep["checks"].append(_check("windows", windows))
-    rep["checks"].append(_check("head_mass", profile.head))
-    return _emit(rep, args)
+        tol = args.tol if args.tol is not None else default_bound_tol(profile)
+        checks = acceptance.olympiad_checks(profile, tol)
+    return _report("olympiad", {"input": args.input, "geometric": args.geometric,
+                                "terms": profile.n_terms, "tail": profile.tail,
+                                "m": args.m, "n": args.n}, checks)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     if args.input:
-        with open(args.input) as fh:
-            rel = ioformats.relation_from_obj(json.load(fh))
+        rel = ioformats.relation_from_obj(ioformats.read_json(args.input))
     else:
         try:
             n, p = (int(tok) for tok in args.random.split(","))
@@ -124,172 +94,88 @@ def _cmd_witness(args) -> int:
         weights = rng.uniform(size=p)
         r = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         raw_m = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
-        c = np.conj(r)
-        cc = np.einsum("pi,pi->p", c, np.conj(c)).real
-        coef = np.where(cc > 0, np.einsum("pi,pi->p", raw_m, r) / np.where(cc > 0, cc, 1), 0)
-        rel = pointwise_relation(weights, r, raw_m - coef[:, None] * c)
-    rep = _report("witness", {"input": args.input, "random": args.random, "seed": args.seed,
-                              "points": rel.n_points, "terms": rel.n_terms})
-    cert = synthesize_witness(rel)
-    ver = verify_witness(rel, cert)
-    rep["checks"].append(_check("coeff_residual", ver.max_coeff_residual,
-                                1e-10 * ver.coeff_scale,
-                                ver.max_coeff_residual <= 1e-10 * ver.coeff_scale))
-    rep["checks"].append(_check("reconstruction_residual", ver.max_reconstruction_residual,
-                                1e-10 * ver.reconstruction_scale,
-                                ver.max_reconstruction_residual
-                                <= 1e-10 * ver.reconstruction_scale))
-    rep["checks"].append(_check("rho_bound", float(np.max(np.abs(cert.rho))),
-                                1.0 + 1e-12, ver.rho_bound_ok))
-    rep["checks"].append(_check("mu_norm_bound", ver.mu_norm_ok, None, ver.mu_norm_ok))
-    if args.certificate:
-        rep["certificate"] = ioformats.certificate_to_obj(cert)
-    return _emit(rep, args)
+        rel = acceptance.manufactured_relation(weights, r, raw_m)
+    checks, cert = acceptance.witness_checks(rel)
+    extra = {"certificate": ioformats.certificate_to_obj(cert)} if args.certificate else {}
+    return _report("witness", {"input": args.input, "random": args.random, "seed": args.seed,
+                               "points": rel.n_points, "terms": rel.n_terms}, checks, **extra)
 
 
-def _cmd_bezout(args) -> int:
+def _cmd_bezout(args):
     if args.input:
-        with open(args.input) as fh:
-            obj = json.load(fh)
+        obj = ioformats.read_json(args.input)
         try:
             weights = obj.get("weights")
             f = sampled_function(ioformats.complex_array(obj["f"]), weights)
             g = sampled_function(ioformats.complex_array(obj["g"]), weights)
-        except KeyError as exc:
-            raise InvalidInput(f"bezout input needs keys f and g: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"bezout input must be an object with keys f and g: {exc}") \
+                from exc
     else:
-        rng = np.random.default_rng(args.seed)
-        p = args.atoms
-        fv = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        gv = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        fv[rng.uniform(size=p) < 0.05] = 0.0
-        gv[rng.uniform(size=p) < 0.05] = 0.0
-        f, g = sampled_function(fv), sampled_function(gv)
-    rep = _report("bezout", {"input": args.input, "atoms": f.n_atoms, "seed": args.seed})
-    gen = principal_generator(f, g)
-    d = gen.d.values.real
-    budget = 2.0 * EPS
-
-    def worst_rel(lhs, target, scale):
-        err = np.abs(lhs - target)
-        rel = err / np.maximum(scale, 1e-300)
-        rel[scale == 0] = err[scale == 0]
-        return float(rel.max())
-
-    e_f = worst_rel(gen.F.values * d, f.values, np.abs(f.values))
-    e_g = worst_rel(gen.G.values * d, g.values, np.abs(g.values))
-    e_d = worst_rel(f.values * gen.cf.values + g.values * gen.cg.values, d, d)
-    e_F = float(np.abs(gen.F.values).max() - 1.0)
-    e_u = float(np.abs(np.abs(gen.cf.values) - 1.0).max())
-    for name, val in (("f_eq_Fd", e_f), ("g_eq_Gd", e_g), ("d_membership", e_d),
-                      ("F_bound", e_F), ("cf_unimodular", e_u)):
-        rep["checks"].append(_check(name, val, budget, val <= budget))
+        f, g = acceptance.random_pair(np.random.default_rng(args.seed), args.atoms)
+    checks = acceptance.bezout_checks(f, g)
     if args.strictness:
         obstruction = strictness_witness(g)
-        rep["checks"].append(_check("generator_zero_mass", obstruction.zero_mass))
-        rep["checks"].append(_check("indicator_distance", obstruction.distance))
-    return _emit(rep, args)
+        checks += [Check("generator_zero_mass", obstruction.zero_mass),
+                   Check("indicator_distance", obstruction.distance)]
+    return _report("bezout", {"input": args.input, "atoms": f.n_atoms, "seed": args.seed},
+                   checks)
 
 
-def _cmd_ulim(args) -> int:
+def _cmd_ulim(args):
     seq = bounded_sequence(ioformats.read_sequence(args.input))
-    rep = _report("ulim", {"input": args.input, "tol": args.tol,
-                           "tail_fraction": args.tail_fraction, "length": len(seq.values)})
+    checks = acceptance.ulim_checks(seq, args.tol, args.tail_fraction)
     if args.index is not None:
-        rep["checks"].append(_check(f"limit_at_{args.index}",
-                                    principal_limit(seq, args.index)))
-    certified = eventual_limit(seq, args.tol, args.tail_fraction)
-    verdict = ideal_membership_nonprincipal(seq, args.tol)
-    if certified is None:
-        rep["checks"].append(_check("eventual_limit", "no verdict"))
-    else:
-        rep["checks"].append(_check("eventual_limit", certified.limit, args.tol))
-        rep["checks"].append(_check("eventual_radius", certified.radius))
-    rep["checks"].append(_check("ideal_membership", verdict.value))
-    rep["checks"].append(_check("sup_norm", seq.sup_norm))
-    return _emit(rep, args)
+        checks.insert(0, Check(f"limit_at_{args.index}", principal_limit(seq, args.index)))
+    return _report("ulim", {"input": args.input, "tol": args.tol,
+                            "tail_fraction": args.tail_fraction, "length": len(seq.values)},
+                   checks)
 
 
-def _cmd_layered(args) -> int:
+def _cmd_layered(args):
     if args.preset:
-        if args.preset == "l2":
-            f, layout, tail = preset_l2(args.shells, args.geometric)
-        elif args.preset == "lebesgue-r":
-            f, layout, tail = preset_lebesgue_r(args.shells, args.atoms_per_shell)
-        elif args.preset == "circle":
-            f, layout, tail = preset_circle(args.shells, args.atoms_per_shell)
-        else:
-            raise InvalidInput(f"unknown preset {args.preset!r}")
+        preset = {"l2": lambda: preset_l2(args.shells, args.geometric),
+                  "lebesgue-r": lambda: preset_lebesgue_r(args.shells, args.atoms_per_shell),
+                  "circle": lambda: preset_circle(args.shells, args.atoms_per_shell)}
+        f, layout, tail = preset[args.preset]()
     else:
         if not (args.layout and args.values):
             raise InvalidInput("need --preset, or --layout together with --values")
-        with open(args.layout) as fh:
-            layout = ioformats.layered_space_from_obj(json.load(fh))
-        with open(args.values) as fh:
-            obj = json.load(fh)
-        vals = ioformats.complex_array(obj["values"] if isinstance(obj, dict) else obj)
+        layout = ioformats.layered_space_from_obj(ioformats.read_json(args.layout))
+        obj = ioformats.read_json(args.values)
+        try:
+            vals = ioformats.complex_array(obj["values"] if isinstance(obj, dict) else obj)
+        except KeyError as exc:
+            raise InvalidInput("layered values need a 'values' key") from exc
         f = sampled_function(vals, layout.flat_weights)
         tail = args.tail
-    rep = _report("layered", {"preset": args.preset, "shells": layout.n_shells,
-                              "atoms": layout.n_atoms, "geometric": args.geometric,
-                              "mode": args.mode, "tail": tail})
-    res = factor(f, layout, mode=args.mode, tail_sum_sq=tail)
-    star = verify_star_bound(res)
-    res_tol = 1e-12 * (1.0 + f.norm)
-    rep["checks"].append(_check("factorization_residual", res.residual, res_tol,
-                                res.residual <= res_tol))
-    rep["checks"].append(_check("star_bound_lhs_vs_rhs", star.lhs, star.rhs, star.holds))
-    rep["checks"].append(_check("h_norm_sq", res.h_norm_sq))
-    rep["checks"].append(_check("branch", res.mode))
-    g_shell = res.g_shell_values
-    if res.mode == "general":
-        # the weight is nondecreasing from shell 2 onward; shell 1 is pinned to 1
-        nonincreasing = bool(np.all(np.diff(g_shell[1:]) <= 1e-15))
-        rep["checks"].append(_check("g_shell_nonincreasing", nonincreasing, None, nonincreasing))
-        verdict = ideal_membership_nonprincipal(bounded_sequence(g_shell), tol=args.tol or 1e-3)
-        rep["checks"].append(_check("g_ideal_membership", verdict.value))
-    rep["checks"].append(_check("g_last_shell_value", float(g_shell[-1])))
-    rep["checks"].append(_check("cauchy_certificate", star.cauchy_bound))
-    return _emit(rep, args)
+    checks, _ = acceptance.layered_checks(f, layout, args.mode, tail, args.tol)
+    return _report("layered", {"preset": args.preset, "shells": layout.n_shells,
+                               "atoms": layout.n_atoms, "geometric": args.geometric,
+                               "mode": args.mode, "tail": tail}, checks)
 
 
-def _named_grid_input(name, n):
-    if name == "constant1":
+def _grid_input(spec, n):
+    if spec == "constant1":
         return constant_function(n)
-    if name == "z":
+    if spec == "z":
         return coordinate_function(n)
-    return ioformats.read_grid_function(name)
+    if spec.startswith("blaschke:"):
+        return acceptance.blaschke(n, _number_after_colon(spec))
+    return ioformats.read_grid_function(spec)
 
 
-def _cmd_hardy(args) -> int:
+def _cmd_hardy(args):
     if args.action == "factor":
-        f = _named_grid_input(args.input, args.grid)
-        rep = _report("hardy factor", {"grid": f.n, "shells": args.shells,
-                                       "input": args.input})
-        res = hardy_factor(f, args.shells)
-        radial = res.radial_profile(depths=12)
-        rep["checks"].append(_check("g_matches_reciprocal_weight", res.gw_deviation,
-                                    1e-10, res.gw_deviation <= 1e-10))
-        rep["checks"].append(_check("h_norm_sq_vs_majorant", res.h_norm_sq,
-                                    res.star_rhs + 1e-8,
-                                    res.h_norm_sq <= res.star_rhs + 1e-8))
-        rep["checks"].append(_check("h_negative_mode_leakage", res.h_leakage, 1e-6,
-                                    res.h_leakage <= 1e-6))
-        rep["checks"].append(_check("radial_ratio_last_over_first", radial.ratio, 0.1,
-                                    radial.ratio <= 0.1))
-        rep["checks"].append(_check("radial_values", radial.values))
-        rep["checks"].append(_check("log_integral_vs_bound",
-                                    res.log_report.integral_value,
-                                    res.log_report.comparison_bound,
-                                    res.log_report.integral_value
-                                    <= res.log_report.comparison_bound * (1 + 1e-9)))
-        rep["checks"].append(_check("input_rescale", res.scale))
-        return _emit(rep, args)
+        f = _grid_input(args.input, args.grid)
+        checks, _ = acceptance.factor_checks(f, args.shells)
+        return _report("hardy factor", {"grid": f.n, "shells": args.shells,
+                                        "input": args.input}, checks)
 
     if args.action == "outer":
         if args.fixture:
             if args.fixture.startswith("const:"):
-                k = np.full(args.grid, np.log(float(args.fixture.split(":", 1)[1])))
+                k = np.full(args.grid, np.log(_number_after_colon(args.fixture)))
             elif args.fixture == "log-sin":
                 k = np.log(2.0 * np.abs(np.sin(grid_thetas(args.grid) / 2.0)))
             else:
@@ -298,84 +184,43 @@ def _cmd_hardy(args) -> int:
             k = ioformats.read_grid_function(args.input).samples
         else:
             raise InvalidInput("need --fixture or --input")
-        rep = _report("hardy outer", {"grid": len(k), "fixture": args.fixture,
-                                      "input": args.input, "clamp": args.clamp})
-        outer = outer_from_modulus(k, clamp=args.clamp)
-        clamped = np.maximum(np.asarray(k, dtype=complex).real, np.log(args.clamp))
-        dev = float(np.max(np.abs(np.abs(outer.boundary.samples) - np.exp(clamped))))
-        scale = 1e-10 * (1.0 + float(np.exp(clamped).max()))
-        rep["checks"].append(_check("boundary_modulus_deviation", dev, scale, dev <= scale))
-        leak = neg_mode_leakage(outer.boundary)
-        rep["checks"].append(_check("negative_mode_leakage", leak))
-        rep["checks"].append(_check("clamp_count", outer.clamp_count))
-        if args.emit_taylor:
-            rep["taylor_head"] = ioformats.complex_pairs(outer.taylor[:32])
-        return _emit(rep, args)
+        checks, outer = acceptance.outer_checks(k, args.clamp)
+        extra = {"taylor_head": ioformats.complex_pairs(outer.taylor[:32])} \
+            if args.emit_taylor else {}
+        return _report("hardy outer", {"grid": len(k), "fixture": args.fixture,
+                                       "input": args.input, "clamp": args.clamp},
+                       checks, **extra)
 
-    if args.action == "project":
-        f = _named_grid_input(args.input, args.grid)
-        if args.inner == "z":
-            b = coordinate_function(f.n)
-        elif args.inner.startswith("blaschke:"):
-            a = float(args.inner.split(":", 1)[1])
-            zs = coordinate_function(f.n).samples
-            b = GridFunction((zs - a) / (1.0 - a * zs))
-        else:
-            b = ioformats.read_grid_function(args.inner)
-        rep = _report("hardy project", {"grid": f.n, "input": args.input,
-                                        "inner": args.inner})
-        chk = inner_check(b)
-        rep["checks"].append(_check("inner_boundary_deviation", chk.boundary_dev,
-                                    1e-8, chk.boundary_dev <= 1e-8))
-        out = project_onto_bH2(f, b)
-        again = project_onto_bH2(out.projection, b)
-        idem = float(np.sqrt(np.mean(np.abs(again.projection.samples
-                                            - out.projection.samples) ** 2)))
-        rep["checks"].append(_check("distance", out.distance))
-        rep["checks"].append(_check("idempotence_residual", idem, 1e-10, idem <= 1e-10))
-        rep["checks"].append(_check("strict_subspace", out.distance > 1e-10))
-        return _emit(rep, args)
-
-    raise InvalidInput(f"unknown hardy action {args.action!r}")
+    f = _grid_input(args.input, args.grid)
+    checks, _ = acceptance.project_checks(f, _grid_input(args.inner, f.n))
+    return _report("hardy project", {"grid": f.n, "input": args.input, "inner": args.inner},
+                   checks)
 
 
-def _cmd_transfer(args) -> int:
-    rng = np.random.default_rng(args.seed)
+def _cmd_transfer(args):
     if args.points:
         pts = ioformats.read_sequence(args.points)
     else:
-        pts = rng.uniform(0.05, 4.0, size=args.num_points) \
-            + 1j * rng.uniform(-4.0, 4.0, size=args.num_points)
-    rep = _report("transfer", {"grid": args.grid, "shells": args.shells,
-                               "points": len(pts), "seed": args.seed})
-    res = hardy_factor(constant_function(args.grid), args.shells)
-    f_eval, g_eval, h_eval = res.evaluators()
-    out = transfer_factorization(f_eval, g_eval, h_eval, pts)
-    rep["checks"].append(_check("transferred_identity_residual",
-                                out.max_identity_residual, 1e-8,
-                                out.max_identity_residual <= 1e-8))
-    rep["checks"].append(_check("disk_side_residual", out.disk_residual))
-    fixture = disk_to_halfplane_h2(np.array([0.5, -0.5]))
-    fix_err = float(np.max(np.abs(fixture(pts) - 1.0 / (1.0 + pts) ** 2)))
-    rep["checks"].append(_check("fixture_one_minus_z", fix_err, 1e-12, fix_err <= 1e-12))
-    return _emit(rep, args)
+        pts = acceptance.halfplane_points(np.random.default_rng(args.seed), args.num_points)
+    checks = acceptance.transfer_checks(args.grid, args.shells, pts)
+    return _report("transfer", {"grid": args.grid, "shells": args.shells,
+                                "points": len(pts), "seed": args.seed}, checks)
 
 
-def _cmd_suite(args) -> int:
-    rep = _report("suite", {"seed": args.seed})
-    results = acceptance.run_suite(seed=args.seed)
-    for res in results:
+def _cmd_suite(args):
+    checks = []
+    for res in acceptance.run_suite(seed=args.seed):
         line = f"criterion {res.index}: {'PASS' if res.passed else 'FAIL'}  {res.name}" \
                f"  ({res.elapsed_s:.2f}s)"
         print(line, file=sys.stderr)
         if not res.passed:
             failing = [k for k, v in res.checks.items() if not v]
             print(f"  failing checks: {', '.join(failing)}", file=sys.stderr)
-        rep["checks"].append(_check(f"criterion_{res.index}_{res.name.replace(' ', '_')}",
-                                    {"checks": res.checks, "details": res.details,
-                                     "elapsed_s": res.elapsed_s},
-                                    None, res.passed))
-    return _emit(rep, args)
+        checks.append(Check(f"criterion_{res.index}_{res.name.replace(' ', '_')}",
+                            {"checks": res.checks, "details": res.details,
+                             "elapsed_s": res.elapsed_s},
+                            None, res.passed))
+    return _report("suite", {"seed": args.seed}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="sampled function JSON aligned with the layout")
     p.add_argument("--tail", type=float, default=0.0)
     p.add_argument("--mode", choices=["auto", "compact", "general"], default="auto")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(func=_cmd_layered)
 
     p = sub.add_parser("hardy", help="boundary-grid pipelines")
@@ -449,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2**14)
     p.add_argument("--shells", type=int, default=256)
     p.add_argument("--input", default="constant1",
-                   help="constant1, z, or a grid file (.json/.bin)")
+                   help="constant1, z, blaschke:A, or a grid file (.json/.bin)")
     p.add_argument("--fixture", help="outer action: const:C or log-sin")
     p.add_argument("--clamp", type=float, default=1e-12)
     p.add_argument("--inner", default="z",
-                   help="project action: z, blaschke:A, or a grid file")
+                   help="project action: the inner function, in the --input vocabulary")
     p.add_argument("--emit-taylor", action="store_true")
     p.set_defaults(func=_cmd_hardy)
 
@@ -473,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        return _emit(args.func(args), args, t0)
     except FlatwitnessError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -545,6 +545,7 @@ def inner_check(b: GridFunction, tol: float = 1e-8,
 class ProjectionResult:
     projection: GridFunction
     distance: float
+    inner: InnerCheckReport   # the checks b passed before projecting
 
 
 def project_onto_bH2(f: GridFunction, b: GridFunction,
@@ -565,4 +566,4 @@ def project_onto_bH2(f: GridFunction, b: GridFunction,
     inner_part = analytic_project(GridFunction(np.conj(b.samples) * f.samples))
     proj = GridFunction(b.samples * inner_part.samples)
     distance = float(np.sqrt(np.mean(np.abs(f.samples - proj.samples) ** 2)))
-    return ProjectionResult(proj, distance)
+    return ProjectionResult(proj, distance, chk)

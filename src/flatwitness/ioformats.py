@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezout_ops import SampledFunction, sampled_function
 from .errors import InvalidInput
 from .hardy_engine import GridFunction
 from .layered_factor import LayeredSpace, Shell
@@ -28,12 +27,11 @@ __all__ = [
     "complex_array",
     "complex_pairs",
     "read_sequence",
+    "read_json",
     "write_sequence",
     "relation_from_obj",
     "relation_to_obj",
     "certificate_to_obj",
-    "sampled_function_from_obj",
-    "sampled_function_to_obj",
     "layered_space_from_obj",
     "read_grid_function",
     "write_grid_function",
@@ -44,13 +42,16 @@ __all__ = [
 def complex_array(entries) -> np.ndarray:
     """Array from a list of [re, im] pairs (bare reals are accepted)."""
     out = []
-    for e in entries:
-        if isinstance(e, (list, tuple)):
-            if len(e) != 2:
-                raise InvalidInput(f"complex entry must be a [re, im] pair, got {e!r}")
-            out.append(complex(e[0], e[1]))
-        else:
-            out.append(complex(e))
+    try:
+        for e in entries:
+            if isinstance(e, (list, tuple)):
+                if len(e) != 2:
+                    raise InvalidInput(f"complex entry must be a [re, im] pair, got {e!r}")
+                out.append(complex(e[0], e[1]))
+            else:
+                out.append(complex(e))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"not a list of complex entries: {exc}") from exc
     return np.asarray(out, dtype=complex)
 
 
@@ -61,15 +62,25 @@ def complex_pairs(arr) -> list:
 def read_sequence(path) -> np.ndarray:
     """Complex sequence from a .json array of pairs or a .csv of index,re,im."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        rows = []
+    if path.suffix.lower() != ".csv":
+        return complex_array(read_json(path))
+    try:
         with path.open(newline="") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append((int(rec["index"]), float(rec["re"]), float(rec["im"])))
-        rows.sort()
-        return np.asarray([complex(re, im) for _, re, im in rows])
-    with path.open() as fh:
-        return complex_array(json.load(fh))
+            rows = [(int(rec["index"]), float(rec["re"]), float(rec["im"]))
+                    for rec in csv.DictReader(fh)]
+    except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise InvalidInput(f"cannot read sequence file {path}: {exc}") from exc
+    rows.sort()
+    return np.asarray([complex(re, im) for _, re, im in rows])
+
+
+def read_json(path):
+    """The JSON document in a file; an unreadable or malformed file is InvalidInput."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read JSON file {path}: {exc}") from exc
 
 
 def write_sequence(path, values):
@@ -90,7 +101,7 @@ def relation_from_obj(obj) -> PointwiseRelation:
         weights = np.asarray(obj["weights"], dtype=float)
         r_rows = np.vstack([complex_array(row) for row in obj["r"]])
         m_rows = np.vstack([complex_array(row) for row in obj["m"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed relation object: {exc}") from exc
     return pointwise_relation(weights, r_rows, m_rows)
 
@@ -111,19 +122,6 @@ def certificate_to_obj(cert: WitnessCertificate) -> dict:
     }
 
 
-def sampled_function_from_obj(obj) -> SampledFunction:
-    try:
-        values = complex_array(obj["values"])
-        weights = obj.get("weights")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed sampled function: {exc}") from exc
-    return sampled_function(values, weights)
-
-
-def sampled_function_to_obj(f: SampledFunction) -> dict:
-    return {"values": complex_pairs(f.values), "weights": [float(w) for w in f.weights]}
-
-
 def layered_space_from_obj(obj) -> LayeredSpace:
     try:
         shells = sorted(obj["shells"], key=lambda sh: sh["n"])
@@ -135,7 +133,7 @@ def layered_space_from_obj(obj) -> LayeredSpace:
             )
             for sh in shells
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed layered space: {exc}") from exc
     return LayeredSpace(built)
 
@@ -145,12 +143,11 @@ _GRID_HEADER = struct.Struct("<Q")
 
 def read_grid_function(path) -> GridFunction:
     path = Path(path)
+    if path.suffix.lower() == ".json":
+        return GridFunction(complex_array(read_json(path)))
     try:
-        if path.suffix.lower() == ".json":
-            with path.open() as fh:
-                return GridFunction(complex_array(json.load(fh)))
         blob = path.read_bytes()
-    except (OSError, TypeError, ValueError) as exc:
+    except OSError as exc:
         raise InvalidInput(f"cannot read grid file {path}: {exc}") from exc
     if len(blob) < _GRID_HEADER.size:
         raise InvalidInput("grid file too short for its header")
@@ -188,6 +185,8 @@ def jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return c.real if c.imag == 0.0 else [c.real, c.imag]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

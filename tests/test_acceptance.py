@@ -8,7 +8,10 @@ is fixed here or inside the battery, not tuned at run time.
 import json
 import time
 
+import pytest
+
 from flatwitness import acceptance, cli
+from flatwitness.hardy_engine import constant_function
 
 
 def _report(result, budget_s):
@@ -96,3 +99,12 @@ def test_criterion_10_suite_subcommand(capsys):
     assert code == 0, "suite exit status nonzero: " + ", ".join(
         c["name"] for c in report["checks"] if not c["pass"]
     )
+
+
+@pytest.mark.parametrize("n, empty", [(2**6, 251), (2**14, 165), (2**20, 0)])
+def test_factor_checks_report_empty_shells(n, empty):
+    checks, _ = acceptance.factor_checks(constant_function(n), 256)
+    values = {c.name: c.value for c in checks}
+    assert values["empty_shells"] == empty
+    if n == 2**14:  # the default size of `hardy factor` and criterion 6
+        assert values["weight_floored"] == values["clamp_count"] == 0

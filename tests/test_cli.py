@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flatwitness import cli, ioformats
+from flatwitness import acceptance, cli, ioformats
 
 
 def run_cli(capsys, argv):
@@ -51,6 +51,8 @@ def test_bezout_random_with_strictness(capsys):
     assert code == 0
     names = [c["name"] for c in report["checks"]]
     assert "d_membership" in names and "generator_zero_mass" in names
+    # verdicts are JSON booleans, not their string forms
+    assert all(c["pass"] is True for c in report["checks"] if c["tol"] is not None)
 
 
 def test_ulim_oscillating_is_informational(tmp_path, capsys):
@@ -234,3 +236,76 @@ def test_hardy_bad_grid_file_is_input_error(tmp_path, capsys, action, defect):
     lines = out.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvalidInput"
+
+
+BAD_INPUT_FILES = {
+    "malformed.json": "[[1.0, 0.0], [1.0",
+    "no_im.csv": "index,re\n1,1.0\n2,0.5\n",
+    "list.json": "[[1.0, 0.0], [2.0, 0.0]]",
+    "no_values.json": '{"vals": [[1.0, 0.0]]}',
+    "layout.json": json.dumps({"shells": [{"n": 1, "atoms": [{"id": 1, "weight": 1.0}]}]}),
+}
+
+BAD_INPUTS = [
+    *([*flag, name] for flag in (["ulim", "--input"], ["olympiad", "--input"],
+                                 ["transfer", "--points"])
+      for name in ("missing.json", "malformed.json", "no_im.csv")),
+    ["witness", "--input", "missing.json"],
+    ["witness", "--input", "malformed.json"],
+    ["bezout", "--input", "missing.json"],
+    ["bezout", "--input", "malformed.json"],
+    ["bezout", "--input", "list.json"],
+    ["layered", "--layout", "layout.json", "--values", "missing.json"],
+    ["layered", "--layout", "layout.json", "--values", "no_values.json"],
+    ["hardy", "outer", "--fixture", "const:abc"],
+    ["hardy", "project", "--inner", "blaschke:x"],
+    ["olympiad", "--out", "no_such_dir/report.json"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: " ".join(argv).replace("/", ":"))
+def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == "" and "Traceback" not in out.err
+    lines = out.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidInput"
+
+
+# gate of `hardy factor` -> the details key under which criterion 6 reports its value
+CRITERION_6_VALUE_KEY = {
+    "g_matches_reciprocal_weight": "gw_deviation",
+    "h_norm_sq_vs_majorant": "h_norm_sq",
+    "h_leakage": "h_leakage",
+    "radial_ratio": "radial_ratio",
+    "log_integral_vs_bound": "log_integral",
+}
+
+
+def test_hardy_factor_defaults_match_criterion_6(capsys):
+    _, report, _ = run_cli(capsys, ["hardy", "factor"])
+    c6 = acceptance.criterion_6()
+    checks = {c["name"]: c for c in report["checks"]}
+    shared = {name for name, c in checks.items() if c["pass"] is not None} & set(c6.checks)
+    assert shared == set(CRITERION_6_VALUE_KEY)
+    for name in shared:
+        assert checks[name]["pass"] == c6.checks[name]
+        assert checks[name]["value"] == c6.details[CRITERION_6_VALUE_KEY[name]]
+    for valve in ("weight_floored", "clamp_count", "empty_shells"):
+        assert checks[valve]["value"] == c6.details[valve]
+
+
+@pytest.mark.parametrize("argv, criterion", [
+    (["bezout"], acceptance.criterion_3),
+    (["transfer"], acceptance.criterion_8),
+    (["hardy", "project"], acceptance.criterion_7),
+], ids=["bezout", "transfer", "hardy-project"])
+def test_subcommand_gates_reappear_in_its_criterion(capsys, argv, criterion):
+    _, report, _ = run_cli(capsys, argv)
+    gates = {c["name"] for c in report["checks"] if c["pass"] is not None}
+    assert gates and gates <= set(criterion().checks)

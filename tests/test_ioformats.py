@@ -1,7 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flatwitness import ioformats
 from flatwitness.errors import InvalidInput
@@ -112,3 +115,59 @@ def test_jsonable_handles_reports():
     assert obj["report"]["holds"] is True
     assert obj["verdict"] == "yes"
     assert obj["arr"] == [[0.0, 1.0], [2.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every reader returns or raises InvalidInput, never anything else
+
+KEYS = st.sampled_from(["weights", "r", "m", "shells", "n", "atoms", "id", "weight",
+                        "values", "f", "g"]) | st.text(max_size=3)
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=4) | st.integers(min_value=10**300))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(KEYS, inner, max_size=5),
+    max_leaves=30,
+)
+CSV_CELLS = st.sampled_from(["1", "2", "-0.5", "1e999", "nan", "inf", "x", "", "index",
+                             "re", "im", '"', "1,2"])
+CSV_TEXT = st.lists(st.lists(CSV_CELLS, max_size=4).map(",".join), max_size=6).map("\n".join)
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _returns_or_invalid(read, arg):
+    try:
+        read(arg)
+    except InvalidInput:
+        pass
+
+
+@FUZZ
+@given(obj=JSON_VALUES)
+def test_object_readers_fuzz(obj):
+    for read in (ioformats.complex_array, ioformats.relation_from_obj,
+                 ioformats.layered_space_from_obj):
+        _returns_or_invalid(read, obj)
+
+
+@FUZZ
+@given(suffix=st.sampled_from([".json", ".csv", ".bin"]),
+       content=st.binary(max_size=64) | JSON_VALUES.map(json.dumps).map(str.encode)
+       | CSV_TEXT.map(str.encode))
+def test_file_readers_fuzz(tmp_path, suffix, content):
+    path = tmp_path / f"input{suffix}"
+    path.write_bytes(content)
+    _returns_or_invalid(ioformats.read_sequence, path)
+    _returns_or_invalid(ioformats.read_grid_function, path)
+
+
+@FUZZ
+@given(n=st.integers(min_value=0, max_value=2**64 - 1) | st.integers(0, 16),
+       values=st.lists(st.floats(width=64), max_size=40),
+       cut=st.integers(min_value=0, max_value=7))
+def test_binary_grid_reader_fuzz(tmp_path, n, values, cut):
+    blob = struct.pack("<Q", n) + struct.pack(f"<{len(values)}d", *values)
+    path = tmp_path / "grid.bin"
+    path.write_bytes(blob[: len(blob) - cut])
+    _returns_or_invalid(ioformats.read_grid_function, path)
