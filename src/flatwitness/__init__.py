@@ -20,7 +20,6 @@ from .bezout_ops import (
 from .errors import (
     DegenerateTail,
     FlatwitnessError,
-    GridTooCoarse,
     InvalidInput,
     InvalidWeight,
     NotARelation,

@@ -176,7 +176,10 @@ def ulim_checks(seq, tol, tail_fraction) -> List[Check]:
 
 
 def layered_checks(f, layout, mode, tail, tol):
-    """Factor f over the layered space; returns (checks, factorization)."""
+    """Factor f over the layered space; returns (checks, factorization).
+
+    ``weight_floored`` counts the suffix sums floored before rooting (a safety valve).
+    """
     res = factor(f, layout, mode=mode, tail_sum_sq=tail)
     star = verify_star_bound(res)
     g_shell = res.g_shell_values
@@ -194,6 +197,7 @@ def layered_checks(f, layout, mode, tail, tol):
         checks.append(Check("g_ideal_membership", verdict.value))
     checks.append(Check("g_last_shell_value", float(g_shell[-1])))
     checks.append(Check("cauchy_certificate", star.cauchy_bound))
+    checks.append(Check("weight_floored", res.clamped))
     return checks, res
 
 
@@ -537,9 +541,8 @@ def thread_cap() -> int:
         return 1
 
 
-def run_suite(seed: int = DEFAULT_SEED,
-              max_workers: Optional[int] = None) -> List[CriterionResult]:
-    workers = thread_cap() if max_workers is None else max(1, max_workers)
+def run_suite(seed: int = DEFAULT_SEED) -> List[CriterionResult]:
+    workers = thread_cap()
     if workers == 1:
         return [fn(seed) for fn in _CRITERIA]
     with ThreadPoolExecutor(max_workers=workers) as pool:

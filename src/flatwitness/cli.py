@@ -24,7 +24,7 @@ from . import acceptance, ioformats
 from .acceptance import Check
 from .bezout_ops import sampled_function, strictness_witness
 from .errors import FlatwitnessError, InvalidInput
-from .hardy_engine import constant_function, coordinate_function, grid_thetas
+from .hardy_engine import DEFAULT_CLAMP, constant_function, coordinate_function, grid_thetas
 from .layered_factor import preset_circle, preset_l2, preset_lebesgue_r
 from .seq_core import default_bound_tol, geometric_profile, tail_profile, verify_olympiad_bound
 from .ultralimits import bounded_sequence, principal_limit
@@ -50,6 +50,17 @@ def _emit(report, args, t0) -> int:
     else:
         print(text)
     return 0 if report["pass"] else 1
+
+
+# options that size an array: grid points, shells, terms, atoms, sample points
+_SIZE_OPTIONS = ("grid", "shells", "terms", "atoms", "atoms_per_shell", "num_points")
+
+
+def _size(value: int, option: str) -> int:
+    """A size argument, which numpy would reject with a bare ValueError if negative."""
+    if value < 0:
+        raise InvalidInput(f"{option} must be a nonnegative count, not {value}")
+    return value
 
 
 def _number_after_colon(spec) -> float:
@@ -87,7 +98,7 @@ def _cmd_witness(args):
         rel = ioformats.relation_from_obj(ioformats.read_json(args.input))
     else:
         try:
-            n, p = (int(tok) for tok in args.random.split(","))
+            n, p = (_size(int(tok), "--random") for tok in args.random.split(","))
         except (AttributeError, ValueError) as exc:
             raise InvalidInput("--random expects 'n,P'") from exc
         rng = np.random.default_rng(args.seed)
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="constant1",
                    help="constant1, z, blaschke:A, or a grid file (.json/.bin)")
     p.add_argument("--fixture", help="outer action: const:C or log-sin")
-    p.add_argument("--clamp", type=float, default=1e-12)
+    p.add_argument("--clamp", type=float, default=DEFAULT_CLAMP)
     p.add_argument("--inner", default="z",
                    help="project action: the inner function, in the --input vocabulary")
     p.add_argument("--emit-taylor", action="store_true")
@@ -321,6 +332,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        for name in _SIZE_OPTIONS:
+            if hasattr(args, name):
+                _size(getattr(args, name), "--" + name.replace("_", "-"))
         return _emit(args.func(args), args, t0)
     except FlatwitnessError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

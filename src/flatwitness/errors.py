@@ -17,14 +17,6 @@ class NotARelation(FlatwitnessError):
     """The coefficient rows and module rows do not satisfy the pointwise relation."""
 
 
-class GridTooCoarse(FlatwitnessError):
-    """An arc shell contains no grid samples."""
-
-    def __init__(self, shell, message=None):
-        self.shell = shell
-        super().__init__(message or f"arc shell {shell} contains no grid samples")
-
-
 class InvalidWeight(FlatwitnessError):
     """A boundary weight function violates w >= 1."""
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput
-from .hardy_engine import GridFunction
+from .hardy_engine import eval_series
 
 __all__ = [
     "HalfPlaneSamples",
@@ -74,21 +74,16 @@ def _check_disk(points: np.ndarray):
 def as_disk_evaluator(f) -> Callable:
     """Normalize a disk-side representation to a point evaluator.
 
-    Accepts a callable, a power-series coefficient array, or a GridFunction
-    (evaluated through its analytic coefficients).
+    Accepts a callable or a power-series coefficient array (ascending order).
     """
     if callable(f):
         return f
-    if isinstance(f, GridFunction):
-        coeffs = f.taylor()
-    else:
-        coeffs = np.asarray(f, dtype=complex)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise InvalidInput("coefficient array must be one-dimensional and nonempty")
-    rev = coeffs[::-1].copy()
+    coeffs = np.array(f, dtype=complex)
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise InvalidInput("coefficient array must be one-dimensional and nonempty")
 
     def evaluate(z):
-        return np.polyval(rev, np.asarray(z, dtype=complex))
+        return eval_series(coeffs, np.asarray(z, dtype=complex))
 
     return evaluate
 

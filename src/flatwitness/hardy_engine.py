@@ -26,15 +26,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateTail,
-    GridTooCoarse,
-    InvalidInput,
-    InvalidWeight,
-    NotInner,
-    ScaleOverflow,
-)
-from .seq_core import TailProfile, profile_from_energies
+from .errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
+from .seq_core import SUFFIX_FLOOR, TailProfile, profile_from_energies
 
 __all__ = [
     "GridFunction",
@@ -47,6 +40,7 @@ __all__ = [
     "InnerCheckReport",
     "ProjectionResult",
     "grid_thetas",
+    "eval_series",
     "constant_function",
     "coordinate_function",
     "from_taylor",
@@ -65,7 +59,8 @@ __all__ = [
 
 EXP_OVERFLOW_LIMIT = 700.0  # exp argument beyond which float64 overflows
 DEFAULT_CLAMP = 1e-12
-DEFAULT_R_FLOOR = 1e-280
+ANALYTIC_TOL = 1e-10  # negative-mode fraction above which hardy_factor rejects its input
+INNER_TOL = 1e-8      # boundary, interior and analyticity slack of an inner function
 
 
 def _signed_modes(n: int) -> np.ndarray:
@@ -88,6 +83,15 @@ def grid_thetas(n: int) -> np.ndarray:
     return np.where(th > np.pi, th - 2.0 * np.pi, th)
 
 
+def eval_series(coeffs, z):
+    """The power series sum_k coeffs[k] z^k (ascending order) at the points z.
+
+    The package's one series evaluator: the outer function, the boundary
+    factors' Taylor series and the half-plane transfer all evaluate here.
+    """
+    return np.polyval(np.asarray(coeffs)[::-1], z)
+
+
 class GridFunction:
     """Complex boundary samples on the midpoint circle grid."""
 
@@ -106,9 +110,6 @@ class GridFunction:
     @property
     def n(self) -> int:
         return self.samples.size
-
-    def thetas(self) -> np.ndarray:
-        return grid_thetas(self.n)
 
     def spectrum(self) -> np.ndarray:
         """Fourier coefficients in bin order: modes 0..N/2-1 then -N/2..-1."""
@@ -221,24 +222,17 @@ def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
     return ArcLayout(n_samples, max_shell, region)
 
 
-def arc_energies(f: GridFunction, layout, allow_empty_shells: bool = False) -> TailProfile:
+def arc_energies(f: GridFunction, layout) -> TailProfile:
     """Per-shell mean-square mass of the boundary samples, core mass as tail.
 
     Shells narrower than the sample spacing may contain no samples at all;
-    by default that raises GridTooCoarse, since the shell masses are then
-    unreliable as quadrature.  ``allow_empty_shells=True`` accepts them with
-    zero mass, which is what the factorization pipeline wants: an empty
-    shell contributes nothing to either side of its bounds.
+    they get zero mass, which contributes nothing to either side of the
+    factorization's bounds (``ArcLayout.counts`` tells how many are empty).
     """
     if isinstance(layout, int):
         layout = arc_layout(f.n, layout)
     if layout.n_samples != f.n:
         raise InvalidInput("layout and function grid sizes differ")
-    counts = layout.counts()
-    if not allow_empty_shells:
-        empty = np.nonzero(counts[1: layout.max_shell + 1] == 0)[0]
-        if empty.size:
-            raise GridTooCoarse(int(empty[0]) + 1)
     energy = np.abs(f.samples) ** 2 / f.n
     sums = np.bincount(layout.region, weights=energy, minlength=layout.max_shell + 2)
     return profile_from_energies(sums[1: layout.max_shell + 1], float(sums[layout.max_shell + 1]))
@@ -251,26 +245,20 @@ class CircleWeight:
     floored: int                # suffix sums clamped before rooting
 
 
-def build_circle_weight(profile: TailProfile, layout: ArcLayout,
-                        r_floor: Optional[float] = DEFAULT_R_FLOOR) -> CircleWeight:
+def build_circle_weight(profile: TailProfile, layout: ArcLayout) -> CircleWeight:
     """Weight 1 on |theta| >= 1/2, min(r_{n-1}^(-1/4), n) on shell n >= 2.
 
     The core gets the same formula continued one step past the last shell.
     Requires every used suffix sum at most 1, which holds for profiles of
-    functions with 2-norm at most 1.  A zero suffix sum raises
-    DegenerateTail unless ``r_floor`` is set, in which case it is floored
-    and counted (the cap min(..., n) then takes over).
+    functions with 2-norm at most 1.  Suffix sums below SUFFIX_FLOOR (zero
+    among them) are floored and counted; the cap min(..., n) then takes over.
     """
     M = layout.max_shell
     if profile.n_terms != M:
         raise InvalidInput("profile length does not match the layout's shell count")
-    r_used = profile.suffix_sums[1: M + 1].copy()  # r_1 .. r_M
-    zero_mask = r_used == 0.0
-    if np.any(zero_mask) and r_floor is None:
-        raise DegenerateTail(f"suffix sum r_{1 + int(np.argmax(zero_mask))} is zero")
-    floored = int(np.sum(r_used < (r_floor or 0.0)))
-    if r_floor is not None:
-        r_used = np.maximum(r_used, r_floor)
+    r_used = profile.suffix_sums[1: M + 1]  # r_1 .. r_M
+    floored = int(np.sum(r_used < SUFFIX_FLOOR))
+    r_used = np.maximum(r_used, SUFFIX_FLOOR)
     # allow rounding-level excess over 1 from a unit-norm input; the weight
     # then dips below 1 by well under the validator's 1e-12 slack
     if np.any(r_used > 1.0 + 1e-12):
@@ -333,24 +321,20 @@ class OuterFunction:
         return self.boundary.taylor()
 
     def __call__(self, z):
-        return np.exp(np.polyval(self.log_coeffs[::-1], z))
+        return np.exp(eval_series(self.log_coeffs, z))
 
 
 def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFunction:
     """Synthesize the outer function whose boundary modulus is exp(log_modulus).
 
-    Accepts a GridFunction or a plain sample array; -inf entries (zeros of
-    the prescribed modulus) are legal.  Samples below log(clamp) are lifted
-    to log(clamp) and counted.  The boundary modulus of the result
-    reproduces the (clamped) prescription at every sample to rounding error.
+    Takes a sample array; -inf entries (zeros of the prescribed modulus) are
+    legal.  Samples below log(clamp) are lifted to log(clamp) and counted.
+    The boundary modulus of the result reproduces the (clamped) prescription
+    at every sample to rounding error.
     """
-    if isinstance(log_modulus, GridFunction):
-        vals = log_modulus.samples
-    else:
-        vals = np.asarray(log_modulus, dtype=complex)
-        n_ = vals.size
-        if vals.ndim != 1 or n_ < 4 or n_ & (n_ - 1):
-            raise InvalidInput("log-modulus must have power-of-two length >= 4")
+    vals = np.asarray(log_modulus, dtype=complex)
+    if vals.ndim != 1 or vals.size < 4 or vals.size & (vals.size - 1):
+        raise InvalidInput("log-modulus must have power-of-two length >= 4")
     finite = vals.real[np.isfinite(vals.real)]
     scale = 1.0 + (float(np.max(np.abs(finite))) if finite.size else 0.0)
     imag = vals.imag[np.isfinite(vals.imag)]
@@ -425,7 +409,7 @@ class HardyFactorization:
         f_taylor = self.f.taylor()
 
         def f_eval(z):
-            return np.polyval(f_taylor[::-1], z)
+            return eval_series(f_taylor, z)
 
         def g_eval(z):
             return self.outer(z)
@@ -436,38 +420,35 @@ class HardyFactorization:
         return f_eval, g_eval, h_eval
 
     def radial_profile(self, depths: int = 12) -> "RadialDecayReport":
-        return radial_decay_check(self.outer.log_coeffs, depths,
-                                  log_domain=True, grid_size=self.f.n)
+        return radial_decay_check(self.outer, depths, grid_size=self.f.n)
 
 
-def _weighted_tail_series(profile: TailProfile, r_floor: float) -> float:
+def _weighted_tail_series(profile: TailProfile) -> float:
     # sum over shells n >= 2 of a_n^2 / sqrt(r_{n-1}), skipping massless shells
     a2 = profile.magnitudes_sq[1:]
-    r_prev = np.maximum(profile.suffix_sums[1:-1], r_floor)
+    r_prev = np.maximum(profile.suffix_sums[1:-1], SUFFIX_FLOOR)
     return float(np.sum(np.where(a2 > 0, a2 / np.sqrt(r_prev), 0.0)))
 
 
-def hardy_factor(f: GridFunction, max_shell: int,
-                 r_floor: float = DEFAULT_R_FLOOR,
-                 analytic_tol: float = 1e-10) -> HardyFactorization:
+def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     """Factor an analytic boundary function against the arc-shell weight.
 
     Pipeline: arc masses -> weight -> log-integrability report -> outer
     function with modulus 1/w -> h = f/g on the grid.  The input must be
-    analytic to ``analytic_tol`` (negative-mode fraction) and not the zero
+    analytic to ANALYTIC_TOL (negative-mode fraction) and not the zero
     function; it is divided by its norm when that norm exceeds 1.
     """
     if f.norm == 0.0:
         raise InvalidInput("cannot factor the zero function")
     leak = neg_mode_leakage(f)
-    if leak > analytic_tol:
+    if leak > ANALYTIC_TOL:
         raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
     scale = max(1.0, f.norm)
     fn = GridFunction(f.samples / scale) if scale > 1.0 else f
 
     layout = arc_layout(fn.n, max_shell)
-    profile = arc_energies(fn, layout, allow_empty_shells=True)
-    weight = build_circle_weight(profile, layout, r_floor)
+    profile = arc_energies(fn, layout)
+    weight = build_circle_weight(profile, layout)
     log_report = check_log_integrable(weight.grid, layout)
     outer = outer_from_modulus(-np.log(weight.grid.samples.real))
     g = outer.boundary
@@ -475,9 +456,9 @@ def hardy_factor(f: GridFunction, max_shell: int,
 
     w_samps = weight.grid.samples.real
     gw_dev = float(np.max(np.abs(np.abs(g.samples) * w_samps - 1.0)))
-    core_term = float(profile.tail / np.sqrt(max(profile.suffix_sums[-1], r_floor))) \
+    core_term = float(profile.tail / np.sqrt(max(profile.suffix_sums[-1], SUFFIX_FLOOR))) \
         if profile.tail > 0 else 0.0
-    star_rhs = fn.norm_sq + _weighted_tail_series(profile, r_floor) + core_term
+    star_rhs = fn.norm_sq + _weighted_tail_series(profile) + core_term
     return HardyFactorization(
         f=fn, g=g, h=h, w=weight, outer=outer, profile=profile, layout=layout,
         scale=scale, gw_deviation=gw_dev, h_norm_sq=h.norm_sq, star_rhs=star_rhs,
@@ -497,24 +478,18 @@ class RadialDecayReport:
     truncation_warning: bool
 
 
-def radial_decay_check(coeffs, depths: int = 12, log_domain: bool = False,
+def radial_decay_check(g: Callable, depths: int = 12,
                        grid_size: Optional[int] = None) -> RadialDecayReport:
     """Evaluate |g| at the radii 1 - 2^-j, j = 1..depths, along the positive axis.
 
-    ``coeffs`` is a power series for g itself, or for log g when
-    ``log_domain`` is set (the exact form the outer synthesis produces).
-    The warning flags depths finer than the spectral resolution of the
-    originating grid.
+    ``g`` is a point evaluator, such as an OuterFunction.  The warning flags
+    depths finer than the spectral resolution of the originating grid.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise InvalidInput("need a nonempty coefficient array")
     if depths < 1:
         raise InvalidInput("need at least one depth")
     j = np.arange(1, depths + 1, dtype=float)
     radii = 1.0 - 2.0**-j
-    vals = np.polyval(c[::-1], radii)
-    values = np.abs(np.exp(vals)) if log_domain else np.abs(vals)
+    values = np.abs(g(radii))
     ratio = float(values[-1] / values[0]) if values[0] != 0.0 else float("inf")
     warn = grid_size is not None and 2.0**-depths < 1.0 / grid_size
     return RadialDecayReport(radii, values, ratio, bool(warn))
@@ -527,18 +502,17 @@ class InnerCheckReport:
     interior_ok: bool
 
 
-def inner_check(b: GridFunction, tol: float = 1e-8,
-                analytic_tol: float = 1e-8) -> InnerCheckReport:
-    """Unimodular boundary values plus a coarse interior maximum check."""
+def inner_check(b: GridFunction) -> InnerCheckReport:
+    """Unimodular boundary values plus a coarse interior maximum check, to INNER_TOL."""
     taylor = b.taylor()  # fills the spectrum cache the leakage check reads
-    if neg_mode_leakage(b) > analytic_tol:
+    if neg_mode_leakage(b) > INNER_TOL:
         raise InvalidInput("candidate is not analytic to tolerance")
     dev = float(np.max(np.abs(np.abs(b.samples) - 1.0)))
     radii = np.linspace(0.15, 0.9, 6)
     angles = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     pts = (radii[:, None] * angles[None, :]).ravel()
-    interior_max = float(np.max(np.abs(np.polyval(taylor[::-1], pts))))
-    return InnerCheckReport(dev, interior_max, bool(interior_max <= 1.0 + tol))
+    interior_max = float(np.max(np.abs(eval_series(taylor, pts))))
+    return InnerCheckReport(dev, interior_max, bool(interior_max <= 1.0 + INNER_TOL))
 
 
 @dataclass(frozen=True)
@@ -548,8 +522,7 @@ class ProjectionResult:
     inner: InnerCheckReport   # the checks b passed before projecting
 
 
-def project_onto_bH2(f: GridFunction, b: GridFunction,
-                     inner_tol: float = 1e-8) -> ProjectionResult:
+def project_onto_bH2(f: GridFunction, b: GridFunction) -> ProjectionResult:
     """Orthogonal projection of f onto the shifted analytic subspace b * H2.
 
     For unimodular-boundary b this is b P+(conj(b) f).  The distance from
@@ -558,8 +531,8 @@ def project_onto_bH2(f: GridFunction, b: GridFunction,
     """
     if f.n != b.n:
         raise InvalidInput("f and b must share a grid")
-    chk = inner_check(b, tol=inner_tol)
-    if chk.boundary_dev > inner_tol or not chk.interior_ok:
+    chk = inner_check(b)
+    if chk.boundary_dev > INNER_TOL or not chk.interior_ok:
         raise NotInner(
             f"boundary deviation {chk.boundary_dev:.2e}, interior max {chk.interior_max:.6f}"
         )

@@ -21,13 +21,14 @@ finitely supported as represented, which is the compact case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .bezout_ops import SampledFunction, sampled_function
 from .errors import DegenerateTail, InvalidInput
 from .seq_core import (
+    SUFFIX_FLOOR,
     TailProfile,
     olympiad_weighted_sum,
     profile_from_energies,
@@ -48,8 +49,6 @@ __all__ = [
     "preset_lebesgue_r",
     "preset_circle",
 ]
-
-R_CLAMP = 1e-300  # suffix sums are clamped here before the fourth root
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,8 @@ def build_weight(profile: TailProfile, mode: str = "auto") -> ShellWeights:
     if np.any(r_prev == 0.0):
         bad = 2 + int(np.argmax(r_prev == 0.0))
         raise DegenerateTail(f"suffix sum before shell {bad} is zero")
-    clamped = int(np.sum(r_prev < R_CLAMP))
-    w[1:] = np.maximum(r_prev, R_CLAMP) ** -0.25
+    clamped = int(np.sum(r_prev < SUFFIX_FLOOR))
+    w[1:] = np.maximum(r_prev, SUFFIX_FLOOR) ** -0.25
     return ShellWeights(w, mode, clamped)
 
 
@@ -211,13 +210,11 @@ class StarBoundReport:
     cauchy_bound: float  # 2(sqrt(r_1) - sqrt(r_N)), certifies the tail series
 
 
-def verify_star_bound(result: LayeredFactorization,
-                      tol: Optional[float] = None) -> StarBoundReport:
+def verify_star_bound(result: LayeredFactorization) -> StarBoundReport:
     profile = result.profile
     lhs = float(np.sum(result.w_values**2 * profile.magnitudes_sq))
     rhs = _star_majorant(profile, result.mode)
-    if tol is None:
-        tol = 1e-10 * (1.0 + profile.head)
+    tol = 1e-10 * (1.0 + profile.head)
     cauchy = 2.0 * (np.sqrt(profile.suffix_sums[1]) - np.sqrt(profile.suffix_sums[-1]))
     return StarBoundReport(
         lhs=lhs,

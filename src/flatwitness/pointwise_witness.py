@@ -17,7 +17,6 @@ relations, which is the actual contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,8 @@ __all__ = [
     "verify_witness",
 ]
 
-DEFAULT_RELATION_TOL = 1e-10
+RELATION_TOL = 1e-10   # relation residual allowed per unit of the point's scale
+ZERO_THRESHOLD = 1e-13  # norm at or below which a coefficient row counts as zero
 
 
 @dataclass(frozen=True)
@@ -116,18 +116,18 @@ def _batched_frames(rows: np.ndarray, zero_threshold: float) -> np.ndarray:
     return frames
 
 
-def orthocomplement_frame(r, zero_threshold: float = 1e-13) -> OrthonormalFrame:
+def orthocomplement_frame(r) -> OrthonormalFrame:
     """Orthonormal frame of the orthogonal complement of one vector.
 
     Nonzero input: n-1 orthonormal vectors orthogonal to r, plus a zero row.
-    Input below the threshold: the full standard basis.
+    Input of norm at most ZERO_THRESHOLD: the full standard basis.
     """
     row = np.asarray(r, dtype=complex)
     if row.ndim != 1 or row.size == 0:
         raise InvalidInput("need a one-dimensional, nonempty vector")
     if not np.all(np.isfinite(row)):
         raise InvalidInput("vector entries must be finite")
-    return OrthonormalFrame(_batched_frames(row[None, :], zero_threshold)[0])
+    return OrthonormalFrame(_batched_frames(row[None, :], ZERO_THRESHOLD)[0])
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,7 @@ class WitnessCertificate:
         return self.mu.shape[1]
 
 
-def _default_zero_threshold(rel: PointwiseRelation) -> float:
-    peak = float(np.max(np.abs(rel.r_rows))) if rel.r_rows.size else 0.0
-    return 1e-13 * max(1.0, peak)
-
-
-def synthesize_witness(rel: PointwiseRelation, zero_threshold: Optional[float] = None,
-                       relation_tol: float = DEFAULT_RELATION_TOL) -> WitnessCertificate:
+def synthesize_witness(rel: PointwiseRelation) -> WitnessCertificate:
     """Build (rho, mu) for a valid relation; inner dimension k equals n.
 
     Frames are constructed on the conjugated coefficient rows: the relation
@@ -154,18 +148,18 @@ def synthesize_witness(rel: PointwiseRelation, zero_threshold: Optional[float] =
     orthogonal complement of conj(r), and the module row lies inside it.
 
     Raises NotARelation when some positive-weight point violates the
-    relation beyond ``relation_tol`` times its scale.
+    relation beyond RELATION_TOL times its scale.  Rows of norm at most
+    ZERO_THRESHOLD times max(1, largest |r_i|) count as zero.
     """
     resid, scale = relation_residuals(rel)
     live = rel.point_weights > 0
-    if np.any(resid[live] > relation_tol * scale[live]):
+    if np.any(resid[live] > RELATION_TOL * scale[live]):
         bad = int(np.argmax(np.where(live, resid / scale, -1.0)))
         raise NotARelation(
-            f"point {bad}: residual {resid[bad]:.3e} exceeds {relation_tol:g} * scale"
+            f"point {bad}: residual {resid[bad]:.3e} exceeds {RELATION_TOL:g} * scale"
         )
-    if zero_threshold is None:
-        zero_threshold = _default_zero_threshold(rel)
-    frames = _batched_frames(np.conj(rel.r_rows), zero_threshold)
+    peak = float(np.max(np.abs(rel.r_rows))) if rel.r_rows.size else 0.0
+    frames = _batched_frames(np.conj(rel.r_rows), ZERO_THRESHOLD * max(1.0, peak))
     rho = np.transpose(frames, (0, 2, 1)).copy()  # rho[p, i, j] = frames[p, j, i]
     mu = np.einsum("pi,pji->pj", rel.m_rows, np.conj(frames))
     return WitnessCertificate(rho, mu)
@@ -181,8 +175,7 @@ class WitnessReport:
     reconstruction_scale: float
 
 
-def verify_witness(rel: PointwiseRelation, cert: WitnessCertificate,
-                   tol: Optional[float] = None) -> WitnessReport:
+def verify_witness(rel: PointwiseRelation, cert: WitnessCertificate) -> WitnessReport:
     """Check the two defining identities and the certificate bounds.
 
     Residuals are maxima over positive-weight points; atoms of weight zero
@@ -202,8 +195,7 @@ def verify_witness(rel: PointwiseRelation, cert: WitnessCertificate,
     rho_bound_ok = bool(np.max(np.abs(cert.rho)) <= 1.0 + 1e-12) if cert.rho.size else True
     mu_norms = np.einsum("p,pj->j", rel.point_weights, np.abs(cert.mu) ** 2)
     m_norm_total = float(np.sum(rel.point_weights[:, None] * np.abs(rel.m_rows) ** 2))
-    if tol is None:
-        tol = 1e-10 * (1.0 + m_norm_total)
+    tol = 1e-10 * (1.0 + m_norm_total)
     mu_norm_ok = bool(np.all(mu_norms <= m_norm_total + tol))
 
     coeff_scale = 1.0 + float(np.max(np.linalg.norm(rel.r_rows, axis=1)))

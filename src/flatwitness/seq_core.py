@@ -26,6 +26,8 @@ __all__ = [
     "default_bound_tol",
 ]
 
+SUFFIX_FLOOR = 1e-300  # suffix sums are floored here before a root is taken
+
 
 @dataclass(frozen=True)
 class TailProfile:
@@ -103,19 +105,19 @@ def tail_profile(a, tail_sum_sq: float = 0.0) -> TailProfile:
     return profile_from_energies(np.abs(arr) ** 2, tail_sum_sq)
 
 
-def geometric_profile(ratio: float, n_terms: int, scale: float = 1.0) -> TailProfile:
-    """Profile with |a_k|^2 = scale * ratio^k and the exact geometric tail.
+def geometric_profile(ratio: float, n_terms: int) -> TailProfile:
+    """Profile with |a_k|^2 = ratio^k and the exact geometric tail.
 
     With the tail included the suffix sums come out in closed form,
-    r_n = scale * ratio^(n+1) / (1 - ratio).
+    r_n = ratio^(n+1) / (1 - ratio).
     """
     if not 0 < ratio < 1:
         raise InvalidInput("ratio must lie in (0, 1)")
     if n_terms < 1:
         raise InvalidInput("need at least one term")
     k = np.arange(1, n_terms + 1, dtype=float)
-    mags = scale * ratio**k
-    tail = scale * ratio ** (n_terms + 1) / (1.0 - ratio)
+    mags = ratio**k
+    tail = ratio ** (n_terms + 1) / (1.0 - ratio)
     return profile_from_energies(mags, tail)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from flatwitness import acceptance, cli
 from flatwitness.hardy_engine import constant_function
+from flatwitness.layered_factor import preset_l2
 
 
 def _report(result, budget_s):
@@ -75,9 +76,11 @@ def test_thread_cap_env_var(monkeypatch):
     assert acceptance.thread_cap() == 1
 
 
-def test_suite_parallel_matches_sequential():
+def test_suite_parallel_matches_sequential(monkeypatch):
+    monkeypatch.delenv("FLATWITNESS_THREADS", raising=False)
     seq = acceptance.run_suite()
-    par = acceptance.run_suite(max_workers=4)
+    monkeypatch.setenv("FLATWITNESS_THREADS", "4")
+    par = acceptance.run_suite()
     assert [r.index for r in par] == [r.index for r in seq]
     assert [r.passed for r in par] == [r.passed for r in seq]
     assert [r.checks for r in par] == [r.checks for r in seq]
@@ -108,3 +111,12 @@ def test_factor_checks_report_empty_shells(n, empty):
     assert values["empty_shells"] == empty
     if n == 2**14:  # the default size of `hardy factor` and criterion 6
         assert values["weight_floored"] == values["clamp_count"] == 0
+
+
+@pytest.mark.parametrize("shells, ratio, floored", [(64, 0.5, 0), (310, 0.1, 10)])
+def test_layered_checks_report_weight_floored(shells, ratio, floored):
+    # suffix sums of the l2 preset are ratio^n / (1 - ratio); at ratio 0.1 the
+    # last ten shells' suffix sums fall below the 1e-300 floor
+    f, layout, tail = preset_l2(shells, ratio)
+    checks, _ = acceptance.layered_checks(f, layout, "auto", tail, 1e-3)
+    assert {c.name: c.value for c in checks}["weight_floored"] == floored

@@ -260,6 +260,11 @@ BAD_INPUTS = [
     ["hardy", "outer", "--fixture", "const:abc"],
     ["hardy", "project", "--inner", "blaschke:x"],
     ["olympiad", "--out", "no_such_dir/report.json"],
+    ["hardy", "factor", "--grid", "-4"],
+    ["hardy", "outer", "--grid", "-8", "--fixture", "const:2"],
+    ["witness", "--random", "2,-1"],
+    ["bezout", "--atoms", "-3"],
+    ["transfer", "--num-points", "-1"],
 ]
 
 

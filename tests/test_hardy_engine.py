@@ -3,13 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from flatwitness.errors import (
-    GridTooCoarse,
-    InvalidInput,
-    InvalidWeight,
-    NotInner,
-    ScaleOverflow,
-)
+from flatwitness.errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
 from flatwitness.hardy_engine import (
     GridFunction,
     analytic_project,
@@ -19,6 +13,7 @@ from flatwitness.hardy_engine import (
     check_log_integrable,
     constant_function,
     coordinate_function,
+    eval_series,
     from_taylor,
     grid_thetas,
     hardy_factor,
@@ -116,10 +111,12 @@ def test_arc_energies_outer_support_only():
 
 
 def test_arc_energies_coarse_grid_policy():
-    with pytest.raises(GridTooCoarse):
-        arc_energies(constant_function(2**10), 256)
-    prof = arc_energies(constant_function(2**10), 256, allow_empty_shells=True)
+    # shells narrower than the sample spacing hold no sample and get zero mass
+    layout = arc_layout(2**10, 256)
+    prof = arc_energies(constant_function(2**10), layout)
     assert prof.n_terms == 256
+    empty = layout.counts()[1:257] == 0
+    assert np.any(empty) and np.all(prof.magnitudes_sq[empty] == 0.0)
 
 
 def test_build_circle_weight_flat_profile_gives_unit_weight():
@@ -135,7 +132,7 @@ def test_build_circle_weight_constant_input_matches_arc_asymptotics():
     # shell weights track (pi n)^(1/4) until the cap would engage
     n, m = 2**14, 64
     layout = arc_layout(n, m)
-    prof = arc_energies(constant_function(n), layout, allow_empty_shells=True)
+    prof = arc_energies(constant_function(n), layout)
     w = build_circle_weight(prof, layout)
     shells = np.arange(2, m + 1, dtype=float)
     assert np.allclose(w.region_values[2: m + 1], (np.pi * shells) ** 0.25, rtol=0.05)
@@ -191,12 +188,8 @@ def test_hardy_factor_center_concentrated_unit_norm():
 
 
 def test_build_circle_weight_floors_zero_suffixes():
-    from flatwitness.errors import DegenerateTail
-
     layout = arc_layout(2**12, 4)
     prof = profile_from_energies(np.array([0.5, 0.25, 0.0, 0.0]))
-    with pytest.raises(DegenerateTail):
-        build_circle_weight(prof, layout, r_floor=None)
     w = build_circle_weight(prof, layout)
     assert w.floored == 3  # r_2 = r_3 = r_4 = 0 lifted to the floor
     assert w.region_values[3] == 3.0  # cap takes over after flooring
@@ -219,7 +212,7 @@ def test_check_log_integrable_bounds_built_weight():
     n, m = 2**14, 64
     f = constant_function(n)
     layout = arc_layout(n, m)
-    prof = arc_energies(f, layout, allow_empty_shells=True)
+    prof = arc_energies(f, layout)
     w = build_circle_weight(prof, layout)
     rep = check_log_integrable(w.grid, layout)
     assert rep.integral_value <= rep.comparison_bound * (1.0 + 1e-12)
@@ -456,26 +449,42 @@ def test_hardy_factor_evaluators_consistent():
 
 
 def test_radial_decay_constant_and_linear():
-    ones = radial_decay_check(np.array([1.0]), depths=6)
+    ones = radial_decay_check(np.ones_like, depths=6)
     assert np.allclose(ones.values, 1.0)
     assert ones.ratio == 1.0
-    lin = radial_decay_check(np.array([1.0, -1.0]), depths=12)
+    lin = radial_decay_check(lambda z: 1.0 - z, depths=12)
     assert np.allclose(lin.values, 2.0 ** -np.arange(1, 13.0), rtol=1e-12)
     assert lin.ratio == pytest.approx(2.0**-11, rel=1e-12)
     assert not lin.truncation_warning
 
 
 def test_radial_decay_truncation_warning():
-    rep = radial_decay_check(np.array([1.0, -1.0]), depths=12, grid_size=2**10)
+    rep = radial_decay_check(lambda z: 1.0 - z, depths=12, grid_size=2**10)
     assert rep.truncation_warning
 
 
 def test_radial_decay_log_domain_matches_direct():
+    # the outer function is evaluated as exp of its log series; sum that
+    # series term by term at each radius instead
     n = 2**10
     out = outer_from_modulus(np.log(2.0 + np.cos(grid_thetas(n))))
-    rep = radial_decay_check(out.log_coeffs, depths=8, log_domain=True, grid_size=n)
-    direct = [abs(out(1.0 - 2.0**-j)) for j in range(1, 9)]
+    rep = radial_decay_check(out, depths=8, grid_size=n)
+    powers = np.arange(out.log_coeffs.size)
+    direct = [abs(np.exp(np.sum(out.log_coeffs * (1.0 - 2.0**-j) ** powers)))
+              for j in range(1, 9)]
     assert np.allclose(rep.values, direct, rtol=1e-12)
+
+
+def test_eval_series_matches_power_sum():
+    rng = np.random.default_rng(6)
+    for length in rng.integers(2**6, 2**12, size=6, endpoint=True):
+        coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        z = 0.95 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
+        z[:2] = [0.95, -0.95j]  # the edge of the sampled disk
+        powers = np.vander(z, length, increasing=True)
+        # relative to the sum of the terms' moduli, the scale of Horner's error bound
+        scale = np.abs(powers) @ np.abs(coeffs)
+        assert np.all(np.abs(eval_series(coeffs, z) - powers @ coeffs) <= 1e-12 * scale)
 
 
 def test_inner_check_coordinate_and_blaschke():

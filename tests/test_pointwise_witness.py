@@ -35,7 +35,7 @@ def test_frame_two_dim_spans_complement():
 
 
 def test_frame_zero_row_gives_standard_basis():
-    frame = orthocomplement_frame(np.zeros(2), zero_threshold=1e-14)
+    frame = orthocomplement_frame(np.zeros(2))
     assert np.array_equal(frame.vectors, np.eye(2, dtype=complex))
 
 
@@ -164,7 +164,7 @@ def test_shape_mismatch_rejected():
 def test_near_threshold_row_treated_as_zero():
     # a row below the split threshold takes the full basis and still verifies
     rel = pointwise_relation([1.0], [[1e-16, 0.0]], [[0.3, 0.7]])
-    cert = synthesize_witness(rel, zero_threshold=1e-13)
+    cert = synthesize_witness(rel)
     rep = verify_witness(rel, cert)
     assert rep.max_reconstruction_residual <= 1e-14
     assert np.array_equal(cert.rho[0], np.eye(2, dtype=complex))
