@@ -41,7 +41,10 @@ def _emit(report, args, t0) -> int:
     report["pass"] = all(c.passed for c in checks if c.passed is not None)
     report["wall_time_s"] = time.perf_counter() - t0
     indent = None if args.json else 2
-    text = json.dumps(ioformats.jsonable(report), indent=indent, sort_keys=False)
+    try:
+        text = json.dumps(ioformats.jsonable(report), indent=indent, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity, which strict JSON cannot carry
+        raise InvalidInput(f"the report holds a non-finite value: {exc}") from exc
     if args.out:
         try:
             Path(args.out).write_text(text + "\n")
@@ -52,14 +55,22 @@ def _emit(report, args, t0) -> int:
     return 0 if report["pass"] else 1
 
 
-# options that size an array: grid points, shells, terms, atoms, sample points
-_SIZE_OPTIONS = ("grid", "shells", "terms", "atoms", "atoms_per_shell", "num_points")
+# options that size an array (grid points, shells, terms, atoms, sample
+# points) and the seed, which numpy rejects with a bare ValueError if negative
+_SIZE_OPTIONS = ("grid", "shells", "terms", "atoms", "atoms_per_shell", "num_points", "seed")
 
 
 def _size(value: int, option: str) -> int:
     """A size argument, which numpy would reject with a bare ValueError if negative."""
     if value < 0:
         raise InvalidInput(f"{option} must be a nonnegative count, not {value}")
+    return value
+
+
+def _positive(value: float, option: str) -> float:
+    """A number whose log is taken, which numpy turns into a warning and -inf or NaN if <= 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidInput(f"{option} must be finite and > 0, not {value}")
     return value
 
 
@@ -186,7 +197,8 @@ def _cmd_hardy(args):
     if args.action == "outer":
         if args.fixture:
             if args.fixture.startswith("const:"):
-                k = np.full(args.grid, np.log(_number_after_colon(args.fixture)))
+                c = _positive(_number_after_colon(args.fixture), "C in --fixture const:C")
+                k = np.full(args.grid, np.log(c))
             elif args.fixture == "log-sin":
                 k = np.log(2.0 * np.abs(np.sin(grid_thetas(args.grid) / 2.0)))
             else:
@@ -335,6 +347,10 @@ def main(argv=None) -> int:
         for name in _SIZE_OPTIONS:
             if hasattr(args, name):
                 _size(getattr(args, name), "--" + name.replace("_", "-"))
+        if getattr(args, "tol", None) is not None and not np.isfinite(args.tol):
+            raise InvalidInput(f"--tol must be finite, not {args.tol}")
+        if hasattr(args, "clamp"):
+            _positive(args.clamp, "--clamp")
         return _emit(args.func(args), args, t0)
     except FlatwitnessError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -24,11 +24,10 @@ class InvalidWeight(FlatwitnessError):
 class ScaleOverflow(FlatwitnessError):
     """exp would overflow; rescale the prescribed modulus."""
 
-    def __init__(self, suggested_rescale, message=None):
+    def __init__(self, suggested_rescale):
         self.suggested_rescale = suggested_rescale
         super().__init__(
-            message
-            or f"outer synthesis would overflow; multiply the modulus by <= {suggested_rescale:g}"
+            f"outer synthesis would overflow; multiply the modulus by <= {suggested_rescale:g}"
         )
 
 

@@ -222,15 +222,13 @@ def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
     return ArcLayout(n_samples, max_shell, region)
 
 
-def arc_energies(f: GridFunction, layout) -> TailProfile:
+def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
     """Per-shell mean-square mass of the boundary samples, core mass as tail.
 
     Shells narrower than the sample spacing may contain no samples at all;
     they get zero mass, which contributes nothing to either side of the
     factorization's bounds (``ArcLayout.counts`` tells how many are empty).
     """
-    if isinstance(layout, int):
-        layout = arc_layout(f.n, layout)
     if layout.n_samples != f.n:
         raise InvalidInput("layout and function grid sizes differ")
     energy = np.abs(f.samples) ** 2 / f.n
@@ -419,8 +417,9 @@ class HardyFactorization:
 
         return f_eval, g_eval, h_eval
 
-    def radial_profile(self, depths: int = 12) -> "RadialDecayReport":
-        return radial_decay_check(self.outer, depths, grid_size=self.f.n)
+    def radial_profile(self) -> "RadialDecayReport":
+        """|g| at the radii 1 - 2^-j, j = 1..12."""
+        return radial_decay_check(self.outer, 12, grid_size=self.f.n)
 
 
 def _weighted_tail_series(profile: TailProfile) -> float:

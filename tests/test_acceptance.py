@@ -67,25 +67,6 @@ def test_criterion_9_ultralimit_contracts():
     _run(acceptance.criterion_9, 1.0)
 
 
-def test_thread_cap_env_var(monkeypatch):
-    monkeypatch.setenv("FLATWITNESS_THREADS", "3")
-    assert acceptance.thread_cap() == 3
-    monkeypatch.setenv("FLATWITNESS_THREADS", "junk")
-    assert acceptance.thread_cap() == 1
-    monkeypatch.delenv("FLATWITNESS_THREADS")
-    assert acceptance.thread_cap() == 1
-
-
-def test_suite_parallel_matches_sequential(monkeypatch):
-    monkeypatch.delenv("FLATWITNESS_THREADS", raising=False)
-    seq = acceptance.run_suite()
-    monkeypatch.setenv("FLATWITNESS_THREADS", "4")
-    par = acceptance.run_suite()
-    assert [r.index for r in par] == [r.index for r in seq]
-    assert [r.passed for r in par] == [r.passed for r in seq]
-    assert [r.checks for r in par] == [r.checks for r in seq]
-
-
 def test_criterion_10_suite_subcommand(capsys):
     t0 = time.perf_counter()
     code = cli.main(["suite"])

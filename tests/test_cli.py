@@ -6,10 +6,14 @@ import pytest
 from flatwitness import acceptance, cli, ioformats
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
-    report = json.loads(out.out) if out.out.strip() else None
+    report = json.loads(out.out, parse_constant=_reject_constant) if out.out.strip() else None
     return code, report, out.err
 
 
@@ -20,6 +24,15 @@ def test_olympiad_geometric(capsys):
     assert report["pass"] is True
     names = [c["name"] for c in report["checks"]]
     assert "bound_holds_all_windows" in names
+
+
+def test_olympiad_without_windows_reports_null(capsys):
+    # one term leaves no window between dyadic indices, so no worst gap exists
+    code, report, _ = run_cli(capsys, ["olympiad", "--terms", "1"])
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["windows"]["value"] == 0
+    assert checks["bound_holds_all_windows"]["value"] is None
 
 
 def test_olympiad_from_csv(tmp_path, capsys):
@@ -244,6 +257,7 @@ BAD_INPUT_FILES = {
     "list.json": "[[1.0, 0.0], [2.0, 0.0]]",
     "no_values.json": '{"vals": [[1.0, 0.0]]}',
     "layout.json": json.dumps({"shells": [{"n": 1, "atoms": [{"id": 1, "weight": 1.0}]}]}),
+    "seq.json": "[[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]",
 }
 
 BAD_INPUTS = [
@@ -265,9 +279,20 @@ BAD_INPUTS = [
     ["witness", "--random", "2,-1"],
     ["bezout", "--atoms", "-3"],
     ["transfer", "--num-points", "-1"],
+    *([cmd, "--seed", "-1"] for cmd in ("witness", "bezout", "transfer", "suite")),
+    ["hardy", "outer", "--fixture", "const:2", "--clamp", "-1"],
+    ["hardy", "outer", "--fixture", "const:2", "--clamp", "0"],
+    ["hardy", "outer", "--fixture", "const:2", "--clamp", "nan"],
+    ["hardy", "outer", "--fixture", "const:0"],
+    ["hardy", "outer", "--fixture", "const:-1"],
+    ["olympiad", "--tol", "nan"],
+    ["ulim", "--input", "seq.json", "--tol", "nan"],
+    ["layered", "--preset", "l2", "--tol", "nan"],
 ]
 
 
+# a warning would be a second stderr line outside pytest, which captures it
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: " ".join(argv).replace("/", ":"))
 def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     for name, text in BAD_INPUT_FILES.items():
@@ -279,7 +304,25 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     assert out.out == "" and "Traceback" not in out.err
     lines = out.err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "InvalidInput"
+    error = json.loads(lines[0])
+    assert error["error"] == "InvalidInput"
+    # an option rejected for its value is named in the message
+    checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol"}
+    assert all(tok in error["message"] for tok in argv if tok in checked)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_report_is_input_error(tmp_path, capsys):
+    # samples near the float limit overflow to infinite residuals, which
+    # strict JSON cannot carry, so the run is refused instead of emitted
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"f": [[1e308, 0.0], [1e308, 1e308]],
+                                "g": [[1e308, 0.0], [1e308, 0.0]]}))
+    code = cli.main(["bezout", "--input", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert json.loads(out.err.strip().splitlines()[-1])["error"] == "InvalidInput"
 
 
 # gate of `hardy factor` -> the details key under which criterion 6 reports its value

@@ -85,7 +85,7 @@ def test_analytic_project_idempotent_and_contractive():
 
 def test_arc_energies_constant_matches_arc_lengths():
     n, m = 2**16, 8
-    prof = arc_energies(constant_function(n), m)
+    prof = arc_energies(constant_function(n), arc_layout(n, m))
     shells = np.arange(1, m + 1, dtype=float)
     exact = 1.0 / (np.pi * shells * (shells + 1.0))  # arc measure over 2 pi
     assert np.allclose(prof.magnitudes_sq, exact, rtol=2e-2)
@@ -96,7 +96,7 @@ def test_arc_energies_constant_matches_arc_lengths():
 
 
 def test_arc_energies_zero_function():
-    prof = arc_energies(constant_function(2**12, 0.0), 8)
+    prof = arc_energies(constant_function(2**12, 0.0), arc_layout(2**12, 8))
     assert np.all(prof.magnitudes_sq == 0.0)
     assert prof.tail == 0.0
 
@@ -105,7 +105,7 @@ def test_arc_energies_outer_support_only():
     n = 2**12
     th = grid_thetas(n)
     f = GridFunction(np.where(np.abs(th) >= 1.0, 1.0 + 0.0j, 0.0j))
-    prof = arc_energies(f, 8)
+    prof = arc_energies(f, arc_layout(n, 8))
     assert np.all(prof.magnitudes_sq == 0.0)
     assert prof.tail == 0.0
 
@@ -415,7 +415,7 @@ def test_hardy_factor_decay_for_vanishing_input():
     # masses, so the synthesized outer factor genuinely decays toward it
     f = from_taylor([0.5, -0.5], 2**13)
     res = hardy_factor(f, 128)
-    rad = res.radial_profile(12)
+    rad = res.radial_profile()
     assert np.all(np.diff(rad.values) < 0)
     assert rad.ratio <= 0.1
 
