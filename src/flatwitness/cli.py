@@ -87,7 +87,9 @@ def _number_after_colon(spec) -> float:
 
 def _cmd_olympiad(args):
     if args.input:
-        profile = tail_profile(ioformats.read_sequence(args.input), args.tail)
+        profile = tail_profile(ioformats.read_sequence(args.input), args.tail or 0.0)
+    elif args.tail is not None:
+        raise InvalidInput("--tail applies only to an --input sequence")
     else:
         profile = geometric_profile(args.geometric, args.terms)
     if args.m is not None or args.n is not None:
@@ -156,6 +158,8 @@ def _cmd_ulim(args):
 
 def _cmd_layered(args):
     if args.preset:
+        if args.tail is not None:
+            raise InvalidInput("--tail applies only to --layout with --values, not to a --preset")
         preset = {"l2": lambda: preset_l2(args.shells, args.geometric),
                   "lebesgue-r": lambda: preset_lebesgue_r(args.shells, args.atoms_per_shell),
                   "circle": lambda: preset_circle(args.shells, args.atoms_per_shell)}
@@ -170,7 +174,7 @@ def _cmd_layered(args):
         except KeyError as exc:
             raise InvalidInput("layered values need a 'values' key") from exc
         f = sampled_function(vals, layout.flat_weights)
-        tail = args.tail
+        tail = args.tail or 0.0
     checks, _ = acceptance.layered_checks(f, layout, args.mode, tail, args.tol)
     return _report("layered", {"preset": args.preset, "shells": layout.n_shells,
                                "atoms": layout.n_atoms, "geometric": args.geometric,
@@ -257,24 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--json", action="store_true", help="compact single-line JSON")
-        p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+        if seeded:
+            p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
 
     p = sub.add_parser("olympiad", help="suffix-sum weighted series bound")
     common(p)
     p.add_argument("--input", help="sequence file (.json pairs or .csv index,re,im)")
     p.add_argument("--geometric", type=float, default=0.5)
     p.add_argument("--terms", type=int, default=200)
-    p.add_argument("--tail", type=float, default=0.0)
+    p.add_argument("--tail", type=float, default=None,
+                   help="mass of the terms past an --input sequence (default 0)")
     p.add_argument("--m", type=int, default=None, help="single-window start index")
     p.add_argument("--n", type=int, default=None, help="single-window end index")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_olympiad)
 
     p = sub.add_parser("witness", help="synthesize and verify a relation certificate")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--input", help="relation JSON {weights, r, m}")
     p.add_argument("--random", help="random instance 'n,P'", default="3,128")
     p.add_argument("--certificate", action="store_true",
@@ -282,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("bezout", help="polar parts and the two-generator reduction")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--input", help="JSON {f, g, weights}")
     p.add_argument("--atoms", type=int, default=1000)
     p.add_argument("--strictness", action="store_true",
@@ -306,27 +312,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometric", type=float, default=0.5)
     p.add_argument("--layout", help="layered space JSON")
     p.add_argument("--values", help="sampled function JSON aligned with the layout")
-    p.add_argument("--tail", type=float, default=0.0)
+    p.add_argument("--tail", type=float, default=None,
+                   help="mass past the last shell of a --layout (default 0)")
     p.add_argument("--mode", choices=["auto", "compact", "general"], default="auto")
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(func=_cmd_layered)
 
     p = sub.add_parser("hardy", help="boundary-grid pipelines")
-    common(p)
-    p.add_argument("action", choices=["factor", "outer", "project"])
-    p.add_argument("--grid", type=int, default=2**14)
-    p.add_argument("--shells", type=int, default=256)
-    p.add_argument("--input", default="constant1",
-                   help="constant1, z, blaschke:A, or a grid file (.json/.bin)")
-    p.add_argument("--fixture", help="outer action: const:C or log-sin")
-    p.add_argument("--clamp", type=float, default=DEFAULT_CLAMP)
-    p.add_argument("--inner", default="z",
-                   help="project action: the inner function, in the --input vocabulary")
-    p.add_argument("--emit-taylor", action="store_true")
-    p.set_defaults(func=_cmd_hardy)
+    actions = p.add_subparsers(dest="action", required=True)
+
+    def action(name, help):
+        q = actions.add_parser(name, help=help)
+        common(q)
+        q.add_argument("--grid", type=int, default=2**14)
+        q.set_defaults(func=_cmd_hardy)
+        return q
+
+    inputs = "constant1, z, blaschke:A, or a grid file (.json/.bin)"
+    q = action("factor", "factor f = g * h against the arc-shell weight")
+    q.add_argument("--shells", type=int, default=256)
+    q.add_argument("--input", default="constant1", help=inputs)
+    q = action("outer", "synthesize an outer function from its log-modulus")
+    q.add_argument("--fixture", help="const:C or log-sin")
+    q.add_argument("--input", help="log-modulus grid file (.json/.bin)")
+    q.add_argument("--clamp", type=float, default=DEFAULT_CLAMP)
+    q.add_argument("--emit-taylor", action="store_true")
+    q = action("project", "project f onto b * H2 for an inner b")
+    q.add_argument("--input", default="constant1", help=inputs)
+    q.add_argument("--inner", default="z", help="the inner function, in the --input vocabulary")
 
     p = sub.add_parser("transfer", help="move a disk factorization to the half-plane")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--grid", type=int, default=2**14)
     p.add_argument("--shells", type=int, default=256)
     p.add_argument("--points", help="half-plane sample points (.json pairs)")
@@ -334,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=_cmd_suite)
 
     return parser
@@ -349,6 +365,9 @@ def main(argv=None) -> int:
                 _size(getattr(args, name), "--" + name.replace("_", "-"))
         if getattr(args, "tol", None) is not None and not np.isfinite(args.tol):
             raise InvalidInput(f"--tol must be finite, not {args.tol}")
+        if getattr(args, "tail", None) is not None and not (np.isfinite(args.tail)
+                                                            and args.tail >= 0):
+            raise InvalidInput(f"--tail must be finite and >= 0, not {args.tail}")
         if hasattr(args, "clamp"):
             _positive(args.clamp, "--clamp")
         return _emit(args.func(args), args, t0)

@@ -83,13 +83,39 @@ def grid_thetas(n: int) -> np.ndarray:
     return np.where(th > np.pi, th - 2.0 * np.pi, th)
 
 
+def _block_size(n_coeffs: int) -> int:
+    """Coefficients per Horner block: 64 up to 2^14 of them, doubling with the length to 256."""
+    return int(np.clip(2.0 ** ((n_coeffs - 1).bit_length() - 8), 64, 256))
+
+
 def eval_series(coeffs, z):
     """The power series sum_k coeffs[k] z^k (ascending order) at the points z.
 
     The package's one series evaluator: the outer function, the boundary
     factors' Taylor series and the half-plane transfer all evaluate here.
+    Blocked Horner: each block of B coefficients is one product with the
+    table of z^0..z^(B-1), and the blocks are combined by Horner in z^B, so
+    the error stays within about (B + ceil(L/B)) eps sum_k |c_k| |z|^k for L
+    coefficients.  A scalar z gives a scalar, an array keeps its shape.
     """
-    return np.polyval(np.asarray(coeffs)[::-1], z)
+    c = np.asarray(coeffs)
+    z = np.asarray(z)
+    pts = z.ravel()
+    length = max(c.size, 1)
+    b = min(_block_size(length), length)
+    dtype = np.result_type(c, pts, 1.0)
+    blocks = np.zeros(-(-length // b) * b, dtype=dtype)
+    blocks[:c.size] = c
+    blocks = blocks.reshape(-1, b)
+    powers = np.empty((pts.size, b), dtype=dtype)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = pts[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    z_b = powers[:, -1] * pts
+    acc = powers @ blocks[-1]
+    for block in blocks[-2::-1]:
+        acc = acc * z_b + powers @ block
+    return acc.reshape(z.shape)[()]
 
 
 class GridFunction:

@@ -87,7 +87,10 @@ def profile_from_energies(magnitudes_sq, tail_sum_sq: float = 0.0) -> TailProfil
         raise InvalidInput("tail mass must be finite and nonnegative")
     # cumsum runs left to right, so accumulate over the reversed terms: this
     # realises r_n = r_{n+1} + |a_{n+1}|^2 with one rounding per step.
-    acc = np.cumsum(np.concatenate(([tail_sum_sq], mags[::-1])))
+    with np.errstate(over="ignore"):
+        acc = np.cumsum(np.concatenate(([tail_sum_sq], mags[::-1])))
+    if not np.isfinite(acc[-1]):  # the largest suffix sum, r_0
+        raise InvalidInput("the total mass of the sequence overflows float64")
     return TailProfile(mags, acc[::-1].copy(), float(tail_sum_sq))
 
 
@@ -102,7 +105,11 @@ def tail_profile(a, tail_sum_sq: float = 0.0) -> TailProfile:
         raise InvalidInput("need a one-dimensional, nonempty sequence")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("sequence entries must be finite")
-    return profile_from_energies(np.abs(arr) ** 2, tail_sum_sq)
+    with np.errstate(over="ignore"):
+        mags = np.abs(arr) ** 2
+    if not np.all(np.isfinite(mags)):
+        raise InvalidInput("a squared term |a_k|^2 overflows float64")
+    return profile_from_energies(mags, tail_sum_sq)
 
 
 def geometric_profile(ratio: float, n_terms: int) -> TailProfile:
@@ -125,34 +132,56 @@ def default_bound_tol(profile: TailProfile) -> float:
     return 1e-12 * (1.0 + profile.head)
 
 
-def _window_suffixes(profile: TailProfile, m: int, n: int) -> np.ndarray:
-    if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
+def _windows(profile: TailProfile, m, n):
+    m, n = np.asarray(m), np.asarray(n)
+    if m.dtype.kind not in "iu" or n.dtype.kind not in "iu":
         raise InvalidInput("window indices must be integers")
-    if not 1 <= m < n <= profile.n_terms:
+    if not np.all((1 <= m) & (m < n) & (n <= profile.n_terms)):
         raise InvalidInput(f"window must satisfy 1 <= m < n <= {profile.n_terms}")
-    r_prev = profile.suffix_sums[m:n]  # r_{k-1} for k = m+1..n
-    if np.any(r_prev == 0.0):
+    # suffix sums are nonincreasing, so r_{n-1} is the smallest r_{k-1} in the window
+    if np.any(profile.suffix_sums[n - 1] == 0.0):
         raise DegenerateTail("window touches a zero suffix sum")
-    return r_prev
+    return m, n
 
 
-def olympiad_weighted_sum(profile: TailProfile, m: int, n: int) -> float:
-    """sum_{k=m+1}^{n} |a_k|^2 / sqrt(r_{k-1})."""
-    r_prev = _window_suffixes(profile, m, n)
-    return float(np.sum(profile.magnitudes_sq[m:n] / np.sqrt(r_prev)))
+def olympiad_weighted_sum(profile: TailProfile, m, n):
+    """sum_{k=m+1}^{n} |a_k|^2 / sqrt(r_{k-1}), elementwise over arrays of windows.
+
+    The terms between consecutive distinct window edges form blocks, each
+    summed once pairwise; a window adds its blocks.  One window is one block,
+    the plain pairwise sum of its slice.
+    """
+    m, n = _windows(profile, m, n)
+    if m.size == 0:
+        return np.zeros(np.broadcast(m, n).shape)
+    edges = np.unique(np.concatenate([m.ravel(), n.ravel()]))
+    lo, hi = edges[0], edges[-1]
+    terms = profile.magnitudes_sq[lo:hi] / np.sqrt(profile.suffix_sums[lo:hi])
+    blocks = np.array([np.sum(terms[a - lo:b - lo]) for a, b in zip(edges[:-1], edges[1:])])
+    inside = (edges[:-1] >= m[..., None]) & (edges[1:] <= n[..., None])
+    sums = np.where(inside, blocks, 0.0).sum(axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 @dataclass(frozen=True)
 class OlympiadBound:
+    """One window's verdict, or elementwise arrays of them for arrays of windows."""
+
     lhs: float
     rhs: float
     tol: float
     holds: bool
 
 
-def verify_olympiad_bound(profile: TailProfile, m: int, n: int, tol_abs=None) -> OlympiadBound:
-    """Check the telescoping bound: the window sum is at most 2(sqrt(r_m) - sqrt(r_n))."""
+def verify_olympiad_bound(profile: TailProfile, m, n, tol_abs=None) -> OlympiadBound:
+    """Check the telescoping bound: the window sum is at most 2(sqrt(r_m) - sqrt(r_n)).
+
+    Scalar windows give floats and a bool; arrays of m and n give arrays.
+    """
     lhs = olympiad_weighted_sum(profile, m, n)
     rhs = 2.0 * (np.sqrt(profile.suffix_sums[m]) - np.sqrt(profile.suffix_sums[n]))
     tol = default_bound_tol(profile) if tol_abs is None else float(tol_abs)
-    return OlympiadBound(lhs=lhs, rhs=float(rhs), tol=tol, holds=bool(lhs <= rhs + tol))
+    holds = lhs <= rhs + tol
+    if np.ndim(lhs) == 0:
+        rhs, holds = float(rhs), bool(holds)
+    return OlympiadBound(lhs=lhs, rhs=rhs, tol=tol, holds=holds)

@@ -258,6 +258,8 @@ BAD_INPUT_FILES = {
     "no_values.json": '{"vals": [[1.0, 0.0]]}',
     "layout.json": json.dumps({"shells": [{"n": 1, "atoms": [{"id": 1, "weight": 1.0}]}]}),
     "seq.json": "[[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]",
+    "huge.json": "[[1e200, 0.0], [1.0, 0.0]]",
+    "huge_sum.json": "[[1.2e154, 0.0], [1.2e154, 0.0]]",
 }
 
 BAD_INPUTS = [
@@ -286,6 +288,10 @@ BAD_INPUTS = [
     ["hardy", "outer", "--fixture", "const:0"],
     ["hardy", "outer", "--fixture", "const:-1"],
     ["olympiad", "--tol", "nan"],
+    ["olympiad", "--input", "huge.json"],
+    ["olympiad", "--input", "huge_sum.json"],
+    ["olympiad", "--input", "seq.json", "--tail", "nan"],
+    ["olympiad", "--input", "seq.json", "--tail", "-1"],
     ["ulim", "--input", "seq.json", "--tol", "nan"],
     ["layered", "--preset", "l2", "--tol", "nan"],
 ]
@@ -307,8 +313,38 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     error = json.loads(lines[0])
     assert error["error"] == "InvalidInput"
     # an option rejected for its value is named in the message
-    checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol"}
+    checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol",
+               "--tail"}
     assert all(tok in error["message"] for tok in argv if tok in checked)
+
+
+IGNORED_OPTIONS = [
+    *([cmd, "--seed", "3"] for cmd in ("olympiad", "layered")),
+    ["ulim", "--input", "seq.json", "--seed", "3"],
+    *(["hardy", action, "--seed", "3"] for action in ("factor", "outer", "project")),
+    *(["hardy", action, "--clamp", "1e-6"] for action in ("factor", "project")),
+    ["hardy", "factor", "--inner", "z"],
+    ["hardy", "outer", "--shells", "64"],
+    ["hardy", "project", "--fixture", "log-sin"],
+    ["olympiad", "--tail", "0.5"],
+    ["olympiad", "--tail", "nan"],
+    ["layered", "--preset", "l2", "--tail", "0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_OPTIONS, ids=" ".join)
+def test_ignored_option_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # an option the chosen pipeline would not read is a usage or input error
+    (tmp_path / "seq.json").write_text(BAD_INPUT_FILES["seq.json"])
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == "" and "Traceback" not in out.err
+    assert argv[-2] in out.err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

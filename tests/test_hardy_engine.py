@@ -6,6 +6,7 @@ import pytest
 from flatwitness.errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
 from flatwitness.hardy_engine import (
     GridFunction,
+    _block_size,
     analytic_project,
     arc_energies,
     arc_layout,
@@ -485,6 +486,31 @@ def test_eval_series_matches_power_sum():
         # relative to the sum of the terms' moduli, the scale of Horner's error bound
         scale = np.abs(powers) @ np.abs(coeffs)
         assert np.all(np.abs(eval_series(coeffs, z) - powers @ coeffs) <= 1e-12 * scale)
+
+
+def test_block_size_grows_with_the_series_to_256():
+    sizes = {n: _block_size(n) for n in (1, 64, 2**14, 2**14 + 1, 2**15, 2**15 + 1, 2**20)}
+    assert sizes == {1: 64, 64: 64, 2**14: 64, 2**14 + 1: 128, 2**15: 128, 2**15 + 1: 256,
+                     2**20: 256}
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 4097, 2**14 + 1, 2**15 + 1])
+def test_eval_series_matches_polyval(length):
+    rng = np.random.default_rng(length)
+    coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    z = 0.95 * np.sqrt(rng.uniform(size=(4, 8))) * np.exp(2j * np.pi * rng.uniform(size=(4, 8)))
+    z[0, :3] = [0.0, 0.95, -0.95j]
+    got = eval_series(coeffs, z)
+    assert got.shape == z.shape
+    # blocked Horner's error model: B roundings within a block, ceil(L/B) across blocks
+    b = min(_block_size(length), length)
+    scale = np.polyval(np.abs(coeffs)[::-1], np.abs(z))  # sum_k |c_k| |z|^k
+    tol = (b + -(-length // b)) * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - np.polyval(coeffs[::-1], z)) <= tol)
+    assert got[0, 0] == coeffs[0]
+    one = eval_series(coeffs, z[0, 1])
+    assert np.ndim(one) == 0 and not isinstance(one, np.ndarray)
+    assert abs(one - np.polyval(coeffs[::-1], z[0, 1])) <= tol[0, 1]
 
 
 def test_inner_check_coordinate_and_blaschke():

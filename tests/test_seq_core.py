@@ -158,3 +158,50 @@ def test_bound_property_random_windows(length, seed):
     m = int(rng.integers(1, length))
     n = int(rng.integers(m + 1, length + 1))
     assert verify_olympiad_bound(prof, m, n).holds
+
+
+@given(st.integers(min_value=2, max_value=5000), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=2, max_value=16))
+@settings(max_examples=100, deadline=None)
+def test_batched_windows_match_scalar_windows(length, seed, n_edges):
+    # every window between up to 16 edges, so at most 15 blocks: each path is
+    # within (ceil(log2 n) + 15) eps S of the exact window sum S, n the window length
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    a *= np.arange(1, length + 1.0) ** -rng.uniform(0.6, 1.5)
+    prof = tail_profile(a, tail_sum_sq=float(rng.uniform(0.0, 1.0)))
+    edges = np.unique(rng.integers(1, length + 1, size=n_edges))
+    first, last = np.triu_indices(edges.size, 1)
+    m, n = edges[first], edges[last]
+    batched = verify_olympiad_bound(prof, m, n)
+    assert batched.lhs.shape == batched.rhs.shape == batched.holds.shape == m.shape
+    for i in range(m.size):
+        one = verify_olympiad_bound(prof, int(m[i]), int(n[i]))
+        bound = 2 * (np.ceil(np.log2(n[i] - m[i])) + 15) * EPS * one.lhs
+        assert abs(batched.lhs[i] - one.lhs) <= bound
+        assert batched.rhs[i] == one.rhs
+        assert batched.holds[i] == one.holds
+
+
+def test_batched_windows_raise_like_their_bad_window():
+    prof = tail_profile(np.array([1.0, 2.0, 0.0, 0.0]))  # r_2 = r_3 = r_4 = 0
+    for m, n, bad, error in (([1, 0], [2, 2], (0, 2), InvalidInput),
+                             ([1, 2], [2, 2], (2, 2), InvalidInput),
+                             ([1, 1], [2, 5], (1, 5), InvalidInput),
+                             ([1, 1], [2, 4], (1, 4), DegenerateTail),
+                             ([1.0], [2.0], (1.0, 2.0), InvalidInput)):
+        with pytest.raises(error) as batched:
+            verify_olympiad_bound(prof, np.array(m), np.array(n))
+        with pytest.raises(error) as scalar:
+            verify_olympiad_bound(prof, *bad)
+        assert str(batched.value) == str(scalar.value)
+
+
+def test_one_window_is_the_plain_slice_sum():
+    rng = np.random.default_rng(3)
+    prof = tail_profile(rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
+    m, n = 17, 981
+    exact = np.sum(prof.magnitudes_sq[m:n] / np.sqrt(prof.suffix_sums[m:n]))
+    assert olympiad_weighted_sum(prof, m, n) == exact
+    assert olympiad_weighted_sum(prof, np.array([m]), np.array([n]))[0] == exact
+
