@@ -37,13 +37,6 @@ class SampledFunction:
         return len(self.values)
 
     @property
-    def ess_sup(self) -> float:
-        live = self.weights > 0
-        if not np.any(live):
-            return 0.0
-        return float(np.max(np.abs(self.values[live])))
-
-    @property
     def norm_sq(self) -> float:
         """Squared weighted 2-norm, sum of weight * |value|^2."""
         return float(np.sum(self.weights * np.abs(self.values) ** 2))
@@ -109,20 +102,21 @@ def principal_generator(f: SampledFunction, g: SampledFunction) -> PrincipalGene
     _same_atoms(f, g)
     fl = f.values.astype(np.clongdouble)
     gl = g.values.astype(np.clongdouble)
-    af, ag = np.abs(fl), np.abs(gl)
-    d = af + ag
+    with np.errstate(over="ignore"):
+        d = np.abs(fl) + np.abs(gl)
+        d_out = d.astype(complex)
+    if not np.all(np.isfinite(d_out)):
+        raise InvalidInput("|f| + |g| overflows float64")
     live = d > 0
     F = np.where(live, fl / np.where(live, d, 1), 1.0)
     G = np.where(live, gl / np.where(live, d, 1), 1.0)
-    cf = np.conj(np.where(af > 0, fl / np.where(af > 0, af, 1), 1.0))
-    cg = np.conj(np.where(ag > 0, gl / np.where(ag > 0, ag, 1), 1.0))
     wts = f.weights
     return PrincipalGenerator(
-        d=SampledFunction(d.astype(complex), wts),
+        d=SampledFunction(d_out, wts),
         F=SampledFunction(F.astype(complex), wts),
         G=SampledFunction(G.astype(complex), wts),
-        cf=SampledFunction(cf.astype(complex), wts),
-        cg=SampledFunction(cg.astype(complex), wts),
+        cf=SampledFunction(np.conj(polar_parts(f)[1].values), wts),
+        cg=SampledFunction(np.conj(polar_parts(g)[1].values), wts),
     )
 
 

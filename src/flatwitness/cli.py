@@ -74,6 +74,20 @@ def _positive(value: float, option: str) -> float:
     return value
 
 
+def _unread(args, source, *options):
+    """Refuse each of ``options`` given on the command line, since ``source`` does not read it."""
+    for name in options:
+        if getattr(args, name) is not None:
+            raise InvalidInput(f"--{name.replace('_', '-')} does not apply to {source}")
+
+
+def _defaults(args, **defaults):
+    """Give each option the chosen source reads, and the command line left out, its default."""
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _number_after_colon(spec) -> float:
     try:
         return float(spec.split(":", 1)[1])
@@ -87,10 +101,11 @@ def _number_after_colon(spec) -> float:
 
 def _cmd_olympiad(args):
     if args.input:
+        _unread(args, "an --input sequence", "geometric", "terms")
         profile = tail_profile(ioformats.read_sequence(args.input), args.tail or 0.0)
-    elif args.tail is not None:
-        raise InvalidInput("--tail applies only to an --input sequence")
     else:
+        _unread(args, "the --geometric profile", "tail")
+        _defaults(args, geometric=0.5, terms=200)
         profile = geometric_profile(args.geometric, args.terms)
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:
@@ -108,8 +123,10 @@ def _cmd_olympiad(args):
 
 def _cmd_witness(args):
     if args.input:
+        _unread(args, "an --input relation", "random", "seed")
         rel = ioformats.relation_from_obj(ioformats.read_json(args.input))
     else:
+        _defaults(args, random="3,128", seed=acceptance.DEFAULT_SEED)
         try:
             n, p = (_size(int(tok), "--random") for tok in args.random.split(","))
         except (AttributeError, ValueError) as exc:
@@ -127,6 +144,7 @@ def _cmd_witness(args):
 
 def _cmd_bezout(args):
     if args.input:
+        _unread(args, "an --input pair", "atoms", "seed")
         obj = ioformats.read_json(args.input)
         try:
             weights = obj.get("weights")
@@ -136,6 +154,7 @@ def _cmd_bezout(args):
             raise InvalidInput(f"bezout input must be an object with keys f and g: {exc}") \
                 from exc
     else:
+        _defaults(args, atoms=1000, seed=acceptance.DEFAULT_SEED)
         f, g = acceptance.random_pair(np.random.default_rng(args.seed), args.atoms)
     checks = acceptance.bezout_checks(f, g)
     if args.strictness:
@@ -156,17 +175,23 @@ def _cmd_ulim(args):
                    checks)
 
 
+# preset -> its builder, and the option besides --shells that it reads, with its default
+_PRESETS = {"l2": (preset_l2, "geometric", 0.5),
+            "lebesgue-r": (preset_lebesgue_r, "atoms_per_shell", 64),
+            "circle": (preset_circle, "atoms_per_shell", 64)}
+
+
 def _cmd_layered(args):
     if args.preset:
-        if args.tail is not None:
-            raise InvalidInput("--tail applies only to --layout with --values, not to a --preset")
-        preset = {"l2": lambda: preset_l2(args.shells, args.geometric),
-                  "lebesgue-r": lambda: preset_lebesgue_r(args.shells, args.atoms_per_shell),
-                  "circle": lambda: preset_circle(args.shells, args.atoms_per_shell)}
-        f, layout, tail = preset[args.preset]()
+        build, option, default = _PRESETS[args.preset]
+        other = "atoms_per_shell" if option == "geometric" else "geometric"
+        _unread(args, f"--preset {args.preset}", "layout", "values", "tail", other)
+        _defaults(args, shells=64, **{option: default})
+        f, layout, tail = build(args.shells, getattr(args, option))
     else:
         if not (args.layout and args.values):
             raise InvalidInput("need --preset, or --layout together with --values")
+        _unread(args, "a --layout", "shells", "atoms_per_shell", "geometric")
         layout = ioformats.layered_space_from_obj(ioformats.read_json(args.layout))
         obj = ioformats.read_json(args.values)
         try:
@@ -200,6 +225,7 @@ def _cmd_hardy(args):
 
     if args.action == "outer":
         if args.fixture:
+            _unread(args, "a --fixture", "input")
             if args.fixture.startswith("const:"):
                 c = _positive(_number_after_colon(args.fixture), "C in --fixture const:C")
                 k = np.full(args.grid, np.log(c))
@@ -226,8 +252,10 @@ def _cmd_hardy(args):
 
 def _cmd_transfer(args):
     if args.points:
+        _unread(args, "--points", "num_points", "seed")
         pts = ioformats.read_sequence(args.points)
     else:
+        _defaults(args, num_points=100, seed=acceptance.DEFAULT_SEED)
         pts = acceptance.halfplane_points(np.random.default_rng(args.seed), args.num_points)
     checks = acceptance.transfer_checks(args.grid, args.shells, pts)
     return _report("transfer", {"grid": args.grid, "shells": args.shells,
@@ -235,6 +263,7 @@ def _cmd_transfer(args):
 
 
 def _cmd_suite(args):
+    _defaults(args, seed=acceptance.DEFAULT_SEED)
     checks = []
     for res in acceptance.run_suite(seed=args.seed):
         line = f"criterion {res.index}: {'PASS' if res.passed else 'FAIL'}  {res.name}" \
@@ -265,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--json", action="store_true", help="compact single-line JSON")
         if seeded:
-            p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+            p.add_argument("--seed", type=int, help=f"default {acceptance.DEFAULT_SEED}")
 
     p = sub.add_parser("olympiad", help="suffix-sum weighted series bound")
     common(p)
     p.add_argument("--input", help="sequence file (.json pairs or .csv index,re,im)")
-    p.add_argument("--geometric", type=float, default=0.5)
-    p.add_argument("--terms", type=int, default=200)
+    p.add_argument("--geometric", type=float, help="ratio of |a_k|^2 = ratio^k (default 0.5)")
+    p.add_argument("--terms", type=int, help="terms of the geometric profile (default 200)")
     p.add_argument("--tail", type=float, default=None,
                    help="mass of the terms past an --input sequence (default 0)")
     p.add_argument("--m", type=int, default=None, help="single-window start index")
@@ -282,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="synthesize and verify a relation certificate")
     common(p, seeded=True)
     p.add_argument("--input", help="relation JSON {weights, r, m}")
-    p.add_argument("--random", help="random instance 'n,P'", default="3,128")
+    p.add_argument("--random", help="random instance 'n,P' (default 3,128)")
     p.add_argument("--certificate", action="store_true",
                    help="include the certificate in the report")
     p.set_defaults(func=_cmd_witness)
@@ -290,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bezout", help="polar parts and the two-generator reduction")
     common(p, seeded=True)
     p.add_argument("--input", help="JSON {f, g, weights}")
-    p.add_argument("--atoms", type=int, default=1000)
+    p.add_argument("--atoms", type=int, help="atoms of the random pair (default 1000)")
     p.add_argument("--strictness", action="store_true",
                    help="report the zero-set obstruction of the second generator")
     p.set_defaults(func=_cmd_bezout)
@@ -307,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("layered", help="shell-layered weight factorization")
     common(p)
     p.add_argument("--preset", choices=["l2", "lebesgue-r", "circle"])
-    p.add_argument("--shells", type=int, default=64)
-    p.add_argument("--atoms-per-shell", type=int, default=64)
-    p.add_argument("--geometric", type=float, default=0.5)
+    p.add_argument("--shells", type=int, help="shells of a --preset (default 64)")
+    p.add_argument("--atoms-per-shell", type=int,
+                   help="atoms per shell of lebesgue-r and circle (default 64)")
+    p.add_argument("--geometric", type=float, help="ratio of the l2 preset (default 0.5)")
     p.add_argument("--layout", help="layered space JSON")
     p.add_argument("--values", help="sampled function JSON aligned with the layout")
     p.add_argument("--tail", type=float, default=None,
@@ -346,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=2**14)
     p.add_argument("--shells", type=int, default=256)
     p.add_argument("--points", help="half-plane sample points (.json pairs)")
-    p.add_argument("--num-points", type=int, default=100)
+    p.add_argument("--num-points", type=int, help="random sample points (default 100)")
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
@@ -361,7 +391,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         for name in _SIZE_OPTIONS:
-            if hasattr(args, name):
+            if getattr(args, name, None) is not None:
                 _size(getattr(args, name), "--" + name.replace("_", "-"))
         if getattr(args, "tol", None) is not None and not np.isfinite(args.tol):
             raise InvalidInput(f"--tol must be finite, not {args.tol}")

@@ -18,12 +18,10 @@ from .errors import InvalidInput
 from .hardy_engine import eval_series
 
 __all__ = [
-    "HalfPlaneSamples",
     "TransferResult",
     "mobius",
     "mobius_inv",
     "as_disk_evaluator",
-    "sample_halfplane",
     "disk_to_halfplane_h2",
     "halfplane_to_disk_h2",
     "transfer_factorization",
@@ -48,22 +46,9 @@ def mobius_inv(z):
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class HalfPlaneSamples:
-    points: np.ndarray
-    values: np.ndarray
-
-
 def _check_halfplane(points: np.ndarray):
     if np.any(points.real <= 0):
         raise InvalidInput("points must lie strictly in the open right half-plane")
-
-
-def sample_halfplane(F, points) -> HalfPlaneSamples:
-    """Evaluate a half-plane function at points strictly inside the domain."""
-    pts = np.asarray(points, dtype=complex)
-    _check_halfplane(pts)
-    return HalfPlaneSamples(pts, np.asarray(F(pts), dtype=complex))
 
 
 def _check_disk(points: np.ndarray):
@@ -141,12 +126,8 @@ def transfer_factorization(f, g, h, points) -> TransferResult:
         _check_halfplane(s)
         return g_eval(mobius(s))
 
-    def H(s):
-        s = np.asarray(s, dtype=complex)
-        _check_halfplane(s)
-        return h_eval(mobius(s)) / (1.0 + s)
-
     F = disk_to_halfplane_h2(f_eval)
+    H = disk_to_halfplane_h2(h_eval)
     z = mobius(pts)
     disk_residual = float(np.max(np.abs(f_eval(z) - g_eval(z) * h_eval(z))))
     identity_residual = float(np.max(np.abs(F(pts) - G(pts) * H(pts))))

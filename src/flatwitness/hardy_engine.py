@@ -22,7 +22,7 @@ evaluation anywhere in the closed disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -156,11 +156,6 @@ class GridFunction:
         raw *= n
         return cls(np.fft.ifft(raw))
 
-    def coeff(self, m: int) -> complex:
-        if not -self.n // 2 <= m < self.n // 2:
-            raise InvalidInput(f"mode {m} outside [-N/2, N/2)")
-        return complex(self.spectrum()[m % self.n])
-
     def taylor(self) -> np.ndarray:
         """Nonnegative-mode coefficients, the power-series view of the function."""
         return self.spectrum()[: self.n // 2].copy()
@@ -174,8 +169,8 @@ class GridFunction:
         return float(np.sqrt(self.norm_sq))
 
 
-def constant_function(n: int, value=1.0) -> GridFunction:
-    return GridFunction(np.full(n, value, dtype=complex))
+def constant_function(n: int) -> GridFunction:
+    return GridFunction(np.ones(n, dtype=complex))
 
 
 def coordinate_function(n: int) -> GridFunction:
@@ -210,7 +205,11 @@ def neg_mode_leakage(h: GridFunction) -> float:
     ratio, so the raw transform serves unless the spectrum is cached already.
     """
     coefficients = h._spectrum if h._spectrum is not None else np.fft.fft(h.samples)
-    total = np.linalg.norm(coefficients)
+    with np.errstate(over="ignore"):
+        total = np.linalg.norm(coefficients)
+    if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
+        coefficients = coefficients / np.max(np.abs(coefficients))
+        total = np.linalg.norm(coefficients)
     if total == 0.0:
         return 0.0
     return float(np.linalg.norm(coefficients[h.n // 2:]) / total)
@@ -445,7 +444,7 @@ class HardyFactorization:
 
     def radial_profile(self) -> "RadialDecayReport":
         """|g| at the radii 1 - 2^-j, j = 1..12."""
-        return radial_decay_check(self.outer, 12, grid_size=self.f.n)
+        return radial_decay_check(self.outer, 12)
 
 
 def _weighted_tail_series(profile: TailProfile) -> float:
@@ -497,18 +496,14 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
 
 @dataclass(frozen=True)
 class RadialDecayReport:
-    radii: np.ndarray
     values: np.ndarray
     ratio: float  # last value over first
-    truncation_warning: bool
 
 
-def radial_decay_check(g: Callable, depths: int = 12,
-                       grid_size: Optional[int] = None) -> RadialDecayReport:
+def radial_decay_check(g: Callable, depths: int = 12) -> RadialDecayReport:
     """Evaluate |g| at the radii 1 - 2^-j, j = 1..depths, along the positive axis.
 
-    ``g`` is a point evaluator, such as an OuterFunction.  The warning flags
-    depths finer than the spectral resolution of the originating grid.
+    ``g`` is a point evaluator, such as an OuterFunction.
     """
     if depths < 1:
         raise InvalidInput("need at least one depth")
@@ -516,8 +511,7 @@ def radial_decay_check(g: Callable, depths: int = 12,
     radii = 1.0 - 2.0**-j
     values = np.abs(g(radii))
     ratio = float(values[-1] / values[0]) if values[0] != 0.0 else float("inf")
-    warn = grid_size is not None and 2.0**-depths < 1.0 / grid_size
-    return RadialDecayReport(radii, values, ratio, bool(warn))
+    return RadialDecayReport(values, ratio)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""File formats: complex sequences, relations, sampled functions, layered
-spaces, and boundary grids.
+"""Readers for the input formats: complex sequences, relations, sampled
+functions, layered spaces, and boundary grids; and the report's JSON form.
 
 Complex scalars travel as [re, im] pairs in JSON.  Sequences may also be
 CSV with columns index,re,im.  Grid functions may be JSON or a little-endian
@@ -10,8 +10,6 @@ re/im pairs.
 from __future__ import annotations
 
 import csv
-import dataclasses
-import enum
 import json
 import struct
 from pathlib import Path
@@ -28,13 +26,10 @@ __all__ = [
     "complex_pairs",
     "read_sequence",
     "read_json",
-    "write_sequence",
     "relation_from_obj",
-    "relation_to_obj",
     "certificate_to_obj",
     "layered_space_from_obj",
     "read_grid_function",
-    "write_grid_function",
     "jsonable",
 ]
 
@@ -83,19 +78,6 @@ def read_json(path):
         raise InvalidInput(f"cannot read JSON file {path}: {exc}") from exc
 
 
-def write_sequence(path, values):
-    path = Path(path)
-    arr = np.asarray(values, dtype=complex)
-    if path.suffix.lower() == ".csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            for i, v in enumerate(arr, start=1):
-                writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-    else:
-        path.write_text(json.dumps(complex_pairs(arr)))
-
-
 def relation_from_obj(obj) -> PointwiseRelation:
     try:
         weights = np.asarray(obj["weights"], dtype=float)
@@ -104,14 +86,6 @@ def relation_from_obj(obj) -> PointwiseRelation:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed relation object: {exc}") from exc
     return pointwise_relation(weights, r_rows, m_rows)
-
-
-def relation_to_obj(rel: PointwiseRelation) -> dict:
-    return {
-        "weights": [float(w) for w in rel.point_weights],
-        "r": [complex_pairs(row) for row in rel.r_rows],
-        "m": [complex_pairs(row) for row in rel.m_rows],
-    }
 
 
 def certificate_to_obj(cert: WitnessCertificate) -> dict:
@@ -159,21 +133,11 @@ def read_grid_function(path) -> GridFunction:
     return GridFunction(flat[0::2] + 1j * flat[1::2])
 
 
-def write_grid_function(path, g: GridFunction):
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        path.write_text(json.dumps(complex_pairs(g.samples)))
-        return
-    flat = np.empty(2 * g.n, dtype="<f8")
-    flat[0::2] = g.samples.real
-    flat[1::2] = g.samples.imag
-    path.write_bytes(_GRID_HEADER.pack(g.n) + flat.tobytes())
-
-
 def jsonable(obj):
-    """Recursively convert reports and arrays to plain JSON values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    """Recursively convert a report's dicts, lists, scalars and arrays to plain JSON values.
+
+    Anything else raises TypeError rather than being written as its str() form.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -193,8 +157,4 @@ def jsonable(obj):
         return int(obj)
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if isinstance(obj, Path):
-        return str(obj)
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    return str(obj)
+    raise TypeError(f"a report cannot hold a {type(obj).__name__}")

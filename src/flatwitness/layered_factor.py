@@ -152,7 +152,6 @@ class LayeredFactorization:
     mode: str
     residual: float             # weighted 2-norm of f - g*h
     h_norm_sq: float
-    star_bound: float
     profile: TailProfile
     clamped: int
 
@@ -194,7 +193,6 @@ def factor(f: SampledFunction, layout: LayeredSpace, mode: str = "auto",
         mode=weights.mode,
         residual=float(np.sqrt(residual_sq)),
         h_norm_sq=h.norm_sq,
-        star_bound=_star_majorant(profile, weights.mode),
         profile=profile,
         clamped=weights.clamped,
     )

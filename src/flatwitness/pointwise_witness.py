@@ -24,12 +24,10 @@ from .errors import InvalidInput, NotARelation
 
 __all__ = [
     "PointwiseRelation",
-    "OrthonormalFrame",
     "WitnessCertificate",
     "WitnessReport",
     "pointwise_relation",
     "relation_residuals",
-    "orthocomplement_frame",
     "synthesize_witness",
     "verify_witness",
 ]
@@ -63,8 +61,13 @@ def pointwise_relation(point_weights, r_rows, m_rows) -> PointwiseRelation:
         raise InvalidInput("need r_rows and m_rows of shape (P, n) and P point weights")
     if r.shape[0] == 0 or r.shape[1] == 0:
         raise InvalidInput("need at least one point and one term")
-    if not (np.all(np.isfinite(wts)) and np.all(np.isfinite(r)) and np.all(np.isfinite(m))):
-        raise InvalidInput("relation data must be finite")
+    # a NaN or infinity anywhere reaches a row norm or the weighted module mass,
+    # as do squares that overflow, and 0 * inf at a null point is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = np.append(np.linalg.norm(r, axis=1), wts @ np.linalg.norm(m, axis=1) ** 2)
+    if not np.all(np.isfinite(sizes)):
+        raise InvalidInput("relation data, its row norms and its weighted module mass "
+                           "must be finite in float64")
     if np.any(wts < 0):
         raise InvalidInput("point weights must be nonnegative")
     return PointwiseRelation(wts, r, m)
@@ -75,13 +78,6 @@ def relation_residuals(rel: PointwiseRelation):
     resid = np.abs(np.einsum("pi,pi->p", rel.r_rows, rel.m_rows))
     scale = 1.0 + np.linalg.norm(rel.r_rows, axis=1) * np.linalg.norm(rel.m_rows, axis=1)
     return resid, scale
-
-
-@dataclass(frozen=True)
-class OrthonormalFrame:
-    """Rows are the frame vectors; trailing rows may be identically zero."""
-
-    vectors: np.ndarray  # (n, n)
 
 
 def _batched_frames(rows: np.ndarray, zero_threshold: float) -> np.ndarray:
@@ -114,20 +110,6 @@ def _batched_frames(rows: np.ndarray, zero_threshold: float) -> np.ndarray:
     out[:, : n - 1, :] = np.transpose(reflect[:, :, 1:], (0, 2, 1))
     frames[nz] = out
     return frames
-
-
-def orthocomplement_frame(r) -> OrthonormalFrame:
-    """Orthonormal frame of the orthogonal complement of one vector.
-
-    Nonzero input: n-1 orthonormal vectors orthogonal to r, plus a zero row.
-    Input of norm at most ZERO_THRESHOLD: the full standard basis.
-    """
-    row = np.asarray(r, dtype=complex)
-    if row.ndim != 1 or row.size == 0:
-        raise InvalidInput("need a one-dimensional, nonempty vector")
-    if not np.all(np.isfinite(row)):
-        raise InvalidInput("vector entries must be finite")
-    return OrthonormalFrame(_batched_frames(row[None, :], ZERO_THRESHOLD)[0])
 
 
 @dataclass(frozen=True)

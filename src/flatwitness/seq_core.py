@@ -55,25 +55,9 @@ class TailProfile:
         return len(self.magnitudes_sq)
 
     @property
-    def finite_support(self) -> bool:
-        return self.tail == 0.0
-
-    @property
     def head(self) -> float:
         """r_0, the total mass of the sequence."""
         return float(self.suffix_sums[0])
-
-    def r(self, n: int) -> float:
-        """Suffix sum r_n, 0 <= n <= N."""
-        if not 0 <= n <= self.n_terms:
-            raise InvalidInput(f"suffix index {n} out of range 0..{self.n_terms}")
-        return float(self.suffix_sums[n])
-
-    def magnitude_sq(self, k: int) -> float:
-        """|a_k|^2 for 1 <= k <= N."""
-        if not 1 <= k <= self.n_terms:
-            raise InvalidInput(f"term index {k} out of range 1..{self.n_terms}")
-        return float(self.magnitudes_sq[k - 1])
 
 
 def profile_from_energies(magnitudes_sq, tail_sum_sq: float = 0.0) -> TailProfile:

@@ -131,9 +131,8 @@ def test_mismatched_atoms_rejected():
         principal_generator(f, sampled_function([1.0, 2.0]))
 
 
-def test_ess_sup_ignores_null_atoms():
+def test_norm_sq_ignores_null_atoms():
     f = sampled_function([10.0, 1.0], [0.0, 1.0])
-    assert f.ess_sup == 1.0
     assert f.norm_sq == 1.0
 
 

@@ -1,9 +1,13 @@
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flatwitness import acceptance, cli, ioformats
+from flatwitness import acceptance, cli
 
 
 def _reject_constant(name):
@@ -35,9 +39,19 @@ def test_olympiad_without_windows_reports_null(capsys):
     assert checks["bound_holds_all_windows"]["value"] is None
 
 
+def sequence_file(path, values):
+    """A sequence file: [re, im] pairs in JSON, or index,re,im rows in CSV."""
+    if path.suffix == ".csv":
+        rows = "".join(f"{i},{float(v.real)!r},{float(v.imag)!r}\n"
+                       for i, v in enumerate(values, start=1))
+        path.write_text("index,re,im\n" + rows)
+    else:
+        path.write_text(json.dumps([[v.real, v.imag] for v in values]))
+
+
 def test_olympiad_from_csv(tmp_path, capsys):
     path = tmp_path / "seq.csv"
-    ioformats.write_sequence(path, (np.arange(1, 200.0) ** -1.0).astype(complex))
+    sequence_file(path, (np.arange(1, 200.0) ** -1.0).astype(complex))
     code, report, _ = run_cli(capsys, ["olympiad", "--input", str(path)])
     assert code == 0 and report["pass"]
 
@@ -70,7 +84,7 @@ def test_bezout_random_with_strictness(capsys):
 
 def test_ulim_oscillating_is_informational(tmp_path, capsys):
     path = tmp_path / "osc.json"
-    ioformats.write_sequence(path, ((-1.0) ** np.arange(1, 101)).astype(complex))
+    sequence_file(path, ((-1.0) ** np.arange(1, 101)).astype(complex))
     code, report, _ = run_cli(capsys, ["ulim", "--input", str(path)])
     assert code == 0  # verdicts are not failures
     verdicts = {c["name"]: c["value"] for c in report["checks"]}
@@ -80,7 +94,7 @@ def test_ulim_oscillating_is_informational(tmp_path, capsys):
 
 def test_ulim_decaying(tmp_path, capsys):
     path = tmp_path / "dec.json"
-    ioformats.write_sequence(path, (2.0 ** -np.arange(1, 65.0)).astype(complex))
+    sequence_file(path, (2.0 ** -np.arange(1, 65.0)).astype(complex))
     code, report, _ = run_cli(capsys, ["ulim", "--input", str(path)])
     assert code == 0
     verdicts = {c["name"]: c["value"] for c in report["checks"]}
@@ -130,10 +144,9 @@ def test_hardy_outer_fixture(capsys):
 
 
 def test_hardy_input_from_grid_file(tmp_path, capsys):
-    from flatwitness.hardy_engine import constant_function
-
+    # the binary grid format: a little-endian uint64 count, then re, im float64 pairs
     path = tmp_path / "f.bin"
-    ioformats.write_grid_function(path, constant_function(4096))
+    path.write_bytes(struct.pack("<Q", 4096) + struct.pack("<8192d", *[1.0, 0.0] * 4096))
     code, report, _ = run_cli(capsys, ["hardy", "project", "--grid", "4096",
                                        "--input", str(path), "--inner", "z"])
     assert code == 0
@@ -185,7 +198,7 @@ def test_olympiad_single_window(capsys):
 
 def test_ulim_principal_index(tmp_path, capsys):
     path = tmp_path / "seq.json"
-    ioformats.write_sequence(path, np.array([5.0, 7.0, 9.0], dtype=complex))
+    sequence_file(path, np.array([5.0, 7.0, 9.0], dtype=complex))
     code, report, _ = run_cli(capsys, ["ulim", "--input", str(path), "--index", "2",
                                        "--tol", "10.0"])
     assert code == 0
@@ -260,6 +273,13 @@ BAD_INPUT_FILES = {
     "seq.json": "[[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]",
     "huge.json": "[[1e200, 0.0], [1.0, 0.0]]",
     "huge_sum.json": "[[1.2e154, 0.0], [1.2e154, 0.0]]",
+    "huge_pair.json": '{"f": [[1e308, 0.0], [1e308, 1e308]], "g": [[1e308, 0.0], [1e308, 0.0]]}',
+    "huge_rel.json": '{"weights": [1.0], "r": [[[1e200, 0.0], [1.0, 0.0]]],'
+                     ' "m": [[[1.0, 0.0], [-1e200, 0.0]]]}',
+    "heavy_rel.json": '{"weights": [1e300], "r": [[[1.0, 0.0], [1.0, 0.0]]],'
+                      ' "m": [[[1e10, 0.0], [-1e10, 0.0]]]}',
+    "null_rel.json": '{"weights": [0.0], "r": [[[1.0, 0.0], [1.0, 0.0]]],'
+                     ' "m": [[[1e200, 0.0], [-1e200, 0.0]]]}',
 }
 
 BAD_INPUTS = [
@@ -271,6 +291,10 @@ BAD_INPUTS = [
     ["bezout", "--input", "missing.json"],
     ["bezout", "--input", "malformed.json"],
     ["bezout", "--input", "list.json"],
+    ["bezout", "--input", "huge_pair.json"],
+    ["witness", "--input", "huge_rel.json"],
+    ["witness", "--input", "heavy_rel.json"],
+    ["witness", "--input", "null_rel.json"],
     ["layered", "--layout", "layout.json", "--values", "missing.json"],
     ["layered", "--layout", "layout.json", "--values", "no_values.json"],
     ["hardy", "outer", "--fixture", "const:abc"],
@@ -329,13 +353,40 @@ IGNORED_OPTIONS = [
     ["olympiad", "--tail", "0.5"],
     ["olympiad", "--tail", "nan"],
     ["layered", "--preset", "l2", "--tail", "0.5"],
+    ["olympiad", "--input", "seq.json", "--geometric", "0.9"],
+    ["olympiad", "--input", "seq.json", "--terms", "50"],
+    ["layered", "--preset", "l2", "--layout", "layout.json"],
+    ["layered", "--preset", "circle", "--values", "values.json"],
+    ["layered", "--preset", "circle", "--geometric", "0.9"],
+    ["layered", "--preset", "lebesgue-r", "--geometric", "0.9"],
+    ["layered", "--preset", "l2", "--atoms-per-shell", "8"],
+    *(["layered", "--layout", "layout.json", "--values", "values.json", option, "8"]
+      for option in ("--shells", "--atoms-per-shell", "--geometric")),
+    ["witness", "--input", "rel.json", "--random", "2,8"],
+    ["witness", "--input", "rel.json", "--seed", "3"],
+    ["bezout", "--input", "pair.json", "--atoms", "10"],
+    ["bezout", "--input", "pair.json", "--seed", "3"],
+    ["transfer", "--points", "seq.json", "--num-points", "10"],
+    ["transfer", "--points", "seq.json", "--seed", "3"],
+    ["hardy", "outer", "--fixture", "log-sin", "--input", "grid.json"],
 ]
+
+# valid inputs, so that a refusal is the ignored option's doing and not the file's
+INPUT_FILES = {
+    "seq.json": BAD_INPUT_FILES["seq.json"],
+    "layout.json": BAD_INPUT_FILES["layout.json"],
+    "values.json": '{"values": [[1.0, 0.0]]}',
+    "rel.json": '{"weights": [1.0], "r": [[[1.0, 0.0]]], "m": [[[0.0, 0.0]]]}',
+    "pair.json": '{"f": [[1.0, 0.0]], "g": [[0.0, 1.0]]}',
+    "grid.json": "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]",
+}
 
 
 @pytest.mark.parametrize("argv", IGNORED_OPTIONS, ids=" ".join)
 def test_ignored_option_is_refused(tmp_path, monkeypatch, capsys, argv):
     # an option the chosen pipeline would not read is a usage or input error
-    (tmp_path / "seq.json").write_text(BAD_INPUT_FILES["seq.json"])
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     try:
         code = cli.main(argv)
@@ -347,11 +398,10 @@ def test_ignored_option_is_refused(tmp_path, monkeypatch, capsys, argv):
     assert argv[-2] in out.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_report_is_input_error(tmp_path, capsys):
-    # samples near the float limit overflow to infinite residuals, which
-    # strict JSON cannot carry, so the run is refused instead of emitted
+    # samples near the float limit make |f| + |g| overflow, so the run is
+    # refused before a report could carry an infinity, which strict JSON cannot
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"f": [[1e308, 0.0], [1e308, 1e308]],
                                 "g": [[1e308, 0.0], [1e308, 0.0]]}))
@@ -393,3 +443,73 @@ def test_subcommand_gates_reappear_in_its_criterion(capsys, argv, criterion):
     _, report, _ = run_cli(capsys, argv)
     gates = {c["name"] for c in report["checks"] if c["pass"] is not None}
     assert gates and gates <= set(criterion().checks)
+
+
+# ---------------------------------------------------------------------------
+# generated command lines: whatever the options, the exit-code contract holds
+
+ARGV_FILES = {
+    **{name: text.encode() for name, text in INPUT_FILES.items()},
+    "seq.csv": b"index,re,im\n1,1.0,0.0\n2,0.5,0.5\n",
+    "zeros.json": b"[[0.0, 0.0], [0.0, 0.0]]",
+    "huge.json": BAD_INPUT_FILES["huge.json"].encode(),
+    "malformed.json": BAD_INPUT_FILES["malformed.json"].encode(),
+    "grid.bin": struct.pack("<Q", 4) + struct.pack("<8d", *[1.0, 0.0] * 4),
+}
+FILE = st.sampled_from([*ARGV_FILES, "missing.json"])
+GARBAGE = st.sampled_from(["", "x", "1,2,3", "0x10", "1e999", "-", "[]"])
+COUNT = st.integers(-2, 64).map(str) | GARBAGE
+GRID = st.sampled_from(["4", "8", "64", "256", "0", "3", "100", "-8"])
+REAL = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]) \
+    | st.floats(-4.0, 4.0).map(repr) | GARBAGE
+GRID_SPEC = st.sampled_from(["constant1", "z", "blaschke:0.5", "blaschke:1", "blaschke:x",
+                             "grid.json", "grid.bin", "missing.json"]) | GARBAGE
+FLAG = st.just(None)
+SUBCOMMANDS = {  # argv head -> (options always given, options maybe given)
+    ("olympiad",): ({}, {"input": FILE, "geometric": REAL, "terms": COUNT, "tail": REAL,
+                         "m": COUNT, "n": COUNT, "tol": REAL}),
+    ("witness",): ({}, {"input": FILE, "seed": COUNT, "certificate": FLAG,
+                        "random": st.tuples(COUNT, COUNT).map(",".join) | GARBAGE}),
+    ("bezout",): ({}, {"input": FILE, "atoms": COUNT, "seed": COUNT, "strictness": FLAG}),
+    ("ulim",): ({"input": FILE}, {"tol": REAL, "tail-fraction": REAL, "index": COUNT}),
+    ("layered",): ({}, {"preset": st.sampled_from(["l2", "lebesgue-r", "circle"]) | GARBAGE,
+                        "shells": COUNT, "atoms-per-shell": COUNT, "geometric": REAL,
+                        "layout": FILE, "values": FILE, "tail": REAL, "tol": REAL,
+                        "mode": st.sampled_from(["auto", "compact", "general"]) | GARBAGE}),
+    ("hardy", "factor"): ({"grid": GRID}, {"shells": COUNT, "input": GRID_SPEC}),
+    ("hardy", "outer"): ({"grid": GRID}, {"input": FILE, "clamp": REAL, "emit-taylor": FLAG,
+                                          "fixture": st.sampled_from(["log-sin", "const:2",
+                                                                      "const:0"]) | GARBAGE}),
+    ("hardy", "project"): ({"grid": GRID}, {"input": GRID_SPEC, "inner": GRID_SPEC}),
+    ("transfer",): ({"grid": GRID}, {"shells": COUNT, "points": FILE, "num-points": COUNT,
+                                     "seed": COUNT}),
+}
+
+
+def _argv(head, options):
+    return [*head, *(f"--{name}" if value is None else f"--{name}={value}"
+                     for name, value in options.items())]
+
+
+@pytest.mark.parametrize("head", sorted(SUBCOMMANDS), ids=" ".join)
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), compact=st.booleans())
+def test_generated_argv_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys, head, data,
+                                                     compact):
+    always, maybe = SUBCOMMANDS[head]
+    argv = _argv(head, data.draw(st.fixed_dictionaries(always, optional=maybe), label="options"))
+    for name, blob in ARGV_FILES.items():
+        (tmp_path / name).write_bytes(blob)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv + ["--json"] * compact)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+    out = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert not caught and "Traceback" not in out.err and "Warning" not in out.err
+    if out.out:
+        json.loads(out.out, parse_constant=_reject_constant)

@@ -8,7 +8,6 @@ from flatwitness.halfplane_transfer import (
     halfplane_to_disk_h2,
     mobius,
     mobius_inv,
-    sample_halfplane,
     transfer_factorization,
 )
 from flatwitness.hardy_engine import constant_function, hardy_factor
@@ -131,16 +130,6 @@ def test_sup_norm_transfer_is_isometric_on_matched_samples():
     lhs = np.max(np.abs(g(mobius(pts))))
     composed = lambda s: g(mobius(s))
     assert np.max(np.abs(composed(pts))) == lhs
-
-
-def test_sample_halfplane_container():
-    F = disk_to_halfplane_h2(np.array([1.0]))
-    pts = np.array([0.5, 1.0 + 2.0j])
-    out = sample_halfplane(F, pts)
-    assert np.array_equal(out.points, pts)
-    assert np.max(np.abs(out.values - 1.0 / (1.0 + pts))) <= 1e-15
-    with pytest.raises(InvalidInput):
-        sample_halfplane(F, np.array([-0.5]))
 
 
 def test_evaluator_input_validation():

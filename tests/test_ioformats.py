@@ -8,22 +8,21 @@ from hypothesis import strategies as st
 
 from flatwitness import ioformats
 from flatwitness.errors import InvalidInput
-from flatwitness.hardy_engine import GridFunction
 from flatwitness.pointwise_witness import pointwise_relation, synthesize_witness
 
 
 def test_sequence_json_round_trip(tmp_path):
-    vals = np.array([1.0 + 2.0j, -0.5, 0.25j])
+    # a JSON array of [re, im] pairs
     path = tmp_path / "seq.json"
-    ioformats.write_sequence(path, vals)
-    assert np.array_equal(ioformats.read_sequence(path), vals)
+    path.write_text("[[1.0, 2.0], [-0.5, 0.0], [0.0, 0.25]]")
+    assert np.array_equal(ioformats.read_sequence(path), [1.0 + 2.0j, -0.5, 0.25j])
 
 
 def test_sequence_csv_round_trip(tmp_path):
-    vals = np.array([0.125 + 0.5j, 3.0, -1.0 - 1.0j])
+    # index,re,im rows, put in index order whatever their order in the file
     path = tmp_path / "seq.csv"
-    ioformats.write_sequence(path, vals)
-    assert np.array_equal(ioformats.read_sequence(path), vals)
+    path.write_text("index,re,im\n2,3.0,0.0\n1,0.125,0.5\n3,-1.0,-1.0\n")
+    assert np.array_equal(ioformats.read_sequence(path), [0.125 + 0.5j, 3.0, -1.0 - 1.0j])
 
 
 def test_complex_array_accepts_pairs_and_scalars():
@@ -34,13 +33,13 @@ def test_complex_array_accepts_pairs_and_scalars():
 
 
 def test_relation_round_trip():
-    rel = pointwise_relation([1.0, 0.5], [[1.0, 1.0], [0.0, 1.0j]],
-                             [[1.0, -1.0], [0.0, 0.0]])
-    obj = ioformats.relation_to_obj(rel)
-    back = ioformats.relation_from_obj(json.loads(json.dumps(obj)))
-    assert np.array_equal(back.point_weights, rel.point_weights)
-    assert np.array_equal(back.r_rows, rel.r_rows)
-    assert np.array_equal(back.m_rows, rel.m_rows)
+    # weights, then r and m as one list of [re, im] pairs per point
+    text = ('{"weights": [1.0, 0.5], "r": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],'
+            ' "m": [[[1.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}')
+    rel = ioformats.relation_from_obj(json.loads(text))
+    assert np.array_equal(rel.point_weights, [1.0, 0.5])
+    assert np.array_equal(rel.r_rows, [[1.0, 1.0], [0.0, 1.0j]])
+    assert np.array_equal(rel.m_rows, [[1.0, -1.0], [0.0, 0.0]])
 
 
 def test_certificate_serialization_shape():
@@ -65,21 +64,22 @@ def test_layered_space_parse():
 
 
 def test_grid_function_binary_round_trip(tmp_path):
+    # a little-endian uint64 sample count, then re, im as little-endian float64 per sample
     rng = np.random.default_rng(0)
-    g = GridFunction(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     path = tmp_path / "grid.bin"
-    ioformats.write_grid_function(path, g)
-    back = ioformats.read_grid_function(path)
-    assert np.array_equal(back.samples, g.samples)
+    interleaved = np.column_stack([samples.real, samples.imag]).ravel()
+    path.write_bytes(struct.pack("<Q", 64) + struct.pack("<128d", *interleaved))
     assert path.stat().st_size == 8 + 16 * 64
+    assert np.array_equal(ioformats.read_grid_function(path).samples, samples)
 
 
 def test_grid_function_json_round_trip(tmp_path):
-    g = GridFunction(np.exp(1j * np.linspace(0, 1, 16)))
+    # a JSON array of [re, im] pairs, read without rounding
+    samples = np.exp(1j * np.linspace(0, 1, 16))
     path = tmp_path / "grid.json"
-    ioformats.write_grid_function(path, g)
-    back = ioformats.read_grid_function(path)
-    assert np.max(np.abs(back.samples - g.samples)) == 0.0
+    path.write_text(json.dumps([[v.real, v.imag] for v in samples]))
+    assert np.array_equal(ioformats.read_grid_function(path).samples, samples)
 
 
 def test_grid_function_binary_length_check(tmp_path):
@@ -106,15 +106,20 @@ def test_grid_function_unreadable_file_is_invalid_input(tmp_path, name, content)
 
 
 def test_jsonable_handles_reports():
-    from flatwitness.seq_core import geometric_profile, verify_olympiad_bound
-    from flatwitness.ultralimits import Membership
+    obj = ioformats.jsonable({"checks": [{"pass": np.bool_(True), "tol": None}],
+                              "values": (np.float64(0.5), np.int64(3), 2.0 + 0.0j, 1.0 - 1.0j),
+                              "arr": np.array([1.0j, 2.0]), "real": np.array([[1.0], [2.0]]),
+                              7: "verdict"})
+    assert obj == {"checks": [{"pass": True, "tol": None}], "values": [0.5, 3, 2.0, [1.0, -1.0]],
+                   "arr": [[0.0, 1.0], [2.0, 0.0]], "real": [[1.0], [2.0]], "7": "verdict"}
+    assert type(obj["checks"][0]["pass"]) is bool
+    assert type(obj["values"][0]) is float and type(obj["values"][1]) is int
 
-    rep = verify_olympiad_bound(geometric_profile(0.5, 10), 1, 10)
-    obj = ioformats.jsonable({"report": rep, "verdict": Membership.YES,
-                              "arr": np.array([1.0j, 2.0])})
-    assert obj["report"]["holds"] is True
-    assert obj["verdict"] == "yes"
-    assert obj["arr"] == [[0.0, 1.0], [2.0, 0.0]]
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", np.datetime64("2025-01-01")])
+def test_jsonable_refuses_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        ioformats.jsonable({"checks": [value]})
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def test_shell_energies_l2_geometric():
     k = np.arange(1, 31, dtype=float)
     assert np.allclose(prof.magnitudes_sq, 2.0**-k, rtol=1e-15)
     for n in range(30):
-        assert prof.r(n) == pytest.approx(2.0**-n - 2.0**-30, rel=1e-13)
+        assert prof.suffix_sums[n] == pytest.approx(2.0**-n - 2.0**-30, rel=1e-13)
 
 
 def test_shell_energies_single_shell_support():

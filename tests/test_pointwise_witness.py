@@ -4,7 +4,6 @@ import pytest
 from flatwitness.errors import InvalidInput, NotARelation
 from flatwitness.pointwise_witness import (
     WitnessCertificate,
-    orthocomplement_frame,
     pointwise_relation,
     synthesize_witness,
     verify_witness,
@@ -25,9 +24,20 @@ def random_relation(rng, n, p, zero_rows=0.0, zero_weights=0.0):
     return pointwise_relation(weights, r, raw_m - coef[:, None] * c)
 
 
+def frame_rows(v):
+    """The frame built on the vector v, one frame vector per row.
+
+    The certificate builds its frames on the conjugated coefficient row and
+    stores frame vector j as rho[p, :, j], so a one-point relation with
+    coefficient row conj(v) (and a zero module row) carries the frame of v.
+    """
+    v = np.asarray(v, dtype=complex)
+    rel = pointwise_relation([1.0], [np.conj(v)], [np.zeros_like(v)])
+    return synthesize_witness(rel).rho[0].T
+
+
 def test_frame_two_dim_spans_complement():
-    frame = orthocomplement_frame(np.array([1.0, 1.0]))
-    v1, v2 = frame.vectors
+    v1, v2 = frame_rows(np.array([1.0, 1.0]))
     assert np.allclose(np.abs(v1), np.abs(np.array([1, 1]) / np.sqrt(2)), atol=1e-14)
     assert abs(np.vdot(np.array([1.0, 1.0]), v1)) <= 1e-14  # orthogonal to the input
     assert np.allclose(v2, 0.0)
@@ -35,20 +45,18 @@ def test_frame_two_dim_spans_complement():
 
 
 def test_frame_zero_row_gives_standard_basis():
-    frame = orthocomplement_frame(np.zeros(2))
-    assert np.array_equal(frame.vectors, np.eye(2, dtype=complex))
+    assert np.array_equal(frame_rows(np.zeros(2)), np.eye(2, dtype=complex))
 
 
 def test_frame_one_dim():
-    frame = orthocomplement_frame(np.array([1.0]))
-    assert np.array_equal(frame.vectors, np.zeros((1, 1), dtype=complex))
+    assert np.array_equal(frame_rows(np.array([1.0])), np.zeros((1, 1), dtype=complex))
 
 
 def test_frame_orthonormality_random_complex():
     rng = np.random.default_rng(5)
     for n in (2, 3, 5, 8):
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        vecs = orthocomplement_frame(r).vectors
+        vecs = frame_rows(r)
         live = vecs[: n - 1]
         gram = live @ np.conj(live.T)
         assert np.max(np.abs(gram - np.eye(n - 1))) <= 1e-12
@@ -60,9 +68,7 @@ def test_frame_orthonormality_random_complex():
 def test_frame_determinism():
     rng = np.random.default_rng(11)
     r = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    a = orthocomplement_frame(r).vectors
-    b = orthocomplement_frame(r.copy()).vectors
-    assert a.tobytes() == b.tobytes()
+    assert frame_rows(r).tobytes() == frame_rows(r.copy()).tobytes()
 
 
 def test_single_point_hand_example():

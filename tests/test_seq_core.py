@@ -22,12 +22,12 @@ def test_geometric_truncated_matches_direct_summation():
     mags = np.abs(a) ** 2
     for n in range(31):
         oracle = float(np.sum(mags[n:]))  # direct summation
-        assert prof.r(n) == pytest.approx(oracle, rel=1e-15)
+        assert prof.suffix_sums[n] == pytest.approx(oracle, rel=1e-15)
     # closed form for the truncated geometric sum
     for n in range(30):
-        assert prof.r(n) == pytest.approx(2.0**-n - 2.0**-30, rel=1e-13)
-    assert prof.r(30) == 0.0
-    assert prof.finite_support
+        assert prof.suffix_sums[n] == pytest.approx(2.0**-n - 2.0**-30, rel=1e-13)
+    assert prof.suffix_sums[30] == 0.0
+    assert prof.tail == 0
 
 
 def test_zero_sequence():
@@ -38,8 +38,8 @@ def test_zero_sequence():
 
 def test_single_term():
     prof = tail_profile(np.array([1.0]))
-    assert prof.r(0) == 1.0
-    assert prof.r(1) == 0.0
+    assert prof.suffix_sums[0] == 1.0
+    assert prof.suffix_sums[1] == 0.0
 
 
 def test_nonfinite_entry_rejected():
@@ -67,7 +67,7 @@ def test_weighted_sum_geometric_closed_form():
 
 def test_weighted_sum_single_term_window():
     prof = tail_profile(np.array([3.0, 2.0, 1.0]))
-    expected = prof.magnitude_sq(2) / np.sqrt(prof.r(1))
+    expected = prof.magnitudes_sq[1] / np.sqrt(prof.suffix_sums[1])
     assert olympiad_weighted_sum(prof, 1, 2) == expected
 
 
@@ -91,8 +91,8 @@ def test_bound_single_step_reduces_to_proof_step():
     prof = geometric_profile(0.7, 50)
     for n in (2, 17, 50):
         rep = verify_olympiad_bound(prof, n - 1, n)
-        lhs = prof.magnitude_sq(n) / np.sqrt(prof.r(n - 1))
-        rhs = 2.0 * (np.sqrt(prof.r(n - 1)) - np.sqrt(prof.r(n)))
+        lhs = prof.magnitudes_sq[n - 1] / np.sqrt(prof.suffix_sums[n - 1])
+        rhs = 2.0 * (np.sqrt(prof.suffix_sums[n - 1]) - np.sqrt(prof.suffix_sums[n]))
         assert rep.lhs == pytest.approx(lhs, rel=1e-15)
         assert rep.rhs == pytest.approx(rhs, rel=1e-12)
         assert rep.holds
@@ -104,12 +104,12 @@ def test_bound_normalized_head_window():
     a = rng.standard_normal(500) * np.arange(1, 501.0) ** -1.2
     a[1:] /= np.sqrt(np.sum(np.abs(a[1:]) ** 2))  # force r_1 = 1
     prof = tail_profile(a)
-    assert prof.r(1) == pytest.approx(1.0, abs=1e-12)
+    assert prof.suffix_sums[1] == pytest.approx(1.0, abs=1e-12)
+    r = prof.suffix_sums
     for n in (5, 50, 500):
         rep = verify_olympiad_bound(prof, 1, n)
         assert rep.holds
-        assert rep.rhs == pytest.approx(2.0 * (np.sqrt(prof.r(1)) - np.sqrt(prof.r(n))),
-                                        rel=1e-12)
+        assert rep.rhs == pytest.approx(2.0 * (np.sqrt(r[1]) - np.sqrt(r[n])), rel=1e-12)
 
 
 def test_bound_random_sequences_brute_force_oracle():
