@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .bezout_ops import principal_generator, sampled_function
+from .errors import InvalidInput
 from .halfplane_transfer import (
     disk_to_halfplane_h2,
     halfplane_to_disk_h2,
@@ -260,6 +261,9 @@ def halfplane_points(rng, count):
 
 def transfer_checks(grid, shells, points) -> List[Check]:
     """Move the factorization of the constant 1 to the half-plane and check it there."""
+    with np.errstate(over="ignore"):  # the fixture's reference value 1/(1 + s)^2 squares 1 + s
+        if np.any(np.isinf(np.abs(1.0 + np.asarray(points)) ** 2)):
+            raise InvalidInput("|1 + s|^2 overflows float64 at a point s")
     res = hardy_factor(constant_function(grid), shells)
     out = transfer_factorization(*res.evaluators(), points)
     fixture = disk_to_halfplane_h2(np.array([0.5, -0.5]))  # (1 - z)/2

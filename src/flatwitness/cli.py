@@ -55,23 +55,35 @@ def _emit(report, args, t0) -> int:
     return 0 if report["pass"] else 1
 
 
-# options that size an array (grid points, shells, terms, atoms, sample
-# points) and the seed, which numpy rejects with a bare ValueError if negative
-_SIZE_OPTIONS = ("grid", "shells", "terms", "atoms", "atoms_per_shell", "num_points", "seed")
+def _checked(kind, rule, holds):
+    """An argparse type: the text read as ``kind``, refused unless ``holds`` of the value."""
+    def parse(text):
+        try:
+            if holds(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, not {text!r}")
+    return parse
 
 
-def _size(value: int, option: str) -> int:
-    """A size argument, which numpy would reject with a bare ValueError if negative."""
-    if value < 0:
-        raise InvalidInput(f"{option} must be a nonnegative count, not {value}")
-    return value
+# numpy meets a negative size or seed with a bare ValueError, and a log of <= 0 with a warning
+_COUNT = _checked(int, "a nonnegative count", lambda v: v >= 0)
+_FINITE = _checked(float, "finite", np.isfinite)
+_NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) and v >= 0)
+_POSITIVE = _checked(float, "finite and > 0", lambda v: np.isfinite(v) and v > 0)
+# --random and --fixture keep their text, which the report shows; _COUNT and
+# _POSITIVE refuse a bad n, P or C with their own message
+_COUNT_PAIR = _checked(str, "two counts 'n,P'",
+                       lambda text: len([_COUNT(n) for n in text.split(",")]) == 2)
+_FIXTURE = _checked(str, "const:C or log-sin", lambda text: text == "log-sin"
+                    or text.startswith("const:") and _POSITIVE(text[6:]))
 
 
-def _positive(value: float, option: str) -> float:
-    """A number whose log is taken, which numpy turns into a warning and -inf or NaN if <= 0."""
-    if not (np.isfinite(value) and value > 0):
-        raise InvalidInput(f"{option} must be finite and > 0, not {value}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error exits 2 through ``main``'s one JSON error line, as input errors do."""
+        raise InvalidInput(message)
 
 
 def _unread(args, source, *options):
@@ -127,10 +139,7 @@ def _cmd_witness(args):
         rel = ioformats.relation_from_obj(ioformats.read_json(args.input))
     else:
         _defaults(args, random="3,128", seed=acceptance.DEFAULT_SEED)
-        try:
-            n, p = (_size(int(tok), "--random") for tok in args.random.split(","))
-        except (AttributeError, ValueError) as exc:
-            raise InvalidInput("--random expects 'n,P'") from exc
+        n, p = map(int, args.random.split(","))
         rng = np.random.default_rng(args.seed)
         weights = rng.uniform(size=p)
         r = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
@@ -213,7 +222,11 @@ def _grid_input(spec, n):
         return coordinate_function(n)
     if spec.startswith("blaschke:"):
         return acceptance.blaschke(n, _number_after_colon(spec))
-    return ioformats.read_grid_function(spec)
+    f = ioformats.read_grid_function(spec)
+    with np.errstate(over="ignore"):  # the norms taken later would overflow, with a warning
+        if np.isinf(np.sum(np.abs(f.samples) ** 2)):
+            raise InvalidInput(f"the squared samples of {spec} overflow float64")
+    return f
 
 
 def _cmd_hardy(args):
@@ -224,15 +237,10 @@ def _cmd_hardy(args):
                                         "input": args.input}, checks)
 
     if args.action == "outer":
-        if args.fixture:
-            _unread(args, "a --fixture", "input")
-            if args.fixture.startswith("const:"):
-                c = _positive(_number_after_colon(args.fixture), "C in --fixture const:C")
-                k = np.full(args.grid, np.log(c))
-            elif args.fixture == "log-sin":
-                k = np.log(2.0 * np.abs(np.sin(grid_thetas(args.grid) / 2.0)))
-            else:
-                raise InvalidInput(f"unknown fixture {args.fixture!r}")
+        if args.fixture == "log-sin":
+            k = np.log(2.0 * np.abs(np.sin(grid_thetas(args.grid) / 2.0)))
+        elif args.fixture:
+            k = np.full(args.grid, np.log(float(args.fixture[6:])))
         elif args.input:
             k = ioformats.read_grid_function(args.input).samples
         else:
@@ -284,7 +292,7 @@ def _cmd_suite(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flatwitness",
         description="Flatness certificates, ideal generators, and boundary factorizations.",
     )
@@ -294,24 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--json", action="store_true", help="compact single-line JSON")
         if seeded:
-            p.add_argument("--seed", type=int, help=f"default {acceptance.DEFAULT_SEED}")
+            p.add_argument("--seed", type=_COUNT, help=f"default {acceptance.DEFAULT_SEED}")
 
     p = sub.add_parser("olympiad", help="suffix-sum weighted series bound")
     common(p)
     p.add_argument("--input", help="sequence file (.json pairs or .csv index,re,im)")
     p.add_argument("--geometric", type=float, help="ratio of |a_k|^2 = ratio^k (default 0.5)")
-    p.add_argument("--terms", type=int, help="terms of the geometric profile (default 200)")
-    p.add_argument("--tail", type=float, default=None,
+    p.add_argument("--terms", type=_COUNT, help="terms of the geometric profile (default 200)")
+    p.add_argument("--tail", type=_NONNEGATIVE, default=None,
                    help="mass of the terms past an --input sequence (default 0)")
     p.add_argument("--m", type=int, default=None, help="single-window start index")
     p.add_argument("--n", type=int, default=None, help="single-window end index")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_FINITE, default=None)
     p.set_defaults(func=_cmd_olympiad)
 
     p = sub.add_parser("witness", help="synthesize and verify a relation certificate")
     common(p, seeded=True)
     p.add_argument("--input", help="relation JSON {weights, r, m}")
-    p.add_argument("--random", help="random instance 'n,P' (default 3,128)")
+    p.add_argument("--random", type=_COUNT_PAIR, help="random instance 'n,P' (default 3,128)")
     p.add_argument("--certificate", action="store_true",
                    help="include the certificate in the report")
     p.set_defaults(func=_cmd_witness)
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bezout", help="polar parts and the two-generator reduction")
     common(p, seeded=True)
     p.add_argument("--input", help="JSON {f, g, weights}")
-    p.add_argument("--atoms", type=int, help="atoms of the random pair (default 1000)")
+    p.add_argument("--atoms", type=_COUNT, help="atoms of the random pair (default 1000)")
     p.add_argument("--strictness", action="store_true",
                    help="report the zero-set obstruction of the second generator")
     p.set_defaults(func=_cmd_bezout)
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ulim", help="principal and eventual limits, ideal membership")
     common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_FINITE, default=1e-3)
     p.add_argument("--tail-fraction", type=float, default=0.25)
     p.add_argument("--index", type=int, default=None,
                    help="also report the evaluation limit at this 1-based index")
@@ -336,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("layered", help="shell-layered weight factorization")
     common(p)
     p.add_argument("--preset", choices=["l2", "lebesgue-r", "circle"])
-    p.add_argument("--shells", type=int, help="shells of a --preset (default 64)")
-    p.add_argument("--atoms-per-shell", type=int,
+    p.add_argument("--shells", type=_COUNT, help="shells of a --preset (default 64)")
+    p.add_argument("--atoms-per-shell", type=_COUNT,
                    help="atoms per shell of lebesgue-r and circle (default 64)")
     p.add_argument("--geometric", type=float, help="ratio of the l2 preset (default 0.5)")
     p.add_argument("--layout", help="layered space JSON")
     p.add_argument("--values", help="sampled function JSON aligned with the layout")
-    p.add_argument("--tail", type=float, default=None,
+    p.add_argument("--tail", type=_NONNEGATIVE, default=None,
                    help="mass past the last shell of a --layout (default 0)")
     p.add_argument("--mode", choices=["auto", "compact", "general"], default="auto")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_FINITE, default=1e-3)
     p.set_defaults(func=_cmd_layered)
 
     p = sub.add_parser("hardy", help="boundary-grid pipelines")
@@ -354,18 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     def action(name, help):
         q = actions.add_parser(name, help=help)
         common(q)
-        q.add_argument("--grid", type=int, default=2**14)
+        q.add_argument("--grid", type=_COUNT, default=2**14)
         q.set_defaults(func=_cmd_hardy)
         return q
 
     inputs = "constant1, z, blaschke:A, or a grid file (.json/.bin)"
     q = action("factor", "factor f = g * h against the arc-shell weight")
-    q.add_argument("--shells", type=int, default=256)
+    q.add_argument("--shells", type=_COUNT, default=256)
     q.add_argument("--input", default="constant1", help=inputs)
     q = action("outer", "synthesize an outer function from its log-modulus")
-    q.add_argument("--fixture", help="const:C or log-sin")
-    q.add_argument("--input", help="log-modulus grid file (.json/.bin)")
-    q.add_argument("--clamp", type=float, default=DEFAULT_CLAMP)
+    source = q.add_mutually_exclusive_group()
+    source.add_argument("--fixture", type=_FIXTURE, help="const:C or log-sin")
+    source.add_argument("--input", help="log-modulus grid file (.json/.bin)")
+    q.add_argument("--clamp", type=_POSITIVE, default=DEFAULT_CLAMP)
     q.add_argument("--emit-taylor", action="store_true")
     q = action("project", "project f onto b * H2 for an inner b")
     q.add_argument("--input", default="constant1", help=inputs)
@@ -373,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="move a disk factorization to the half-plane")
     common(p, seeded=True)
-    p.add_argument("--grid", type=int, default=2**14)
-    p.add_argument("--shells", type=int, default=256)
+    p.add_argument("--grid", type=_COUNT, default=2**14)
+    p.add_argument("--shells", type=_COUNT, default=256)
     p.add_argument("--points", help="half-plane sample points (.json pairs)")
-    p.add_argument("--num-points", type=int, help="random sample points (default 100)")
+    p.add_argument("--num-points", type=_COUNT, help="random sample points (default 100)")
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
@@ -387,19 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
-        for name in _SIZE_OPTIONS:
-            if getattr(args, name, None) is not None:
-                _size(getattr(args, name), "--" + name.replace("_", "-"))
-        if getattr(args, "tol", None) is not None and not np.isfinite(args.tol):
-            raise InvalidInput(f"--tol must be finite, not {args.tol}")
-        if getattr(args, "tail", None) is not None and not (np.isfinite(args.tail)
-                                                            and args.tail >= 0):
-            raise InvalidInput(f"--tail must be finite and >= 0, not {args.tail}")
-        if hasattr(args, "clamp"):
-            _positive(args.clamp, "--clamp")
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         return _emit(args.func(args), args, t0)
     except FlatwitnessError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

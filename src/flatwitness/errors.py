@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class FlatwitnessError(Exception):
     """Base class for all errors raised by this package."""
@@ -22,12 +24,15 @@ class InvalidWeight(FlatwitnessError):
 
 
 class ScaleOverflow(FlatwitnessError):
-    """exp would overflow; rescale the prescribed modulus."""
+    """exp would overflow; rescale the prescribed modulus by at most exp(log_rescale).
 
-    def __init__(self, suggested_rescale):
-        self.suggested_rescale = suggested_rescale
+    The message gives the factor in that form, since far past the limit it underflows to 0.
+    """
+
+    def __init__(self, log_rescale):
+        self.suggested_rescale = math.exp(log_rescale)
         super().__init__(
-            f"outer synthesis would overflow; multiply the modulus by <= {suggested_rescale:g}"
+            f"outer synthesis would overflow; multiply the modulus by <= exp({log_rescale:g})"
         )
 
 

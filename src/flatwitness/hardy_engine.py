@@ -263,7 +263,7 @@ def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
 
 @dataclass(frozen=True)
 class CircleWeight:
-    grid: GridFunction          # real-valued weight, >= 1 everywhere
+    values: np.ndarray          # the weight at each grid sample, real and >= 1
     region_values: np.ndarray   # value on outer, shells 1..M, core
     floored: int                # suffix sums clamped before rooting
 
@@ -290,8 +290,7 @@ def build_circle_weight(profile: TailProfile, layout: ArcLayout) -> CircleWeight
     shells = np.arange(2, M + 1, dtype=float)
     region_values[2: M + 1] = np.minimum(r_used[: M - 1] ** -0.25, shells)
     region_values[M + 1] = min(r_used[M - 1] ** -0.25, float(M + 1))
-    w = region_values[layout.region]
-    return CircleWeight(GridFunction(w.astype(complex)), region_values, floored)
+    return CircleWeight(region_values[layout.region], region_values, floored)
 
 
 @dataclass(frozen=True)
@@ -300,23 +299,19 @@ class LogIntegralReport:
     comparison_bound: float   # 2 sum log(n)/n^2 over the shells, plus the core part
 
 
-def check_log_integrable(w: GridFunction, layout: ArcLayout) -> LogIntegralReport:
-    """Mean absolute log of the reciprocal weight, with its summable majorant.
+def check_log_integrable(w: np.ndarray, layout: ArcLayout) -> LogIntegralReport:
+    """Mean absolute log of 1/w for the real grid weight w, with its summable majorant.
 
     The bound is meaningful for weights produced by ``build_circle_weight``;
     for arbitrary w >= 1 only ``integral_value`` is.
     """
-    vals = w.samples
-    if np.max(np.abs(vals.imag)) > 1e-12 * (1.0 + np.max(np.abs(vals.real))):
-        raise InvalidWeight("weight must be real")
-    re = vals.real
-    if np.min(re) < 1.0 - 1e-12:
+    if np.min(w) < 1.0 - 1e-12:
         raise InvalidWeight("weight must be >= 1 everywhere")
-    logs = np.log(np.maximum(re, 1.0))
+    logs = np.log(np.maximum(w, 1.0))
     integral = float(np.mean(logs))
     shells = np.arange(2, layout.max_shell + 1, dtype=float)
     core = layout.region == layout.max_shell + 1
-    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) + float(np.sum(logs[core]) / w.n)
+    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) + float(np.sum(logs[core]) / w.size)
     return LogIntegralReport(integral, bound)
 
 
@@ -369,11 +364,13 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     floor = np.log(clamp)
     clamp_count = int(np.sum(k < floor))
     np.maximum(k, floor, out=k)
-    peak = float(np.max(k))
-    if peak > EXP_OVERFLOW_LIMIT:
-        raise ScaleOverflow(float(np.exp(EXP_OVERFLOW_LIMIT - peak)))
-
     n = k.size
+    # the transforms of the boundary sum N samples of size up to exp(peak)
+    limit = min(EXP_OVERFLOW_LIMIT, float(np.log(np.finfo(float).max) - np.log(n)))
+    peak = float(np.max(k))
+    if peak > limit:
+        raise ScaleOverflow(limit - peak)
+
     half = n // 2
     spec = np.fft.rfft(k)  # modes 0..N/2 of the real log-modulus
     # power series of the completion k + i*c: bin m carries
@@ -473,13 +470,12 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     layout = arc_layout(fn.n, max_shell)
     profile = arc_energies(fn, layout)
     weight = build_circle_weight(profile, layout)
-    log_report = check_log_integrable(weight.grid, layout)
-    outer = outer_from_modulus(-np.log(weight.grid.samples.real))
+    log_report = check_log_integrable(weight.values, layout)
+    outer = outer_from_modulus(-np.log(weight.values))
     g = outer.boundary
     h = GridFunction(fn.samples / g.samples)
 
-    w_samps = weight.grid.samples.real
-    gw_dev = float(np.max(np.abs(np.abs(g.samples) * w_samps - 1.0)))
+    gw_dev = float(np.max(np.abs(np.abs(g.samples) * weight.values - 1.0)))
     core_term = float(profile.tail / np.sqrt(max(profile.suffix_sums[-1], SUFFIX_FLOOR))) \
         if profile.tail > 0 else 0.0
     star_rhs = fn.norm_sq + _weighted_tail_series(profile) + core_term
@@ -553,7 +549,7 @@ def project_onto_bH2(f: GridFunction, b: GridFunction) -> ProjectionResult:
     chk = inner_check(b)
     if chk.boundary_dev > INNER_TOL or not chk.interior_ok:
         raise NotInner(
-            f"boundary deviation {chk.boundary_dev:.2e}, interior max {chk.interior_max:.6f}"
+            f"boundary deviation {chk.boundary_dev:.2e}, interior max {chk.interior_max:.6g}"
         )
     inner_part = analytic_project(GridFunction(np.conj(b.samples) * f.samples))
     proj = GridFunction(b.samples * inner_part.samples)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import struct
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .hardy_engine import GridFunction
-from .layered_factor import LayeredSpace, Shell
+from .layered_factor import LayeredSpace
 from .pointwise_witness import PointwiseRelation, WitnessCertificate, pointwise_relation
 
 __all__ = [
@@ -96,20 +97,23 @@ def certificate_to_obj(cert: WitnessCertificate) -> dict:
     }
 
 
+_ATOM = operator.itemgetter("id", "weight")
+
+
 def layered_space_from_obj(obj) -> LayeredSpace:
+    """The space of a layered-space object, whose shells, sorted by n, are numbered 1..N.
+
+    Every atom must have an ``id``, though only its ``weight`` is kept.
+    """
     try:
         shells = sorted(obj["shells"], key=lambda sh: sh["n"])
-        built = [
-            Shell(
-                int(sh["n"]),
-                tuple(a["id"] for a in sh["atoms"]),
-                np.asarray([float(a["weight"]) for a in sh["atoms"]]),
-            )
-            for sh in shells
-        ]
+        numbers = [int(sh["n"]) for sh in shells]
+        weights = [[float(w) for _, w in map(_ATOM, sh["atoms"])] for sh in shells]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed layered space: {exc}") from exc
-    return LayeredSpace(built)
+    if numbers != list(range(1, len(shells) + 1)):
+        raise InvalidInput("shell numbers n must be consecutive from 1")
+    return LayeredSpace(weights)
 
 
 _GRID_HEADER = struct.Struct("<Q")

@@ -21,7 +21,6 @@ finitely supported as represented, which is the compact case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
@@ -35,12 +34,10 @@ from .seq_core import (
 )
 
 __all__ = [
-    "Shell",
     "LayeredSpace",
     "ShellWeights",
     "LayeredFactorization",
     "StarBoundReport",
-    "layered_space",
     "shell_energies",
     "build_weight",
     "factor",
@@ -51,51 +48,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Shell:
-    index: int
-    atom_ids: Tuple
-    weights: np.ndarray
-
-
 class LayeredSpace:
-    """Consecutive shells of weighted atoms; every atom lies in exactly one shell.
+    """Shells 1..N of weighted atoms; every atom lies in exactly one shell.
 
-    Atoms are flattened in shell order; a sampled function on the space is
-    an array aligned with that flat order.
+    Built from one array of atom weights per shell, in shell order.  Atoms
+    are flattened in shell order; a sampled function on the space is an
+    array aligned with that flat order.
     """
 
-    def __init__(self, shells: List[Shell]):
+    def __init__(self, shell_weights):
+        shells = [np.asarray(w, dtype=float) for w in shell_weights]
         if not shells:
             raise InvalidInput("need at least one shell")
-        for pos, sh in enumerate(shells, start=1):
-            if sh.index != pos:
-                raise InvalidInput("shell indices must be consecutive from 1")
-            if len(sh.atom_ids) != len(sh.weights) or len(sh.weights) == 0:
-                raise InvalidInput(f"shell {pos} must carry matched, nonempty atoms")
-            if np.any(sh.weights <= 0) or not np.all(np.isfinite(sh.weights)):
+        for pos, w in enumerate(shells, start=1):
+            if w.ndim != 1 or w.size == 0:
+                raise InvalidInput(f"shell {pos} must carry a nonempty list of atom weights")
+            if np.any(w <= 0) or not np.all(np.isfinite(w)):
                 raise InvalidInput(f"shell {pos} atom weights must be positive and finite")
-        self.shells = list(shells)
-        self.flat_weights = np.concatenate([sh.weights for sh in shells])
-        self.shell_of_atom = np.concatenate(
-            [np.full(len(sh.weights), sh.index, dtype=int) for sh in shells]
-        )
-
-    @property
-    def n_shells(self) -> int:
-        return len(self.shells)
+        self.n_shells = len(shells)
+        self.flat_weights = np.concatenate(shells)
+        self.shell_of_atom = np.repeat(np.arange(1, len(shells) + 1), [w.size for w in shells])
 
     @property
     def n_atoms(self) -> int:
         return len(self.flat_weights)
-
-
-def layered_space(shell_atoms) -> LayeredSpace:
-    """Build a space from [(atom_ids, weights), ...] listed in shell order."""
-    shells = []
-    for pos, (ids, wts) in enumerate(shell_atoms, start=1):
-        shells.append(Shell(pos, tuple(ids), np.asarray(wts, dtype=float)))
-    return LayeredSpace(shells)
 
 
 def _check_alignment(f: SampledFunction, layout: LayeredSpace):
@@ -237,57 +213,48 @@ def preset_l2(n_shells: int, ratio: float = 0.5):
         raise InvalidInput("ratio must lie in (0, 1)")
     if n_shells < 1:
         raise InvalidInput("need at least one shell")
-    layout = layered_space([((k,), [1.0]) for k in range(1, n_shells + 1)])
+    layout = LayeredSpace(np.ones((n_shells, 1)))
     k = np.arange(1, n_shells + 1, dtype=float)
     f = sampled_function(np.sqrt(ratio**k), layout.flat_weights)
     tail = ratio ** (n_shells + 1) / (1.0 - ratio)
     return f, layout, tail
 
 
+def _mirrored_shells(lo, hi, atoms_per_shell: int, sample):
+    """Shells lo[n] <= |x| < hi[n] of midpoint atoms mirrored about 0, and ``sample`` on them.
+
+    Each shell holds atoms_per_shell atoms of weight (hi - lo) / (atoms_per_shell / 2).
+    Returns (f, layout).
+    """
+    if lo.size < 1 or atoms_per_shell < 2 or atoms_per_shell % 2:
+        raise InvalidInput("need n_shells >= 1 and an even atoms_per_shell >= 2")
+    half = atoms_per_shell // 2
+    step = (hi - lo) / half
+    xs = lo[:, None] + (np.arange(half) + 0.5) * step[:, None]
+    layout = LayeredSpace(np.repeat(step[:, None], atoms_per_shell, axis=1))
+    pts = np.concatenate([-xs[:, ::-1], xs], axis=1)
+    return sampled_function(sample(pts.ravel()), layout.flat_weights), layout
+
+
 def preset_lebesgue_r(n_shells: int, atoms_per_shell: int = 64):
     """Symmetric unit-interval shells of the real line, midpoint atoms.
 
-    Shell n covers n-1 <= |x| < n; the sample is f(x) = exp(-|x|/2), whose
+    Each shell n covers n-1 <= |x| < n; the sample is f(x) = exp(-|x|/2), whose
     mass beyond the stored shells is 2*exp(-N) in closed form.
     """
-    if n_shells < 1 or atoms_per_shell < 2 or atoms_per_shell % 2:
-        raise InvalidInput("need n_shells >= 1 and an even atoms_per_shell >= 2")
-    half = atoms_per_shell // 2
-    step = 1.0 / half
-    shells = []
-    values = []
-    for n in range(1, n_shells + 1):
-        xs = (n - 1) + (np.arange(half) + 0.5) * step
-        pts = np.concatenate([-xs[::-1], xs])
-        ids = tuple(f"x{n}:{i}" for i in range(len(pts)))
-        shells.append((ids, np.full(len(pts), step)))
-        values.append(np.exp(-np.abs(pts) / 2.0))
-    layout = layered_space(shells)
-    f = sampled_function(np.concatenate(values), layout.flat_weights)
+    n = np.arange(1.0, n_shells + 1)
+    f, layout = _mirrored_shells(n - 1.0, n, atoms_per_shell,
+                                 lambda x: np.exp(-np.abs(x) / 2.0))
     return f, layout, 2.0 * np.exp(-float(n_shells))
 
 
 def preset_circle(n_shells: int, atoms_per_shell: int = 64):
     """Arc shells of the circle accumulating at angle zero, midpoint atoms.
 
-    Shell 1 covers 1 < |theta| <= pi and shell n >= 2 covers
+    The first shell covers 1 < |theta| <= pi and shell n >= 2 covers
     1/n < |theta| <= 1/(n-1); the sample is f = 1, with tail mass 2/N for
     the unstored arc |theta| <= 1/N.
     """
-    if n_shells < 1 or atoms_per_shell < 2 or atoms_per_shell % 2:
-        raise InvalidInput("need n_shells >= 1 and an even atoms_per_shell >= 2")
-    half = atoms_per_shell // 2
-    shells = []
-    values = []
-    for n in range(1, n_shells + 1):
-        lo = 1.0 / n
-        hi = np.pi if n == 1 else 1.0 / (n - 1)
-        step = (hi - lo) / half
-        xs = lo + (np.arange(half) + 0.5) * step
-        pts = np.concatenate([-xs[::-1], xs])
-        ids = tuple(f"arc{n}:{i}" for i in range(len(pts)))
-        shells.append((ids, np.full(len(pts), step)))
-        values.append(np.ones(len(pts)))
-    layout = layered_space(shells)
-    f = sampled_function(np.concatenate(values), layout.flat_weights)
+    lo = 1.0 / np.arange(1.0, n_shells + 1)
+    f, layout = _mirrored_shells(lo, np.append(np.pi, lo[:-1]), atoms_per_shell, np.ones_like)
     return f, layout, 2.0 / float(n_shells)

@@ -35,20 +35,15 @@ class TailProfile:
 
     ``magnitudes_sq[k-1]`` is |a_k|^2 and ``suffix_sums[n]`` is
     r_n = tail + sum_{k>n} |a_k|^2, so ``suffix_sums`` has one more entry
-    than ``magnitudes_sq`` and ``suffix_sums[-1] == tail``.
+    than ``magnitudes_sq`` and ``suffix_sums[-1] == tail``.  Build one with
+    ``profile_from_energies`` (or ``tail_profile`` and ``geometric_profile``,
+    which call it): it checks the terms and the tail, and its suffix sums never
+    increase.
     """
 
     magnitudes_sq: np.ndarray
     suffix_sums: np.ndarray
     tail: float = 0.0
-
-    def __post_init__(self):
-        if len(self.suffix_sums) != len(self.magnitudes_sq) + 1:
-            raise InvalidInput("suffix_sums must have one more entry than magnitudes_sq")
-        if np.any(self.magnitudes_sq < 0) or self.tail < 0:
-            raise InvalidInput("magnitudes and tail must be nonnegative")
-        if np.any(np.diff(self.suffix_sums) > 0):
-            raise InvalidInput("suffix sums must be nonincreasing")
 
     @property
     def n_terms(self) -> int:

@@ -235,10 +235,14 @@ def test_out_file_and_compact_json(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    # argparse's usage errors leave through the same one-line JSON error as input errors
+    code = cli.main(["frobnicate"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    lines = out.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidInput"
 
 
 def test_invalid_input_exit_code(tmp_path, capsys):
@@ -273,6 +277,7 @@ BAD_INPUT_FILES = {
     "seq.json": "[[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]",
     "huge.json": "[[1e200, 0.0], [1.0, 0.0]]",
     "huge_sum.json": "[[1.2e154, 0.0], [1.2e154, 0.0]]",
+    "huge_grid.json": json.dumps([[1e200, 0.0]] * 8),
     "huge_pair.json": '{"f": [[1e308, 0.0], [1e308, 1e308]], "g": [[1e308, 0.0], [1e308, 0.0]]}',
     "huge_rel.json": '{"weights": [1.0], "r": [[[1e200, 0.0], [1.0, 0.0]]],'
                      ' "m": [[[1.0, 0.0], [-1e200, 0.0]]]}',
@@ -281,6 +286,13 @@ BAD_INPUT_FILES = {
     "null_rel.json": '{"weights": [0.0], "r": [[[1.0, 0.0], [1.0, 0.0]]],'
                      ' "m": [[[1e200, 0.0], [-1e200, 0.0]]]}',
 }
+
+# refused with ScaleOverflow: exp of the log-modulus, summed over the grid, would overflow
+SCALE_OVERFLOWS = [
+    ["hardy", "outer", "--grid", "32768", "--fixture", "const:1e304"],
+    ["hardy", "outer", "--grid", "65536", "--fixture", "const:5e303"],
+    ["hardy", "outer", "--input", "huge_grid.json"],
+]
 
 BAD_INPUTS = [
     *([*flag, name] for flag in (["ulim", "--input"], ["olympiad", "--input"],
@@ -314,10 +326,14 @@ BAD_INPUTS = [
     ["olympiad", "--tol", "nan"],
     ["olympiad", "--input", "huge.json"],
     ["olympiad", "--input", "huge_sum.json"],
+    ["transfer", "--points", "huge.json"],
     ["olympiad", "--input", "seq.json", "--tail", "nan"],
     ["olympiad", "--input", "seq.json", "--tail", "-1"],
     ["ulim", "--input", "seq.json", "--tol", "nan"],
     ["layered", "--preset", "l2", "--tol", "nan"],
+    ["hardy", "factor", "--input", "huge_grid.json"],
+    ["hardy", "project", "--input", "huge_grid.json"],
+    *SCALE_OVERFLOWS,
 ]
 
 
@@ -335,6 +351,10 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     lines = out.err.strip().splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])
+    if argv in SCALE_OVERFLOWS:
+        # the largest usable factor, in log form since the factor itself may underflow to 0
+        assert error["error"] == "ScaleOverflow" and "<= exp(-" in error["message"]
+        return
     assert error["error"] == "InvalidInput"
     # an option rejected for its value is named in the message
     checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol",
@@ -388,10 +408,7 @@ def test_ignored_option_is_refused(tmp_path, monkeypatch, capsys, argv):
     for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse's own usage error
-        code = exc.code
+    code = cli.main(argv)
     out = capsys.readouterr()
     assert code == 2
     assert out.out == "" and "Traceback" not in out.err
@@ -453,6 +470,7 @@ ARGV_FILES = {
     "seq.csv": b"index,re,im\n1,1.0,0.0\n2,0.5,0.5\n",
     "zeros.json": b"[[0.0, 0.0], [0.0, 0.0]]",
     "huge.json": BAD_INPUT_FILES["huge.json"].encode(),
+    "huge_grid.json": BAD_INPUT_FILES["huge_grid.json"].encode(),
     "malformed.json": BAD_INPUT_FILES["malformed.json"].encode(),
     "grid.bin": struct.pack("<Q", 4) + struct.pack("<8d", *[1.0, 0.0] * 4),
 }
@@ -463,7 +481,7 @@ GRID = st.sampled_from(["4", "8", "64", "256", "0", "3", "100", "-8"])
 REAL = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]) \
     | st.floats(-4.0, 4.0).map(repr) | GARBAGE
 GRID_SPEC = st.sampled_from(["constant1", "z", "blaschke:0.5", "blaschke:1", "blaschke:x",
-                             "grid.json", "grid.bin", "missing.json"]) | GARBAGE
+                             "grid.json", "grid.bin", "huge_grid.json", "missing.json"]) | GARBAGE
 FLAG = st.just(None)
 SUBCOMMANDS = {  # argv head -> (options always given, options maybe given)
     ("olympiad",): ({}, {"input": FILE, "geometric": REAL, "terms": COUNT, "tail": REAL,
@@ -504,12 +522,14 @@ def test_generated_argv_keeps_the_exit_code_contract(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            code = cli.main(argv + ["--json"] * compact)
-        except SystemExit as exc:  # argparse's own usage error
-            code = exc.code
+        code = cli.main(argv + ["--json"] * compact)
     out = capsys.readouterr()
     assert code in (0, 1, 2)
     assert not caught and "Traceback" not in out.err and "Warning" not in out.err
-    if out.out:
+    if code == 2:  # usage and input errors alike: no report, one JSON line naming the error
+        assert out.out == ""
+        lines = out.err.strip().splitlines()
+        assert len(lines) == 1
+        assert {"error", "message"} <= json.loads(lines[0]).keys()
+    elif out.out:
         json.loads(out.out, parse_constant=_reject_constant)

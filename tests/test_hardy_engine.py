@@ -125,7 +125,7 @@ def test_build_circle_weight_flat_profile_gives_unit_weight():
     layout = arc_layout(n, m)
     prof = profile_from_energies(np.zeros(m), tail_sum_sq=1.0)  # every suffix sum 1
     w = build_circle_weight(prof, layout)
-    assert np.all(w.grid.samples.real == 1.0)
+    assert np.all(w.values == 1.0)
 
 
 def test_build_circle_weight_constant_input_matches_arc_asymptotics():
@@ -169,7 +169,7 @@ def test_build_circle_weight_tolerates_rounding_level_excess():
                                    tail_sum_sq=2 * eps)
     assert bumped.suffix_sums[1] > 1.0
     w = build_circle_weight(bumped, layout)
-    check_log_integrable(w.grid, layout)  # does not raise
+    check_log_integrable(w.values, layout)  # does not raise
     # a real violation still raises
     bad = profile_from_energies(np.array([0.1, 1.0, 0.1, 0.1]))
     with pytest.raises(InvalidWeight):
@@ -201,12 +201,12 @@ def test_build_circle_weight_floors_zero_suffixes():
 def test_check_log_integrable_values():
     n, m = 2**12, 8
     layout = arc_layout(n, m)
-    unit = check_log_integrable(constant_function(n), layout)
+    unit = check_log_integrable(np.ones(n), layout)
     assert unit.integral_value == 0.0
-    const_e = check_log_integrable(GridFunction(np.full(n, np.e)), layout)
+    const_e = check_log_integrable(np.full(n, np.e), layout)
     assert const_e.integral_value == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(InvalidWeight):
-        check_log_integrable(GridFunction(np.full(n, 0.5)), layout)
+        check_log_integrable(np.full(n, 0.5), layout)
 
 
 def test_check_log_integrable_bounds_built_weight():
@@ -215,7 +215,7 @@ def test_check_log_integrable_bounds_built_weight():
     layout = arc_layout(n, m)
     prof = arc_energies(f, layout)
     w = build_circle_weight(prof, layout)
-    rep = check_log_integrable(w.grid, layout)
+    rep = check_log_integrable(w.values, layout)
     assert rep.integral_value <= rep.comparison_bound * (1.0 + 1e-12)
 
 
@@ -274,6 +274,22 @@ def test_outer_rejects_bad_input():
     with pytest.raises(ScaleOverflow) as exc:
         outer_from_modulus(np.full(2**8, 800.0))
     assert exc.value.suggested_rescale < 1.0
+    # far past the limit the factor underflows to 0, so the message gives its log
+    with pytest.raises(ScaleOverflow, match=r"<= exp\(-1e\+200\)"):
+        outer_from_modulus(np.full(2**8, 1e200))
+
+
+@pytest.mark.filterwarnings("error")
+def test_outer_overflow_limit_shrinks_with_the_grid():
+    # the boundary's transform sums N samples of size exp(peak), so the largest
+    # peak is ln(float max) - ln N once that falls below 700: 698.7 at N = 2^16
+    with pytest.raises(ScaleOverflow):
+        outer_from_modulus(np.full(2**16, 699.0))
+    out = outer_from_modulus(np.full(2**16, 698.0))
+    assert np.all(np.isfinite(out.boundary.spectrum()))
+    # up to 2^14 points every peak up to 700 stays accepted
+    out = outer_from_modulus(np.full(2**14, 700.0))
+    assert np.all(np.isfinite(out.boundary.spectrum()))
 
 
 def _twiddled_spectrum(samples):
@@ -347,7 +363,7 @@ def test_hardy_factor_modulus_is_reciprocal_weight():
     rng = np.random.default_rng(9)
     f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=2**11)) / np.arange(1, 2**11 + 1), 2**12)
     res = hardy_factor(f, 64)
-    w = res.w.grid.samples.real
+    w = res.w.values
     assert np.max(np.abs(np.abs(res.g.samples) * w - 1.0)) <= 1e-14
     assert res.gw_deviation <= 1e-14
 
@@ -591,3 +607,6 @@ def test_projection_rejects_non_inner():
     zs = coordinate_function(n).samples
     with pytest.raises(NotInner):
         project_onto_bH2(constant_function(n), GridFunction((1.0 + zs) / 2.0))
+    # a huge candidate's interior maximum is reported in six significant digits
+    with pytest.raises(NotInner, match=r"interior max 1e\+100$"):
+        project_onto_bH2(constant_function(n), GridFunction(np.full(n, 1e100)))

@@ -61,6 +61,12 @@ def test_layered_space_parse():
     assert np.array_equal(space.flat_weights, [1.0, 0.5, 2.0])
     with pytest.raises(InvalidInput):
         ioformats.layered_space_from_obj({"shells": [{"n": 1}]})
+    with pytest.raises(InvalidInput):  # shell numbers must run 1..N
+        ioformats.layered_space_from_obj({"shells": [
+            {"n": 1, "atoms": [{"id": 1, "weight": 1.0}]},
+            {"n": 3, "atoms": [{"id": 2, "weight": 1.0}]}]})
+    with pytest.raises(InvalidInput):  # every atom needs an id, though none is kept
+        ioformats.layered_space_from_obj({"shells": [{"n": 1, "atoms": [{"weight": 1.0}]}]})
 
 
 def test_grid_function_binary_round_trip(tmp_path):

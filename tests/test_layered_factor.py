@@ -4,9 +4,9 @@ import pytest
 from flatwitness.bezout_ops import sampled_function
 from flatwitness.errors import DegenerateTail, InvalidInput
 from flatwitness.layered_factor import (
+    LayeredSpace,
     build_weight,
     factor,
-    layered_space,
     preset_circle,
     preset_l2,
     preset_lebesgue_r,
@@ -37,8 +37,8 @@ def test_shell_energies_single_shell_support():
 
 
 def test_shell_energies_additive_over_atoms():
-    single = layered_space([((f"s{n}",), [1.0]) for n in range(1, 6)])
-    double = layered_space([((f"a{n}", f"b{n}"), [1.0, 1.0]) for n in range(1, 6)])
+    single = LayeredSpace(np.ones((5, 1)))
+    double = LayeredSpace(np.ones((5, 2)))
     vals = np.linspace(1.0, 0.2, 5)
     f1 = sampled_function(vals, single.flat_weights)
     f2 = sampled_function(np.repeat(vals, 2), double.flat_weights)
@@ -168,7 +168,7 @@ def test_star_bound_compact_is_weighted_mass():
 def test_star_bound_random_long_profile():
     rng = np.random.default_rng(12)
     n_shells = 1000
-    layout = layered_space([((n,), [1.0]) for n in range(1, n_shells + 1)])
+    layout = LayeredSpace(np.ones((n_shells, 1)))
     vals = rng.standard_normal(n_shells) * np.arange(1, n_shells + 1.0) ** -1.0
     f = sampled_function(vals, layout.flat_weights)
     res = factor(f, layout, mode="general", tail_sum_sq=1e-8)
@@ -213,11 +213,9 @@ def test_preset_circle_energies_match_arc_lengths():
 
 
 def test_layout_validation():
-    from flatwitness.layered_factor import LayeredSpace, Shell
-
     with pytest.raises(InvalidInput):
-        layered_space([])
+        LayeredSpace([])
     with pytest.raises(InvalidInput):
-        layered_space([((1,), [0.0])])  # nonpositive atom weight
+        LayeredSpace([[0.0]])  # nonpositive atom weight
     with pytest.raises(InvalidInput):
-        LayeredSpace([Shell(1, (1,), np.array([1.0])), Shell(3, (2,), np.array([1.0]))])
+        LayeredSpace([[1.0], []])  # a shell without atoms
