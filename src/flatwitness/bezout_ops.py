@@ -68,6 +68,12 @@ def _same_atoms(f: SampledFunction, g: SampledFunction):
         raise InvalidInput("functions must live on the same weighted atom set")
 
 
+def _ratio(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """v / a where a > 0 and 1 elsewhere (a is |v|, or a sum that includes it)."""
+    live = a > 0
+    return np.where(live, v / np.where(live, a, 1), 1.0)
+
+
 def polar_parts(f: SampledFunction):
     """Split f into (modulus, unimodular part) with f = modulus * u pointwise.
 
@@ -76,7 +82,7 @@ def polar_parts(f: SampledFunction):
     """
     v = f.values.astype(np.clongdouble)
     a = np.abs(v)
-    u = np.where(a > 0, v / np.where(a > 0, a, 1), 1.0)
+    u = _ratio(v, a)
     modulus = SampledFunction(a.astype(complex), f.weights)
     unimodular = SampledFunction(u.astype(complex), f.weights)
     return modulus, unimodular
@@ -103,20 +109,18 @@ def principal_generator(f: SampledFunction, g: SampledFunction) -> PrincipalGene
     fl = f.values.astype(np.clongdouble)
     gl = g.values.astype(np.clongdouble)
     with np.errstate(over="ignore"):
-        d = np.abs(fl) + np.abs(gl)
+        af, ag = np.abs(fl), np.abs(gl)
+        d = af + ag
         d_out = d.astype(complex)
     if not np.all(np.isfinite(d_out)):
         raise InvalidInput("|f| + |g| overflows float64")
-    live = d > 0
-    F = np.where(live, fl / np.where(live, d, 1), 1.0)
-    G = np.where(live, gl / np.where(live, d, 1), 1.0)
     wts = f.weights
     return PrincipalGenerator(
         d=SampledFunction(d_out, wts),
-        F=SampledFunction(F.astype(complex), wts),
-        G=SampledFunction(G.astype(complex), wts),
-        cf=SampledFunction(np.conj(polar_parts(f)[1].values), wts),
-        cg=SampledFunction(np.conj(polar_parts(g)[1].values), wts),
+        F=SampledFunction(_ratio(fl, d).astype(complex), wts),
+        G=SampledFunction(_ratio(gl, d).astype(complex), wts),
+        cf=SampledFunction(np.conj(_ratio(fl, af).astype(complex)), wts),
+        cg=SampledFunction(np.conj(_ratio(gl, ag).astype(complex)), wts),
     )
 
 

@@ -215,6 +215,14 @@ def _cmd_layered(args):
                                "mode": args.mode, "tail": tail}, checks)
 
 
+def _grid_size(args, from_file):
+    """Refuse ``--grid`` when a grid file sets N; otherwise give it its default."""
+    if from_file:
+        _unread(args, "a grid file", "grid")
+    else:
+        _defaults(args, grid=2**14)
+
+
 def _grid_input(spec, n):
     if spec == "constant1":
         return constant_function(n)
@@ -230,6 +238,11 @@ def _grid_input(spec, n):
 
 
 def _cmd_hardy(args):
+    if args.action == "outer":
+        _grid_size(args, from_file=args.input is not None)
+    else:
+        built_in = args.input in ("constant1", "z") or args.input.startswith("blaschke:")
+        _grid_size(args, from_file=not built_in)
     if args.action == "factor":
         f = _grid_input(args.input, args.grid)
         checks, _ = acceptance.factor_checks(f, args.shells)
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     def action(name, help):
         q = actions.add_parser(name, help=help)
         common(q)
-        q.add_argument("--grid", type=_COUNT, default=2**14)
+        q.add_argument("--grid", type=_COUNT, help="grid size N (default 16384; a grid file sets it)")
         q.set_defaults(func=_cmd_hardy)
         return q
 

@@ -15,13 +15,14 @@ transforming back.  The boundary samples are exp(k) * (cos c + i sin c), so
 their log-modulus is k itself, sample for sample, and the boundary modulus
 matches the prescription to the rounding of exp.  The analytic completion
 k + i c, whose power-series coefficients come from the same real transform
-(doubled on the positive bins), is kept as an explicit polynomial in z for
-evaluation anywhere in the closed disk.
+(doubled on the positive bins), becomes an explicit polynomial in z, built
+on first use, for evaluation anywhere in the closed disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -79,8 +80,11 @@ def _cis(angle: np.ndarray) -> np.ndarray:
 
 def grid_thetas(n: int) -> np.ndarray:
     """Midpoint sample angles in (-pi, pi]."""
-    th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    return np.where(th > np.pi, th - 2.0 * np.pi, th)
+    th = np.arange(n, dtype=float)
+    th += 0.5
+    th *= 2.0 * np.pi
+    th /= n
+    return np.subtract(th, 2.0 * np.pi, out=th, where=th > np.pi)
 
 
 def _block_size(n_coeffs: int) -> int:
@@ -162,7 +166,8 @@ class GridFunction:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
+        sq = np.abs(self.samples)
+        return float(np.mean(np.square(sq, out=sq)))
 
     @property
     def norm(self) -> float:
@@ -202,17 +207,42 @@ def neg_mode_leakage(h: GridFunction) -> float:
     """2-norm fraction of the spectrum sitting in negative-mode bins.
 
     The midpoint twiddle is unimodular and the 1/N scale cancels in the
-    ratio, so the raw transform serves unless the spectrum is cached already.
+    ratio, so a cached spectrum serves as it is, and otherwise the raw
+    transform does, built from the real transforms A and B of the real and
+    imaginary parts: bin m < N/2 holds A_m + i B_m, and bin N - q holds
+    conj(A_q - i B_q) for q = 1..N/2.  Both halves are formed before their
+    norms are taken, so the fraction stays within a few log2(N) eps of the
+    complex transform's.
     """
-    coefficients = h._spectrum if h._spectrum is not None else np.fft.fft(h.samples)
-    with np.errstate(over="ignore"):
-        total = np.linalg.norm(coefficients)
-    if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
-        coefficients = coefficients / np.max(np.abs(coefficients))
-        total = np.linalg.norm(coefficients)
+    half = h.n // 2
+    if h._spectrum is not None:
+        coefficients = h._spectrum
+        with np.errstate(over="ignore"):
+            total = np.linalg.norm(coefficients)
+        if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
+            coefficients = coefficients / np.max(np.abs(coefficients))
+            total = np.linalg.norm(coefficients)
+        negative = np.linalg.norm(coefficients[half:])
+    else:
+        a, b = np.empty((2, half + 1), dtype=complex)  # one allocation for both transforms
+        np.fft.rfft(h.samples.real, out=a)
+        np.fft.rfft(h.samples.imag, out=b)
+        b *= 1j  # exact: a multiplication by 0 or 1 in each part
+        neg = a[1:] - b[1:]
+        pos = a[:half]
+        pos += b[:half]
+        with np.errstate(over="ignore"):
+            negative = np.linalg.norm(neg)
+            total = np.hypot(np.linalg.norm(pos), negative)
+        if np.isinf(total):  # as above: rescale both halves by one factor
+            peak = max(np.max(np.abs(pos)), np.max(np.abs(neg)))
+            pos /= peak
+            neg /= peak
+            negative = np.linalg.norm(neg)
+            total = np.hypot(np.linalg.norm(pos), negative)
     if total == 0.0:
         return 0.0
-    return float(np.linalg.norm(coefficients[h.n // 2:]) / total)
+    return float(negative / total)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +268,16 @@ class ArcLayout:
 def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
     if max_shell < 1:
         raise InvalidInput("need at least one shell")
-    ath = np.abs(grid_thetas(n_samples))
-    region = np.zeros(n_samples, dtype=int)
-    inner = ath < 1.0
+    shell = grid_thetas(n_samples)
+    np.abs(shell, out=shell)
+    outer = shell >= 1.0
     # midpoint angles are irrational multiples of pi, so no sample sits on a
     # shell boundary and none sits at angle zero
-    region[inner] = np.minimum(np.floor(1.0 / ath[inner]).astype(int), max_shell + 1)
-    return ArcLayout(n_samples, max_shell, region)
+    np.divide(1.0, shell, out=shell)
+    np.floor(shell, out=shell)
+    shell[outer] = 0.0
+    np.minimum(shell, max_shell + 1, out=shell)
+    return ArcLayout(n_samples, max_shell, shell.astype(int))
 
 
 def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
@@ -256,7 +289,9 @@ def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
     """
     if layout.n_samples != f.n:
         raise InvalidInput("layout and function grid sizes differ")
-    energy = np.abs(f.samples) ** 2 / f.n
+    energy = np.abs(f.samples)
+    np.square(energy, out=energy)
+    energy /= f.n
     sums = np.bincount(layout.region, weights=energy, minlength=layout.max_shell + 2)
     return profile_from_energies(sums[1: layout.max_shell + 1], float(sums[layout.max_shell + 1]))
 
@@ -307,7 +342,8 @@ def check_log_integrable(w: np.ndarray, layout: ArcLayout) -> LogIntegralReport:
     """
     if np.min(w) < 1.0 - 1e-12:
         raise InvalidWeight("weight must be >= 1 everywhere")
-    logs = np.log(np.maximum(w, 1.0))
+    logs = np.maximum(w, 1.0)
+    np.log(logs, out=logs)
     integral = float(np.mean(logs))
     shells = np.arange(2, layout.max_shell + 1, dtype=float)
     core = layout.region == layout.max_shell + 1
@@ -323,16 +359,29 @@ def check_log_integrable(w: np.ndarray, layout: ArcLayout) -> LogIntegralReport:
 class OuterFunction:
     """Zero-free analytic function with prescribed boundary modulus.
 
-    ``boundary`` holds the grid samples; ``log_coeffs`` are the power-series
-    coefficients (degree N/2) of the analytic completion A, so the function
-    itself is exp(A(z)) anywhere in the closed disk.  ``taylor``, the
-    nonnegative part of the boundary spectrum, is computed on first access
-    and cached with that spectrum.
+    ``boundary`` holds the grid samples and ``log_spectrum`` the real
+    transform of the (clamped) log-modulus over N, modes 0..N/2.
+    ``log_coeffs`` are the power-series coefficients (degree N/2) of the
+    analytic completion A, so the function itself is exp(A(z)) anywhere in
+    the closed disk; they are built from ``log_spectrum`` on first access.
+    ``taylor``, the nonnegative part of the boundary spectrum, is computed
+    on first access and cached with that spectrum.
     """
 
     boundary: GridFunction
-    log_coeffs: np.ndarray
+    log_spectrum: np.ndarray
     clamp_count: int
+
+    @cached_property
+    def log_coeffs(self) -> np.ndarray:
+        # bin m carries exp(2i pi m j/N) = z_j^m e^{-i pi m/N} for m < N/2, and
+        # the Nyquist bin carries (-1)^j = -i z_j^{N/2}; the positive modes count twice
+        half = self.boundary.n // 2
+        coeffs = self.log_spectrum.copy()
+        coeffs[1:half] *= 2.0
+        coeffs[:half] *= _cis((-np.pi / self.boundary.n) * np.arange(half))
+        coeffs[half] *= -1j
+        return coeffs
 
     @property
     def taylor(self) -> np.ndarray:
@@ -348,47 +397,44 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     Takes a sample array; -inf entries (zeros of the prescribed modulus) are
     legal.  Samples below log(clamp) are lifted to log(clamp) and counted.
     The boundary modulus of the result reproduces the (clamped) prescription
-    at every sample to rounding error.
+    at every sample to rounding error.  A complex array must be real to
+    rounding, and its real part is used.
     """
-    vals = np.asarray(log_modulus, dtype=complex)
+    vals = np.asarray(log_modulus)
     if vals.ndim != 1 or vals.size < 4 or vals.size & (vals.size - 1):
         raise InvalidInput("log-modulus must have power-of-two length >= 4")
-    finite = vals.real[np.isfinite(vals.real)]
-    scale = 1.0 + (float(np.max(np.abs(finite))) if finite.size else 0.0)
-    imag = vals.imag[np.isfinite(vals.imag)]
-    if imag.size != vals.size or (imag.size and np.max(np.abs(imag)) > 1e-12 * scale):
-        raise InvalidInput("log-modulus must be real")
-    k = vals.real.copy()
-    if np.any(np.isposinf(k)) or np.any(np.isnan(k)):
+    if np.iscomplexobj(vals):
+        finite = vals.real[np.isfinite(vals.real)]
+        scale = 1.0 + (float(np.max(np.abs(finite))) if finite.size else 0.0)
+        imag = vals.imag[np.isfinite(vals.imag)]
+        if imag.size != vals.size or (imag.size and np.max(np.abs(imag)) > 1e-12 * scale):
+            raise InvalidInput("log-modulus must be real")
+        k = vals.real.astype(float)
+    else:
+        k = vals.astype(float)
+    top = float(np.max(k))  # NaN propagates through the maximum, and +inf is it
+    if np.isnan(top) or top == np.inf:
         raise InvalidInput("log-modulus must be bounded above and not NaN")
     floor = np.log(clamp)
-    clamp_count = int(np.sum(k < floor))
+    clamp_count = int(np.count_nonzero(k < floor))
     np.maximum(k, floor, out=k)
     n = k.size
     # the transforms of the boundary sum N samples of size up to exp(peak)
     limit = min(EXP_OVERFLOW_LIMIT, float(np.log(np.finfo(float).max) - np.log(n)))
-    peak = float(np.max(k))
+    peak = max(top, float(floor))
     if peak > limit:
         raise ScaleOverflow(limit - peak)
 
-    half = n // 2
     spec = np.fft.rfft(k)  # modes 0..N/2 of the real log-modulus
-    # power series of the completion k + i*c: bin m carries
-    # exp(2i pi m j/N) = z_j^m e^{-i pi m/N} for m < N/2, and the Nyquist bin
-    # carries (-1)^j = -i z_j^{N/2}; the positive modes count twice
-    log_coeffs = spec / n
-    log_coeffs[1:half] *= 2.0
-    log_coeffs[:half] *= _cis((-np.pi / n) * np.arange(half))
-    log_coeffs[half] *= -1j
+    log_spectrum = spec / n
     # harmonic conjugate c: -i on the positive modes, zero and Nyquist dropped
     spec *= -1j
-    spec[0] = spec[half] = 0.0
-    conj = np.fft.irfft(spec, n)
-    samples = _cis(conj)
-    modulus = np.exp(k, out=k)
-    samples.real *= modulus
-    samples.imag *= modulus
-    return OuterFunction(boundary=GridFunction(samples), log_coeffs=log_coeffs,
+    spec[0] = spec[n // 2] = 0.0
+    samples = _cis(np.fft.irfft(spec, n))
+    np.exp(k, out=k)
+    samples.real *= k
+    samples.imag *= k
+    return OuterFunction(boundary=GridFunction(samples), log_spectrum=log_spectrum,
                          clamp_count=clamp_count)
 
 
@@ -459,30 +505,40 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     analytic to ANALYTIC_TOL (negative-mode fraction) and not the zero
     function; it is divided by its norm when that norm exceeds 1.
     """
-    if f.norm == 0.0:
+    norm_sq = f.norm_sq
+    if norm_sq == 0.0:
         raise InvalidInput("cannot factor the zero function")
     leak = neg_mode_leakage(f)
     if leak > ANALYTIC_TOL:
         raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
-    scale = max(1.0, f.norm)
-    fn = GridFunction(f.samples / scale) if scale > 1.0 else f
+    scale = max(1.0, float(np.sqrt(norm_sq)))
+    if scale > 1.0:
+        fn = GridFunction(f.samples / scale)
+        norm_sq = fn.norm_sq
+    else:
+        fn = f
 
     layout = arc_layout(fn.n, max_shell)
     profile = arc_energies(fn, layout)
     weight = build_circle_weight(profile, layout)
     log_report = check_log_integrable(weight.values, layout)
-    outer = outer_from_modulus(-np.log(weight.values))
+    # the weight takes M + 2 values, so their logs are taken once each
+    outer = outer_from_modulus((-np.log(weight.region_values))[layout.region])
     g = outer.boundary
     h = GridFunction(fn.samples / g.samples)
+    h_leakage = neg_mode_leakage(h)
 
-    gw_dev = float(np.max(np.abs(np.abs(g.samples) * weight.values - 1.0)))
+    dev = np.abs(g.samples)
+    dev *= weight.values
+    dev -= 1.0
+    gw_dev = float(np.max(np.abs(dev, out=dev)))
     core_term = float(profile.tail / np.sqrt(max(profile.suffix_sums[-1], SUFFIX_FLOOR))) \
         if profile.tail > 0 else 0.0
-    star_rhs = fn.norm_sq + _weighted_tail_series(profile) + core_term
+    star_rhs = norm_sq + _weighted_tail_series(profile) + core_term
     return HardyFactorization(
         f=fn, g=g, h=h, w=weight, outer=outer, profile=profile, layout=layout,
         scale=scale, gw_deviation=gw_dev, h_norm_sq=h.norm_sq, star_rhs=star_rhs,
-        h_leakage=neg_mode_leakage(h), log_report=log_report,
+        h_leakage=h_leakage, log_report=log_report,
     )
 
 

@@ -134,7 +134,9 @@ def read_grid_function(path) -> GridFunction:
     if len(blob) != expected:
         raise InvalidInput(f"grid file length {len(blob)} != expected {expected}")
     flat = np.frombuffer(blob, dtype="<f8", offset=_GRID_HEADER.size)
-    return GridFunction(flat[0::2] + 1j * flat[1::2])
+    with np.errstate(invalid="ignore"):  # 1j * inf is NaN, which GridFunction refuses
+        samples = flat[0::2] + 1j * flat[1::2]
+    return GridFunction(samples)
 
 
 def jsonable(obj):

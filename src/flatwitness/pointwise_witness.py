@@ -38,11 +38,17 @@ ZERO_THRESHOLD = 1e-13  # norm at or below which a coefficient row counts as zer
 
 @dataclass(frozen=True)
 class PointwiseRelation:
-    """P weighted sample points, each carrying a coefficient row and a module row."""
+    """P weighted sample points, each carrying a coefficient row and a module row.
+
+    ``r_norms`` and ``m_norms`` are the rows' 2-norms, taken once when the
+    relation is validated.
+    """
 
     point_weights: np.ndarray  # (P,)
     r_rows: np.ndarray         # (P, n)
     m_rows: np.ndarray         # (P, n)
+    r_norms: np.ndarray        # (P,)
+    m_norms: np.ndarray        # (P,)
 
     @property
     def n_points(self) -> int:
@@ -64,26 +70,28 @@ def pointwise_relation(point_weights, r_rows, m_rows) -> PointwiseRelation:
     # a NaN or infinity anywhere reaches a row norm or the weighted module mass,
     # as do squares that overflow, and 0 * inf at a null point is NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        sizes = np.append(np.linalg.norm(r, axis=1), wts @ np.linalg.norm(m, axis=1) ** 2)
+        r_norms, m_norms = np.linalg.norm(r, axis=1), np.linalg.norm(m, axis=1)
+        sizes = np.append(r_norms, wts @ m_norms ** 2)
     if not np.all(np.isfinite(sizes)):
         raise InvalidInput("relation data, its row norms and its weighted module mass "
                            "must be finite in float64")
     if np.any(wts < 0):
         raise InvalidInput("point weights must be nonnegative")
-    return PointwiseRelation(wts, r, m)
+    return PointwiseRelation(wts, r, m, r_norms, m_norms)
 
 
 def relation_residuals(rel: PointwiseRelation):
     """Per-point |sum_i r_i m_i| and the scale 1 + ||r(x)|| * ||m(x)||."""
     resid = np.abs(np.einsum("pi,pi->p", rel.r_rows, rel.m_rows))
-    scale = 1.0 + np.linalg.norm(rel.r_rows, axis=1) * np.linalg.norm(rel.m_rows, axis=1)
+    scale = 1.0 + rel.r_norms * rel.m_norms
     return resid, scale
 
 
-def _batched_frames(rows: np.ndarray, zero_threshold: float) -> np.ndarray:
+def _batched_frames(rows: np.ndarray, norms: np.ndarray, zero_threshold: float) -> np.ndarray:
     """Frames (P, n, n) whose leading rows are orthonormal and annihilate each input row.
 
-    Rows with norm at most ``zero_threshold`` get the standard basis.  For the
+    ``norms`` holds the rows' 2-norms.  Rows with norm at most
+    ``zero_threshold`` get the standard basis.  For the
     rest, a Householder reflector sends the normalised row to the first
     coordinate axis; the reflected remaining axes span the orthogonal
     complement and become frame rows 1..n-1, followed by one zero row.
@@ -93,7 +101,6 @@ def _batched_frames(rows: np.ndarray, zero_threshold: float) -> np.ndarray:
     """
     P, n = rows.shape
     frames = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)).copy()
-    norms = np.linalg.norm(rows, axis=1)
     nz = norms > zero_threshold
     if not np.any(nz):
         return frames
@@ -141,7 +148,8 @@ def synthesize_witness(rel: PointwiseRelation) -> WitnessCertificate:
             f"point {bad}: residual {resid[bad]:.3e} exceeds {RELATION_TOL:g} * scale"
         )
     peak = float(np.max(np.abs(rel.r_rows))) if rel.r_rows.size else 0.0
-    frames = _batched_frames(np.conj(rel.r_rows), ZERO_THRESHOLD * max(1.0, peak))
+    # conjugation keeps each row's norm, bit for bit
+    frames = _batched_frames(np.conj(rel.r_rows), rel.r_norms, ZERO_THRESHOLD * max(1.0, peak))
     rho = np.transpose(frames, (0, 2, 1)).copy()  # rho[p, i, j] = frames[p, j, i]
     mu = np.einsum("pi,pji->pj", rel.m_rows, np.conj(frames))
     return WitnessCertificate(rho, mu)
@@ -180,8 +188,8 @@ def verify_witness(rel: PointwiseRelation, cert: WitnessCertificate) -> WitnessR
     tol = 1e-10 * (1.0 + m_norm_total)
     mu_norm_ok = bool(np.all(mu_norms <= m_norm_total + tol))
 
-    coeff_scale = 1.0 + float(np.max(np.linalg.norm(rel.r_rows, axis=1)))
-    recon_scale = 1.0 + float(np.max(np.linalg.norm(rel.m_rows, axis=1)))
+    coeff_scale = 1.0 + float(np.max(rel.r_norms))
+    recon_scale = 1.0 + float(np.max(rel.m_norms))
     return WitnessReport(
         max_coeff_residual=max_coeff,
         max_reconstruction_residual=max_recon,

@@ -147,9 +147,10 @@ def test_hardy_input_from_grid_file(tmp_path, capsys):
     # the binary grid format: a little-endian uint64 count, then re, im float64 pairs
     path = tmp_path / "f.bin"
     path.write_bytes(struct.pack("<Q", 4096) + struct.pack("<8192d", *[1.0, 0.0] * 4096))
-    code, report, _ = run_cli(capsys, ["hardy", "project", "--grid", "4096",
-                                       "--input", str(path), "--inner", "z"])
+    # the file sets N, so --grid is not given
+    code, report, _ = run_cli(capsys, ["hardy", "project", "--input", str(path), "--inner", "z"])
     assert code == 0
+    assert report["parameters"]["grid"] == 4096
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["distance"]["value"] == pytest.approx(1.0, abs=1e-12)
 
@@ -389,6 +390,8 @@ IGNORED_OPTIONS = [
     ["transfer", "--points", "seq.json", "--num-points", "10"],
     ["transfer", "--points", "seq.json", "--seed", "3"],
     ["hardy", "outer", "--fixture", "log-sin", "--input", "grid.json"],
+    *(["hardy", action, "--input", "grid.json", "--grid", "64"]
+      for action in ("factor", "project", "outer")),
 ]
 
 # valid inputs, so that a refusal is the ignored option's doing and not the file's

@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,9 +268,9 @@ def test_outer_clamp_counts_minus_inf():
 
 
 def test_outer_rejects_bad_input():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="must be real"):
         outer_from_modulus(np.full(2**8, 1.0j))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="bounded above"):
         outer_from_modulus(np.full(2**8, np.inf))
     with pytest.raises(ScaleOverflow) as exc:
         outer_from_modulus(np.full(2**8, 800.0))
@@ -277,6 +278,28 @@ def test_outer_rejects_bad_input():
     # far past the limit the factor underflows to 0, so the message gives its log
     with pytest.raises(ScaleOverflow, match=r"<= exp\(-1e\+200\)"):
         outer_from_modulus(np.full(2**8, 1e200))
+
+
+@pytest.mark.parametrize("clamp", [1e-12, 0.5])
+def test_outer_real_and_zero_imaginary_input_agree_bitwise(clamp):
+    rng = np.random.default_rng(11)
+    k = rng.standard_normal(2**12)
+    k[::97] = -np.inf
+    real, cplx = outer_from_modulus(k, clamp), outer_from_modulus(k.astype(complex), clamp)
+    assert real.clamp_count == cplx.clamp_count > 0
+    assert np.array_equal(real.boundary.samples, cplx.boundary.samples)
+    assert np.array_equal(real.log_spectrum, cplx.log_spectrum)
+    assert np.array_equal(real.log_coeffs, cplx.log_coeffs)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_outer_rejects_nan_and_plus_inf(dtype, bad):
+    k = np.zeros(2**8, dtype=dtype)
+    k[3] = bad
+    k[7] = -np.inf  # a legal zero of the modulus does not hide the bad entry
+    with pytest.raises(InvalidInput, match="bounded above and not NaN"):
+        outer_from_modulus(k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -350,6 +373,40 @@ def test_leakage_and_projection_match_twiddled_spectrum(log2n):
         assert _rel_err(analytic_project(GridFunction(samples)).samples, projected) <= 1e-12
 
 
+def _complex_transform_leakage(samples):
+    # reference: the raw complex transform, rescaled when its squares overflow
+    coefficients = np.fft.fft(samples)
+    with np.errstate(over="ignore"):
+        total = np.linalg.norm(coefficients)
+    if np.isinf(total):
+        coefficients = coefficients / np.max(np.abs(coefficients))
+        total = np.linalg.norm(coefficients)
+    return 0.0 if total == 0.0 else np.linalg.norm(coefficients[samples.size // 2:]) / total
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("log2n", range(2, 17))
+def test_neg_mode_leakage_matches_complex_transform(log2n):
+    # the two real transforms agree with the complex one within 2 log2(N) eps
+    n = 2**log2n
+    rng = np.random.default_rng(300 + log2n)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    analytic = from_taylor(rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2), n).samples
+    kinds = {
+        "random": noise,
+        "analytic": analytic,
+        "real": noise.real.astype(complex),
+        "zero": np.zeros(n, dtype=complex),
+        "near_overflow": 1e300 * noise,
+        "slightly_non_analytic": analytic + 1e-9 * noise,
+    }
+    bound = 2 * log2n * np.finfo(float).eps
+    for kind, samples in kinds.items():
+        got = neg_mode_leakage(GridFunction(samples))
+        assert abs(got - _complex_transform_leakage(samples)) <= bound, kind
+    assert neg_mode_leakage(GridFunction(kinds["zero"])) == 0.0
+
+
 @pytest.mark.filterwarnings("error")
 def test_leakage_survives_overflowing_squares():
     # squares of 1e300 overflow float64, but the leakage is a ratio of norms
@@ -369,8 +426,8 @@ def test_hardy_factor_modulus_is_reciprocal_weight():
 
 
 def test_hardy_factor_fft_budget(monkeypatch):
-    # two leakage transforms, one real transform pair for the outer factor;
-    # the Taylor data of g costs one more transform, once
+    # two real transforms per leakage, one real transform pair for the outer
+    # factor; the Taylor data of g costs one complex transform, once
     f = from_taylor([1.0, 0.5, 0.25], 2**12)
     counts = collections.Counter()
     for name in ("fft", "ifft", "rfft", "irfft"):
@@ -379,12 +436,29 @@ def test_hardy_factor_fft_budget(monkeypatch):
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     res = hardy_factor(f, 64)
-    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [2, 0, 1, 1]
+    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [0, 0, 5, 1]
     first = res.outer.taylor
-    assert counts["fft"] == 3
+    assert counts["fft"] == 1
     assert np.array_equal(res.outer.taylor, first)
-    assert counts["fft"] == 3
-    assert sum(counts.values()) == 5
+    assert counts["fft"] == 1
+    assert sum(counts.values()) == 7
+
+
+def test_hardy_factor_traced_peak_per_sample():
+    # a rescaled input keeps the most: f, g and h, the layout, weight and log spectrum
+    n = 2**16
+    rng = np.random.default_rng(2)
+    f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=n // 2)) / np.arange(1, n // 2 + 1), n)
+    hardy_factor(f, 256)  # transform plans and first-call caches are not the pipeline's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = hardy_factor(f, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.scale > 1.0
+    assert (peak - start) / n <= 110
 
 
 def test_hardy_factor_constant_small_grid():
