@@ -223,13 +223,24 @@ def _grid_size(args, from_file):
         _defaults(args, grid=2**14)
 
 
-def _grid_input(spec, n):
+def _built_in(spec):
+    """The map N -> grid function for a built-in ``spec``, or None when ``spec`` is a grid file."""
     if spec == "constant1":
-        return constant_function(n)
+        return constant_function
     if spec == "z":
-        return coordinate_function(n)
+        return coordinate_function
     if spec.startswith("blaschke:"):
-        return acceptance.blaschke(n, _number_after_colon(spec))
+        a = _number_after_colon(spec)
+        return lambda n: acceptance.blaschke(n, a)
+    return None
+
+
+def _grid_input(spec, n):
+    """The grid function ``spec`` names: a built-in sampled at N = ``n``, or a grid file,
+    whose length is its N."""
+    build = _built_in(spec)
+    if build is not None:
+        return build(n)
     f = ioformats.read_grid_function(spec)
     with np.errstate(over="ignore"):  # the norms taken later would overflow, with a warning
         if np.isinf(np.sum(np.abs(f.samples) ** 2)):
@@ -237,19 +248,21 @@ def _grid_input(spec, n):
     return f
 
 
+def _hardy_input(args):
+    """``--input`` of ``hardy factor``/``project``, at ``--grid`` unless a grid file sets N."""
+    _grid_size(args, from_file=_built_in(args.input) is None)
+    return _grid_input(args.input, args.grid)
+
+
 def _cmd_hardy(args):
-    if args.action == "outer":
-        _grid_size(args, from_file=args.input is not None)
-    else:
-        built_in = args.input in ("constant1", "z") or args.input.startswith("blaschke:")
-        _grid_size(args, from_file=not built_in)
     if args.action == "factor":
-        f = _grid_input(args.input, args.grid)
+        f = _hardy_input(args)
         checks, _ = acceptance.factor_checks(f, args.shells)
         return _report("hardy factor", {"grid": f.n, "shells": args.shells,
                                         "input": args.input}, checks)
 
     if args.action == "outer":
+        _grid_size(args, from_file=args.input is not None)
         if args.fixture == "log-sin":
             k = np.log(2.0 * np.abs(np.sin(grid_thetas(args.grid) / 2.0)))
         elif args.fixture:
@@ -265,7 +278,7 @@ def _cmd_hardy(args):
                                        "input": args.input, "clamp": args.clamp},
                        checks, **extra)
 
-    f = _grid_input(args.input, args.grid)
+    f = _hardy_input(args)
     checks, _ = acceptance.project_checks(f, _grid_input(args.inner, f.n))
     return _report("hardy project", {"grid": f.n, "input": args.input, "inner": args.inner},
                    checks)
@@ -375,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     def action(name, help):
         q = actions.add_parser(name, help=help)
         common(q)
-        q.add_argument("--grid", type=_COUNT, help="grid size N (default 16384; a grid file sets it)")
+        q.add_argument("--grid", type=_COUNT,
+                       help="grid size N (default 16384; a grid file sets it)")
         q.set_defaults(func=_cmd_hardy)
         return q
 

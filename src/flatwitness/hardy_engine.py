@@ -207,42 +207,17 @@ def neg_mode_leakage(h: GridFunction) -> float:
     """2-norm fraction of the spectrum sitting in negative-mode bins.
 
     The midpoint twiddle is unimodular and the 1/N scale cancels in the
-    ratio, so a cached spectrum serves as it is, and otherwise the raw
-    transform does, built from the real transforms A and B of the real and
-    imaginary parts: bin m < N/2 holds A_m + i B_m, and bin N - q holds
-    conj(A_q - i B_q) for q = 1..N/2.  Both halves are formed before their
-    norms are taken, so the fraction stays within a few log2(N) eps of the
-    complex transform's.
+    ratio, so the raw transform serves unless the spectrum is cached already.
     """
-    half = h.n // 2
-    if h._spectrum is not None:
-        coefficients = h._spectrum
-        with np.errstate(over="ignore"):
-            total = np.linalg.norm(coefficients)
-        if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
-            coefficients = coefficients / np.max(np.abs(coefficients))
-            total = np.linalg.norm(coefficients)
-        negative = np.linalg.norm(coefficients[half:])
-    else:
-        a, b = np.empty((2, half + 1), dtype=complex)  # one allocation for both transforms
-        np.fft.rfft(h.samples.real, out=a)
-        np.fft.rfft(h.samples.imag, out=b)
-        b *= 1j  # exact: a multiplication by 0 or 1 in each part
-        neg = a[1:] - b[1:]
-        pos = a[:half]
-        pos += b[:half]
-        with np.errstate(over="ignore"):
-            negative = np.linalg.norm(neg)
-            total = np.hypot(np.linalg.norm(pos), negative)
-        if np.isinf(total):  # as above: rescale both halves by one factor
-            peak = max(np.max(np.abs(pos)), np.max(np.abs(neg)))
-            pos /= peak
-            neg /= peak
-            negative = np.linalg.norm(neg)
-            total = np.hypot(np.linalg.norm(pos), negative)
+    coefficients = h._spectrum if h._spectrum is not None else np.fft.fft(h.samples)
+    with np.errstate(over="ignore"):
+        total = np.linalg.norm(coefficients)
+    if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
+        coefficients = coefficients / np.max(np.abs(coefficients))
+        total = np.linalg.norm(coefficients)
     if total == 0.0:
         return 0.0
-    return float(negative / total)
+    return float(np.linalg.norm(coefficients[h.n // 2:]) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +501,6 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     outer = outer_from_modulus((-np.log(weight.region_values))[layout.region])
     g = outer.boundary
     h = GridFunction(fn.samples / g.samples)
-    h_leakage = neg_mode_leakage(h)
 
     dev = np.abs(g.samples)
     dev *= weight.values
@@ -538,7 +512,7 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     return HardyFactorization(
         f=fn, g=g, h=h, w=weight, outer=outer, profile=profile, layout=layout,
         scale=scale, gw_deviation=gw_dev, h_norm_sq=h.norm_sq, star_rhs=star_rhs,
-        h_leakage=h_leakage, log_report=log_report,
+        h_leakage=neg_mode_leakage(h), log_report=log_report,
     )
 
 

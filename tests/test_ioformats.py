@@ -98,7 +98,7 @@ def test_grid_function_binary_length_check(tmp_path):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_grid_function_binary_non_finite_is_refused_quietly(tmp_path, bad):
-    # an infinite imaginary part times 1j is NaN; the reader refuses it without a warning
+    # the samples are read as complex numbers, so no arithmetic on them can warn first
     path = tmp_path / "grid.bin"
     path.write_bytes(struct.pack("<Q", 4) + struct.pack("<8d", *[0.0] * 7, bad))
     with pytest.raises(InvalidInput, match="finite"):
