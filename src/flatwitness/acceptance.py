@@ -35,6 +35,7 @@ from .hardy_engine import (
     neg_mode_leakage,
     outer_from_modulus,
     project_onto_bH2,
+    radial_decay_check,
 )
 from .layered_factor import factor, preset_l2, verify_star_bound
 from .pointwise_witness import pointwise_relation, synthesize_witness, verify_witness
@@ -107,7 +108,7 @@ def olympiad_checks(profile, tol) -> List[Check]:
 def manufactured_relation(weights, r, raw_m):
     """The relation (weights, r, m), m being raw_m with each row projected so sum_i r_i m_i = 0."""
     c = np.conj(r)
-    cc = np.einsum("pi,pi->p", c, np.conj(c)).real
+    cc = np.einsum("pi,pi->p", c, r).real
     coef = np.where(cc > 0, np.einsum("pi,pi->p", raw_m, r) / np.where(cc > 0, cc, 1), 0)
     return pointwise_relation(weights, r, raw_m - coef[:, None] * c)
 
@@ -164,7 +165,7 @@ def ulim_checks(seq, tol, tail_fraction) -> List[Check]:
     else:
         checks = [Check("eventual_limit", certified.limit, tol),
                   Check("eventual_radius", certified.radius)]
-    verdict = ideal_membership_nonprincipal(seq, tol)
+    verdict = ideal_membership_nonprincipal(certified, tol)
     return checks + [Check("ideal_membership", verdict.value), Check("sup_norm", seq.sup_norm)]
 
 
@@ -186,7 +187,8 @@ def layered_checks(f, layout, mode, tail, tol):
         # the weight is nondecreasing from shell 2 onward; shell 1 is pinned to 1
         nonincreasing = bool(np.all(np.diff(g_shell[1:]) <= 1e-15))
         checks.append(Check("g_shell_nonincreasing", nonincreasing, None, nonincreasing))
-        verdict = ideal_membership_nonprincipal(bounded_sequence(g_shell), tol=tol)
+        certified = eventual_limit(bounded_sequence(g_shell), tol)
+        verdict = ideal_membership_nonprincipal(certified, tol)
         checks.append(Check("g_ideal_membership", verdict.value))
     checks.append(Check("g_last_shell_value", float(g_shell[-1])))
     checks.append(Check("cauchy_certificate", star.cauchy_bound))
@@ -201,7 +203,7 @@ def factor_checks(f, shells):
     sums, clamped log-moduli, and shells holding no grid sample (mass taken as 0).
     """
     res = hardy_factor(f, shells)
-    radial = res.radial_profile()
+    radial = radial_decay_check(res.outer)
     log = res.log_report
     counts = res.layout.counts()[1: shells + 1]
     checks = [

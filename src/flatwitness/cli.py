@@ -72,6 +72,7 @@ _COUNT = _checked(int, "a nonnegative count", lambda v: v >= 0)
 _FINITE = _checked(float, "finite", np.isfinite)
 _NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) and v >= 0)
 _POSITIVE = _checked(float, "finite and > 0", lambda v: np.isfinite(v) and v > 0)
+_FRACTION = _checked(float, "in (0, 1)", lambda v: 0 < v < 1)
 # --random and --fixture keep their text, which the report shows; _COUNT and
 # _POSITIVE refuse a bad n, P or C with their own message
 _COUNT_PAIR = _checked(str, "two counts 'n,P'",
@@ -333,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("olympiad", help="suffix-sum weighted series bound")
     common(p)
     p.add_argument("--input", help="sequence file (.json pairs or .csv index,re,im)")
-    p.add_argument("--geometric", type=float, help="ratio of |a_k|^2 = ratio^k (default 0.5)")
+    p.add_argument("--geometric", type=_FRACTION,
+                   help="ratio of |a_k|^2 = ratio^k (default 0.5)")
     p.add_argument("--terms", type=_COUNT, help="terms of the geometric profile (default 200)")
     p.add_argument("--tail", type=_NONNEGATIVE, default=None,
                    help="mass of the terms past an --input sequence (default 0)")
@@ -361,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ulim", help="principal and eventual limits, ideal membership")
     common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=_FINITE, default=1e-3)
-    p.add_argument("--tail-fraction", type=float, default=0.25)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-3)
+    p.add_argument("--tail-fraction", type=_FRACTION, default=0.25,
+                   help="trailing share of the terms that decides the limit and the verdict")
     p.add_argument("--index", type=int, default=None,
                    help="also report the evaluation limit at this 1-based index")
     p.set_defaults(func=_cmd_ulim)
@@ -373,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shells", type=_COUNT, help="shells of a --preset (default 64)")
     p.add_argument("--atoms-per-shell", type=_COUNT,
                    help="atoms per shell of lebesgue-r and circle (default 64)")
-    p.add_argument("--geometric", type=float, help="ratio of the l2 preset (default 0.5)")
+    p.add_argument("--geometric", type=_FRACTION, help="ratio of the l2 preset (default 0.5)")
     p.add_argument("--layout", help="layered space JSON")
     p.add_argument("--values", help="sampled function JSON aligned with the layout")
     p.add_argument("--tail", type=_NONNEGATIVE, default=None,
                    help="mass past the last shell of a --layout (default 0)")
     p.add_argument("--mode", choices=["auto", "compact", "general"], default="auto")
-    p.add_argument("--tol", type=_FINITE, default=1e-3)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-3)
     p.set_defaults(func=_cmd_layered)
 
     p = sub.add_parser("hardy", help="boundary-grid pipelines")

@@ -62,6 +62,7 @@ EXP_OVERFLOW_LIMIT = 700.0  # exp argument beyond which float64 overflows
 DEFAULT_CLAMP = 1e-12
 ANALYTIC_TOL = 1e-10  # negative-mode fraction above which hardy_factor rejects its input
 INNER_TOL = 1e-8      # boundary, interior and analyticity slack of an inner function
+RADIAL_DEPTHS = 12    # radial_decay_check samples the radii 1 - 2^-j, j = 1..RADIAL_DEPTHS
 
 
 def _signed_modes(n: int) -> np.ndarray:
@@ -460,10 +461,6 @@ class HardyFactorization:
 
         return f_eval, g_eval, h_eval
 
-    def radial_profile(self) -> "RadialDecayReport":
-        """|g| at the radii 1 - 2^-j, j = 1..12."""
-        return radial_decay_check(self.outer, 12)
-
 
 def _weighted_tail_series(profile: TailProfile) -> float:
     # sum over shells n >= 2 of a_n^2 / sqrt(r_{n-1}), skipping massless shells
@@ -526,14 +523,12 @@ class RadialDecayReport:
     ratio: float  # last value over first
 
 
-def radial_decay_check(g: Callable, depths: int = 12) -> RadialDecayReport:
-    """Evaluate |g| at the radii 1 - 2^-j, j = 1..depths, along the positive axis.
+def radial_decay_check(g: Callable) -> RadialDecayReport:
+    """Evaluate |g| at the radii 1 - 2^-j, j = 1..RADIAL_DEPTHS, along the positive axis.
 
     ``g`` is a point evaluator, such as an OuterFunction.
     """
-    if depths < 1:
-        raise InvalidInput("need at least one depth")
-    j = np.arange(1, depths + 1, dtype=float)
+    j = np.arange(1, RADIAL_DEPTHS + 1, dtype=float)
     radii = 1.0 - 2.0**-j
     values = np.abs(g(radii))
     ratio = float(values[-1] / values[0]) if values[0] != 0.0 else float("inf")

@@ -27,7 +27,6 @@ __all__ = [
     "WitnessCertificate",
     "WitnessReport",
     "pointwise_relation",
-    "relation_residuals",
     "synthesize_witness",
     "verify_witness",
 ]
@@ -80,43 +79,31 @@ def pointwise_relation(point_weights, r_rows, m_rows) -> PointwiseRelation:
     return PointwiseRelation(wts, r, m, r_norms, m_norms)
 
 
-def relation_residuals(rel: PointwiseRelation):
-    """Per-point |sum_i r_i m_i| and the scale 1 + ||r(x)|| * ||m(x)||."""
-    resid = np.abs(np.einsum("pi,pi->p", rel.r_rows, rel.m_rows))
-    scale = 1.0 + rel.r_norms * rel.m_norms
-    return resid, scale
-
-
-def _batched_frames(rows: np.ndarray, norms: np.ndarray, zero_threshold: float) -> np.ndarray:
-    """Frames (P, n, n) whose leading rows are orthonormal and annihilate each input row.
+def _frame_columns(rows: np.ndarray, norms: np.ndarray, zero_threshold: float) -> np.ndarray:
+    """rho (P, n, n) whose leading n-1 columns are orthonormal and orthogonal to each row.
 
     ``norms`` holds the rows' 2-norms.  Rows with norm at most
-    ``zero_threshold`` get the standard basis.  For the
-    rest, a Householder reflector sends the normalised row to the first
-    coordinate axis; the reflected remaining axes span the orthogonal
-    complement and become frame rows 1..n-1, followed by one zero row.
+    ``zero_threshold`` get the identity.  For the rest, a Householder
+    reflector sends the normalised row to the first coordinate axis; its
+    remaining columns span the orthogonal complement and become columns
+    0..n-2, followed by one zero column.
     The reflector pivot phase is taken opposite to the phase of the leading
     entry (ties resolved to +1) so there is no cancellation and the frame is
     a deterministic function of the input.
     """
     P, n = rows.shape
-    frames = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)).copy()
+    rho = np.zeros((P, n, n), dtype=complex)
     nz = norms > zero_threshold
-    if not np.any(nz):
-        return frames
-    x = rows[nz] / norms[nz, None]
-    lead = x[:, 0]
+    rho[~nz] = np.eye(n)
+    v = rows[nz] / norms[nz, None]
+    lead = v[:, 0]
     alead = np.abs(lead)
     phase = np.where(alead > 0, lead / np.where(alead > 0, alead, 1), 1.0)
-    v = x.copy()
-    v[:, 0] += phase  # v = x - alpha*e1 with alpha = -phase
+    v[:, 0] += phase  # v = x - alpha*e1, x the normalised row and alpha = -phase
     vnorm_sq = np.einsum("pi,pi->p", v, np.conj(v)).real
-    reflect = np.broadcast_to(np.eye(n, dtype=complex), (v.shape[0], n, n)).copy()
-    reflect -= 2.0 * v[:, :, None] * np.conj(v)[:, None, :] / vnorm_sq[:, None, None]
-    out = np.zeros((v.shape[0], n, n), dtype=complex)
-    out[:, : n - 1, :] = np.transpose(reflect[:, :, 1:], (0, 2, 1))
-    frames[nz] = out
-    return frames
+    rho[nz, :, : n - 1] = np.eye(n)[:, 1:] - (
+        2.0 * v[:, :, None] * np.conj(v)[:, None, 1:] / vnorm_sq[:, None, None])
+    return rho
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,8 @@ def synthesize_witness(rel: PointwiseRelation) -> WitnessCertificate:
     relation beyond RELATION_TOL times its scale.  Rows of norm at most
     ZERO_THRESHOLD times max(1, largest |r_i|) count as zero.
     """
-    resid, scale = relation_residuals(rel)
+    resid = np.abs(np.einsum("pi,pi->p", rel.r_rows, rel.m_rows))
+    scale = 1.0 + rel.r_norms * rel.m_norms
     live = rel.point_weights > 0
     if np.any(resid[live] > RELATION_TOL * scale[live]):
         bad = int(np.argmax(np.where(live, resid / scale, -1.0)))
@@ -149,9 +137,8 @@ def synthesize_witness(rel: PointwiseRelation) -> WitnessCertificate:
         )
     peak = float(np.max(np.abs(rel.r_rows))) if rel.r_rows.size else 0.0
     # conjugation keeps each row's norm, bit for bit
-    frames = _batched_frames(np.conj(rel.r_rows), rel.r_norms, ZERO_THRESHOLD * max(1.0, peak))
-    rho = np.transpose(frames, (0, 2, 1)).copy()  # rho[p, i, j] = frames[p, j, i]
-    mu = np.einsum("pi,pji->pj", rel.m_rows, np.conj(frames))
+    rho = _frame_columns(np.conj(rel.r_rows), rel.r_norms, ZERO_THRESHOLD * max(1.0, peak))
+    mu = np.einsum("pi,pij->pj", rel.m_rows, np.conj(rho))
     return WitnessCertificate(rho, mu)
 
 

@@ -85,14 +85,17 @@ class Membership(enum.Enum):
     UNDECIDABLE = "undecidable"
 
 
-def ideal_membership_nonprincipal(seq: BoundedSequence, tol: float) -> Membership:
+def ideal_membership_nonprincipal(certified: Optional[EventualLimit], tol: float) -> Membership:
     """Does the sequence tend to zero along every filter refining the cofinite one?
 
-    YES and NO are theorems about all such filters; UNDECIDABLE covers the
-    cases where the answer genuinely depends on the filter or the stored
+    ``certified`` is the sequence's limit as ``eventual_limit`` certified it,
+    or None when it issued none, so the verdict rests on the same tail as the
+    limit.  YES and NO are theorems about all such filters; UNDECIDABLE covers
+    the cases where the answer genuinely depends on the filter or the stored
     prefix does not settle.
     """
-    certified = eventual_limit(seq, tol)
+    if tol <= 0:
+        raise InvalidInput("tol must be positive")
     if certified is None:
         return Membership.UNDECIDABLE
     if abs(certified.limit) <= tol:

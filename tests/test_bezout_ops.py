@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,3 +150,16 @@ def test_strictness_witness():
     # zero values on null atoms do not count
     null = strictness_witness(sampled_function([0.0, 1.0], [0.0, 1.0]))
     assert null.zero_mass == 0.0
+
+
+@pytest.mark.parametrize("values, weights, message", [
+    (np.ones((2, 2)), None, "values must be a one-dimensional, nonempty array"),
+    ([], None, "values must be a one-dimensional, nonempty array"),
+    ([1.0, 2.0], [1.0], "weights must match values in shape"),
+    ([1.0, np.nan], None, "values and weights must be finite"),
+    ([1.0, 2.0], [1.0, np.inf], "values and weights must be finite"),
+    ([1.0, 2.0], [1.0, -1.0], "weights must be nonnegative"),
+])
+def test_sampled_function_refusals(values, weights, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        sampled_function(values, weights)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flatwitness import acceptance, cli
+from flatwitness.errors import InvalidInput
 
 
 def _reject_constant(name):
@@ -99,6 +101,21 @@ def test_ulim_decaying(tmp_path, capsys):
     assert code == 0
     verdicts = {c["name"]: c["value"] for c in report["checks"]}
     assert verdicts["ideal_membership"] == "yes"
+
+
+def test_ulim_verdict_reads_the_tail_that_decides_the_limit(tmp_path, capsys):
+    # 48 ones, then 16 zeros: the last quarter settles at 0, the last half does
+    # not settle, and there the membership verdict must not settle either
+    path = tmp_path / "step.json"
+    sequence_file(path, np.r_[np.ones(48), np.zeros(16)].astype(complex))
+    for fraction, limit, membership in (("0.25", 0.0, "yes"),
+                                        ("0.5", "no verdict", "undecidable")):
+        code, report, _ = run_cli(capsys, ["ulim", "--input", str(path),
+                                           "--tail-fraction", fraction])
+        assert code == 0
+        verdicts = {c["name"]: c["value"] for c in report["checks"]}
+        assert verdicts["eventual_limit"] == limit
+        assert verdicts["ideal_membership"] == membership
 
 
 def test_layered_preset_l2(capsys):
@@ -325,6 +342,7 @@ BAD_INPUTS = [
     ["hardy", "outer", "--fixture", "const:0"],
     ["hardy", "outer", "--fixture", "const:-1"],
     ["olympiad", "--tol", "nan"],
+    ["olympiad", "--m", "3"],
     ["olympiad", "--input", "huge.json"],
     ["olympiad", "--input", "huge_sum.json"],
     ["transfer", "--points", "huge.json"],
@@ -332,6 +350,13 @@ BAD_INPUTS = [
     ["olympiad", "--input", "seq.json", "--tail", "-1"],
     ["ulim", "--input", "seq.json", "--tol", "nan"],
     ["layered", "--preset", "l2", "--tol", "nan"],
+    *(["ulim", "--input", "seq.json", "--tol", tol] for tol in ("0", "-1")),
+    *(["layered", "--preset", "l2", "--mode", mode, "--tol", "-1"]
+      for mode in ("compact", "general")),
+    *(["ulim", "--input", "seq.json", "--tail-fraction", fraction]
+      for fraction in ("0", "1", "1.5", "nan")),
+    *([cmd, "--geometric", ratio] for cmd in ("olympiad", "layered")
+      for ratio in ("0", "1", "-0.5", "nan")),
     ["hardy", "factor", "--input", "huge_grid.json"],
     ["hardy", "project", "--input", "huge_grid.json"],
     *SCALE_OVERFLOWS,
@@ -359,7 +384,7 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     assert error["error"] == "InvalidInput"
     # an option rejected for its value is named in the message
     checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol",
-               "--tail"}
+               "--tail", "--tail-fraction", "--geometric"}
     assert all(tok in error["message"] for tok in argv if tok in checked)
 
 
@@ -383,6 +408,8 @@ IGNORED_OPTIONS = [
     ["layered", "--preset", "l2", "--atoms-per-shell", "8"],
     *(["layered", "--layout", "layout.json", "--values", "values.json", option, "8"]
       for option in ("--shells", "--atoms-per-shell", "--geometric")),
+    # 8 is no ratio, so the parser refuses it above; a ratio it accepts is still not read
+    ["layered", "--layout", "layout.json", "--values", "values.json", "--geometric", "0.5"],
     ["witness", "--input", "rel.json", "--random", "2,8"],
     ["witness", "--input", "rel.json", "--seed", "3"],
     ["bezout", "--input", "pair.json", "--atoms", "10"],
@@ -416,6 +443,14 @@ def test_ignored_option_is_refused(tmp_path, monkeypatch, capsys, argv):
     assert code == 2
     assert out.out == "" and "Traceback" not in out.err
     assert argv[-2] in out.err
+
+
+def test_emit_refuses_a_non_finite_report(capsys):
+    # strict JSON carries no infinity, so the report is refused before any of it is written
+    report = cli._report("ulim", {}, [acceptance.Check("sup_norm", float("inf"))])
+    with pytest.raises(InvalidInput, match="the report holds a non-finite value"):
+        cli._emit(report, argparse.Namespace(json=True, out=None), 0.0)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,5 @@
 import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from flatwitness.errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
 from flatwitness.hardy_engine import (
+    RADIAL_DEPTHS,
     GridFunction,
     _block_size,
     analytic_project,
@@ -481,7 +483,7 @@ def test_hardy_factor_decay_for_vanishing_input():
     # masses, so the synthesized outer factor genuinely decays toward it
     f = from_taylor([0.5, -0.5], 2**13)
     res = hardy_factor(f, 128)
-    rad = res.radial_profile()
+    rad = radial_decay_check(res.outer)
     assert np.all(np.diff(rad.values) < 0)
     assert rad.ratio <= 0.1
 
@@ -515,12 +517,13 @@ def test_hardy_factor_evaluators_consistent():
 
 
 def test_radial_decay_constant_and_linear():
-    ones = radial_decay_check(np.ones_like, depths=6)
+    ones = radial_decay_check(np.ones_like)
+    assert ones.values.shape == (RADIAL_DEPTHS,)
     assert np.allclose(ones.values, 1.0)
     assert ones.ratio == 1.0
-    lin = radial_decay_check(lambda z: 1.0 - z, depths=12)
-    assert np.allclose(lin.values, 2.0 ** -np.arange(1, 13.0), rtol=1e-12)
-    assert lin.ratio == pytest.approx(2.0**-11, rel=1e-12)
+    lin = radial_decay_check(lambda z: 1.0 - z)
+    assert np.allclose(lin.values, 2.0 ** -np.arange(1, RADIAL_DEPTHS + 1.0), rtol=1e-12)
+    assert lin.ratio == pytest.approx(2.0 ** (1 - RADIAL_DEPTHS), rel=1e-12)
 
 
 def test_radial_decay_log_domain_matches_direct():
@@ -528,10 +531,10 @@ def test_radial_decay_log_domain_matches_direct():
     # series term by term at each radius instead
     n = 2**10
     out = outer_from_modulus(np.log(2.0 + np.cos(grid_thetas(n))))
-    rep = radial_decay_check(out, depths=8)
+    rep = radial_decay_check(out)
     powers = np.arange(out.log_coeffs.size)
     direct = [abs(np.exp(np.sum(out.log_coeffs * (1.0 - 2.0**-j) ** powers)))
-              for j in range(1, 9)]
+              for j in range(1, RADIAL_DEPTHS + 1)]
     assert np.allclose(rep.values, direct, rtol=1e-12)
 
 
@@ -650,3 +653,23 @@ def test_projection_rejects_non_inner():
     # a huge candidate's interior maximum is reported in six significant digits
     with pytest.raises(NotInner, match=r"interior max 1e\+100$"):
         project_onto_bH2(constant_function(n), GridFunction(np.full(n, 1e100)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: from_taylor(np.ones(9), 16), "power series longer than the analytic bandwidth"),
+    (lambda: arc_energies(constant_function(64), arc_layout(128, 8)),
+     "layout and function grid sizes differ"),
+    (lambda: build_circle_weight(profile_from_energies(np.full(4, 0.01)), arc_layout(256, 8)),
+     "profile length does not match the layout's shell count"),
+    (lambda: inner_check(GridFunction(np.exp(-1j * grid_thetas(64)))),
+     "candidate is not analytic to tolerance"),
+    (lambda: project_onto_bH2(constant_function(64), coordinate_function(128)),
+     "f and b must share a grid"),
+])
+def test_grid_refusals(call, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        call()
+
+
+def test_neg_mode_leakage_of_zero_function_is_zero():
+    assert neg_mode_leakage(GridFunction(np.zeros(64, dtype=complex))) == 0.0

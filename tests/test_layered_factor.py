@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,12 @@ from flatwitness.layered_factor import (
     verify_star_bound,
 )
 from flatwitness.seq_core import geometric_profile, profile_from_energies
-from flatwitness.ultralimits import Membership, bounded_sequence, ideal_membership_nonprincipal
+from flatwitness.ultralimits import (
+    Membership,
+    bounded_sequence,
+    eventual_limit,
+    ideal_membership_nonprincipal,
+)
 
 EPS = np.finfo(float).eps
 
@@ -184,7 +191,7 @@ def test_factor_general_feeds_membership_yes():
     f, layout, tail = preset_l2(64, ratio=0.5)
     res = factor(f, layout, tail_sum_sq=tail)
     seq = bounded_sequence(res.g_shell_values)
-    assert ideal_membership_nonprincipal(seq, tol=1e-3) is Membership.YES
+    assert ideal_membership_nonprincipal(eventual_limit(seq, 1e-3), tol=1e-3) is Membership.YES
 
 
 def test_preset_lebesgue_r_energies_match_integrals():
@@ -219,3 +226,17 @@ def test_layout_validation():
         LayeredSpace([[0.0]])  # nonpositive atom weight
     with pytest.raises(InvalidInput):
         LayeredSpace([[1.0], []])  # a shell without atoms
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_weight(geometric_profile(0.5, 4), mode="sideways"), "unknown mode 'sideways'"),
+    (lambda: preset_l2(8, ratio=1.0), "ratio must lie in (0, 1)"),
+    (lambda: preset_l2(8, ratio=0.0), "ratio must lie in (0, 1)"),
+    (lambda: preset_l2(0), "need at least one shell"),
+    (lambda: preset_circle(8, atoms_per_shell=3),
+     "need n_shells >= 1 and an even atoms_per_shell >= 2"),
+    (lambda: preset_lebesgue_r(0), "need n_shells >= 1 and an even atoms_per_shell >= 2"),
+])
+def test_layered_refusals(call, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        call()

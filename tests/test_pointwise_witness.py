@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from flatwitness import acceptance
 from flatwitness.errors import InvalidInput, NotARelation
 from flatwitness.pointwise_witness import (
+    ZERO_THRESHOLD,
     WitnessCertificate,
     pointwise_relation,
     synthesize_witness,
@@ -18,10 +22,7 @@ def random_relation(rng, n, p, zero_rows=0.0, zero_weights=0.0):
     if zero_rows:
         r[rng.uniform(size=p) < zero_rows] = 0.0
     raw_m = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
-    c = np.conj(r)
-    cc = np.einsum("pi,pi->p", c, np.conj(c)).real
-    coef = np.where(cc > 0, np.einsum("pi,pi->p", raw_m, r) / np.where(cc > 0, cc, 1), 0)
-    return pointwise_relation(weights, r, raw_m - coef[:, None] * c)
+    return acceptance.manufactured_relation(weights, r, raw_m)
 
 
 def frame_rows(v):
@@ -174,3 +175,73 @@ def test_near_threshold_row_treated_as_zero():
     rep = verify_witness(rel, cert)
     assert rep.max_reconstruction_residual <= 1e-14
     assert np.array_equal(cert.rho[0], np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pointwise_relation([-1.0], [[1.0]], [[0.0]]), "point weights must be nonnegative"),
+    (lambda: verify_witness(pointwise_relation([1.0], [[1.0, 0.0]], [[0.0, 1.0]]),
+                            WitnessCertificate(np.zeros((1, 2, 2)), np.zeros((1, 1)))),
+     "rho and mu disagree on the inner dimension"),
+])
+def test_relation_refusals(call, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        call()
+
+
+def frame_route(rel):
+    """(rho, mu) built the way the certificate once was: each frame as rows, then transposed.
+
+    A zero row keeps the identity frame; a nonzero row takes rows 1..n-1 of
+    the transposed reflector, then one zero row.
+    """
+    rows, norms = np.conj(rel.r_rows), rel.r_norms
+    P, n = rows.shape
+    peak = float(np.max(np.abs(rel.r_rows)))
+    nz = norms > ZERO_THRESHOLD * max(1.0, peak)
+    frames = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)).copy()
+    x = rows[nz] / norms[nz, None]
+    lead = x[:, 0]
+    alead = np.abs(lead)
+    phase = np.where(alead > 0, lead / np.where(alead > 0, alead, 1), 1.0)
+    v = x.copy()
+    v[:, 0] += phase
+    vnorm_sq = np.einsum("pi,pi->p", v, np.conj(v)).real
+    reflect = np.broadcast_to(np.eye(n, dtype=complex), (v.shape[0], n, n)).copy()
+    reflect -= 2.0 * v[:, :, None] * np.conj(v)[:, None, :] / vnorm_sq[:, None, None]
+    out = np.zeros((v.shape[0], n, n), dtype=complex)
+    out[:, : n - 1, :] = np.transpose(reflect[:, :, 1:], (0, 2, 1))
+    frames[nz] = out
+    rho = np.transpose(frames, (0, 2, 1)).copy()
+    mu = np.einsum("pi,pji->pj", rel.m_rows, np.conj(frames))
+    return rho, mu
+
+
+def assert_frame_route_bits(rel):
+    cert = synthesize_witness(rel)
+    rho, mu = frame_route(rel)
+    for got, want in ((cert.rho, rho), (cert.mu, mu)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [acceptance.DEFAULT_SEED, 4099])
+def test_certificate_bits_match_frame_route_on_criterion_2(monkeypatch, seed):
+    relations = []
+    checks = acceptance.witness_checks
+    monkeypatch.setattr(acceptance, "witness_checks",
+                        lambda rel: relations.append(rel) or checks(rel))
+    acceptance.criterion_2(seed)
+    assert len(relations) == 200
+    for rel in relations:
+        assert_frame_route_bits(rel)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_certificate_bits_match_frame_route(n):
+    rng = np.random.default_rng(12)
+    for p in (1, 7, 64):
+        assert_frame_route_bits(random_relation(rng, n, p))
+        assert_frame_route_bits(random_relation(rng, n, p, zero_rows=0.5, zero_weights=0.5))
+    # every row zero, and every point of weight zero
+    m = rng.standard_normal((4, n))
+    assert_frame_route_bits(pointwise_relation(np.ones(4), np.zeros((4, n)), m))
+    assert_frame_route_bits(pointwise_relation(np.zeros(4), rng.standard_normal((4, n)), m))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,3 +207,18 @@ def test_one_window_is_the_plain_slice_sum():
     assert olympiad_weighted_sum(prof, m, n) == exact
     assert olympiad_weighted_sum(prof, np.array([m]), np.array([n]))[0] == exact
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: profile_from_energies(np.ones((2, 2))), "need a one-dimensional, nonempty sequence"),
+    (lambda: profile_from_energies([]), "need a one-dimensional, nonempty sequence"),
+    (lambda: profile_from_energies([1.0], np.inf), "tail mass must be finite and nonnegative"),
+    (lambda: profile_from_energies([1.0], -1.0), "tail mass must be finite and nonnegative"),
+    (lambda: tail_profile([]), "need a one-dimensional, nonempty sequence"),
+    (lambda: tail_profile(np.ones((2, 2))), "need a one-dimensional, nonempty sequence"),
+    (lambda: geometric_profile(1.0, 8), "ratio must lie in (0, 1)"),
+    (lambda: geometric_profile(0.0, 8), "ratio must lie in (0, 1)"),
+    (lambda: geometric_profile(0.5, 0), "need at least one term"),
+])
+def test_profile_refusals(call, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        call()

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from flatwitness.errors import InvalidInput
 from flatwitness.ultralimits import (
+    EventualLimit,
     Membership,
     bounded_sequence,
     eventual_limit,
@@ -73,17 +76,18 @@ def test_tail_fraction_validation():
 def test_membership_decaying_yes():
     k = np.arange(1, 65, dtype=float)
     seq = bounded_sequence(2.0 ** (-(k - 1) / 4.0))
-    assert ideal_membership_nonprincipal(seq, tol=1e-3) is Membership.YES
+    assert ideal_membership_nonprincipal(eventual_limit(seq, 1e-3), tol=1e-3) is Membership.YES
 
 
 def test_membership_unit_no():
     seq = bounded_sequence(np.ones(64))
-    assert ideal_membership_nonprincipal(seq, tol=1e-3) is Membership.NO
+    assert ideal_membership_nonprincipal(eventual_limit(seq, 1e-3), tol=1e-3) is Membership.NO
 
 
 def test_membership_oscillation_undecidable():
     seq = bounded_sequence((-1.0) ** np.arange(1, 65))
-    assert ideal_membership_nonprincipal(seq, tol=1e-3) is Membership.UNDECIDABLE
+    verdict = ideal_membership_nonprincipal(eventual_limit(seq, 1e-3), tol=1e-3)
+    assert verdict is Membership.UNDECIDABLE
 
 
 def test_membership_monotone_in_tol():
@@ -92,7 +96,32 @@ def test_membership_monotone_in_tol():
     for _ in range(50):
         vals = rng.standard_normal(80) * np.exp(-np.arange(80) / rng.uniform(2, 30))
         seq = bounded_sequence(vals)
-        verdicts = [ideal_membership_nonprincipal(seq, t) for t in tols]
+        verdicts = [ideal_membership_nonprincipal(eventual_limit(seq, t), t) for t in tols]
         for lo, hi in zip(verdicts, verdicts[1:]):
             if lo is Membership.YES:
                 assert hi is Membership.YES
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bounded_sequence(np.ones((2, 2))), "need a one-dimensional, nonempty sequence"),
+    (lambda: bounded_sequence([]), "need a one-dimensional, nonempty sequence"),
+    (lambda: bounded_sequence([1.0, np.nan]), "sequence entries must be finite"),
+    (lambda: ideal_membership_nonprincipal(None, 0.0), "tol must be positive"),
+    (lambda: ideal_membership_nonprincipal(EventualLimit(0.0, 0.0), -1e-3),
+     "tol must be positive"),
+])
+def test_ultralimit_refusals(call, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("limit, verdict", [
+    (1e-3, Membership.YES),
+    (1.5e-3, Membership.UNDECIDABLE),
+    (2e-3, Membership.UNDECIDABLE),
+    (2.5e-3, Membership.NO),
+])
+def test_membership_band_between_tol_and_twice_tol_is_undecidable(limit, verdict):
+    # a limit certified within tol of a value in (tol, 2 tol] may still be 0
+    seq = bounded_sequence(np.full(16, limit))
+    assert ideal_membership_nonprincipal(eventual_limit(seq, 1e-3), 1e-3) is verdict
