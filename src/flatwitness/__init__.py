@@ -1,7 +1,7 @@
 """Numerical library for flatness certificates over function algebras.
 
 Subpackages cover suffix-sum machinery for square-summable sequences,
-pointwise witness certificates for sampled linear relations, polar and
+pointwise witness certificates for sampled linear relations,
 two-generator ideal constructions, decidable ultrafilter-limit fragments,
 weight factorizations over shell-layered spaces, a boundary-grid Hardy
 core with outer-function synthesis and subspace projections, and the

@@ -32,6 +32,7 @@ from .hardy_engine import (
     coordinate_function,
     grid_thetas,
     hardy_factor,
+    inner_check,
     neg_mode_leakage,
     outer_from_modulus,
     project_onto_bH2,
@@ -121,7 +122,7 @@ def witness_checks(rel):
         _gate("coeff_residual", ver.max_coeff_residual, 1e-10 * ver.coeff_scale),
         _gate("reconstruction_residual", ver.max_reconstruction_residual,
               1e-10 * ver.reconstruction_scale),
-        Check("rho_bound", float(np.max(np.abs(cert.rho))), 1.0 + 1e-12, ver.rho_bound_ok),
+        _gate("rho_bound", ver.max_abs_rho, 1.0 + 1e-12),
         Check("mu_norm_bound", ver.mu_norm_ok, None, ver.mu_norm_ok),
     ]
     return checks, cert
@@ -192,7 +193,7 @@ def layered_checks(f, layout, mode, tail, tol):
         checks.append(Check("g_ideal_membership", verdict.value))
     checks.append(Check("g_last_shell_value", float(g_shell[-1])))
     checks.append(Check("cauchy_certificate", star.cauchy_bound))
-    checks.append(Check("weight_floored", res.clamped))
+    checks.append(Check("weight_floored", res.floored))
     return checks, res
 
 
@@ -241,14 +242,14 @@ def blaschke(n, a) -> GridFunction:
     return GridFunction((zs - a) / (1.0 - a * zs))
 
 
-def project_checks(f, b):
+def project_checks(f, inner):
     """Projection of f onto b*H2 and its idempotence; returns (checks, projection)."""
-    out = project_onto_bH2(f, b)
-    again = project_onto_bH2(out.projection, b)
+    out = project_onto_bH2(f, inner)
+    again = project_onto_bH2(out.projection, inner)
     idem = float(np.sqrt(np.mean(np.abs(again.projection.samples
                                         - out.projection.samples) ** 2)))
     checks = [
-        _gate("inner_boundary_deviation", out.inner.boundary_dev, 1e-8),
+        _gate("inner_boundary_deviation", inner.boundary_dev, 1e-8),
         Check("distance", out.distance),
         _gate("idempotence_residual", idem, 1e-10),
         Check("strict_subspace", out.distance > 1e-10),
@@ -406,7 +407,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     target = np.zeros(16, dtype=complex)
     target[0] = 1.0
     target[1] = -1.0
-    b_err = float(np.max(np.abs(fix_b.taylor[:16] - target)))
+    b_err = float(np.max(np.abs(fix_b.boundary.taylor()[:16] - target)))
 
     gates["constant_reproduced"] = a_err <= 1e-10
     gates["one_minus_z_coefficients"] = b_err <= 1e-3
@@ -448,7 +449,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     n = 2**14
     one = constant_function(n)
     z = coordinate_function(n)
-    proj_z = project_onto_bH2(one, z)
+    proj_z = project_onto_bH2(one, inner_check(z))
     dist_z_err = abs(proj_z.distance - 1.0)
 
     runs = []
@@ -457,12 +458,12 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     zs = z.samples
     probe = GridFunction(0.5 * zs + 0.25 * zs**3)
     for a in (0.3, 0.5, 0.9):
-        b = blaschke(n, a)
-        checks, proj = project_checks(one, b)
+        inner = inner_check(blaschke(n, a))
+        checks, proj = project_checks(one, inner)
         runs.append(checks)
         worst_dist = max(worst_dist, abs(proj.distance**2 - (1.0 - a * a)))
         lhs = np.mean(proj.projection.samples * np.conj(probe.samples))
-        rhs = np.mean(one.samples * np.conj(project_onto_bH2(probe, b).projection.samples))
+        rhs = np.mean(one.samples * np.conj(project_onto_bH2(probe, inner).projection.samples))
         worst_adj = max(worst_adj, abs(lhs - rhs))
     gates, records = _all_instances(runs)
     gates["distance_to_shifted_space"] = dist_z_err <= 1e-12

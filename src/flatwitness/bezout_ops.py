@@ -1,4 +1,4 @@
-"""Pointwise polar decompositions and two-generator ideal reduction.
+"""Two-generator ideal reduction to a principal generator, pointwise.
 
 Functions live on a finite weighted atom set.  Every identity here is a
 pointwise division or multiplication; outputs are evaluated in extended
@@ -19,7 +19,6 @@ __all__ = [
     "PrincipalGenerator",
     "StrictnessWitness",
     "sampled_function",
-    "polar_parts",
     "principal_generator",
     "strictness_witness",
 ]
@@ -72,20 +71,6 @@ def _ratio(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """v / a where a > 0 and 1 elsewhere (a is |v|, or a sum that includes it)."""
     live = a > 0
     return np.where(live, v / np.where(live, a, 1), 1.0)
-
-
-def polar_parts(f: SampledFunction):
-    """Split f into (modulus, unimodular part) with f = modulus * u pointwise.
-
-    Where f vanishes the unimodular part is 1, so u never vanishes and
-    u * conj(u) = 1 everywhere.
-    """
-    v = f.values.astype(np.clongdouble)
-    a = np.abs(v)
-    u = _ratio(v, a)
-    modulus = SampledFunction(a.astype(complex), f.weights)
-    unimodular = SampledFunction(u.astype(complex), f.weights)
-    return modulus, unimodular
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from . import acceptance, ioformats
 from .acceptance import Check
 from .bezout_ops import sampled_function, strictness_witness
 from .errors import FlatwitnessError, InvalidInput
-from .hardy_engine import DEFAULT_CLAMP, constant_function, coordinate_function, grid_thetas
+from .hardy_engine import (DEFAULT_CLAMP, constant_function, coordinate_function, grid_thetas,
+                           inner_check)
 from .layered_factor import preset_circle, preset_l2, preset_lebesgue_r
 from .seq_core import default_bound_tol, geometric_profile, tail_profile, verify_olympiad_bound
 from .ultralimits import bounded_sequence, principal_limit
@@ -73,6 +74,7 @@ _FINITE = _checked(float, "finite", np.isfinite)
 _NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) and v >= 0)
 _POSITIVE = _checked(float, "finite and > 0", lambda v: np.isfinite(v) and v > 0)
 _FRACTION = _checked(float, "in (0, 1)", lambda v: 0 < v < 1)
+_INDEX = _checked(int, "an index >= 1", lambda v: v >= 1)
 # --random and --fixture keep their text, which the report shows; _COUNT and
 # _POSITIVE refuse a bad n, P or C with their own message
 _COUNT_PAIR = _checked(str, "two counts 'n,P'",
@@ -123,6 +125,9 @@ def _cmd_olympiad(args):
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:
             raise InvalidInput("give both --m and --n for a single window")
+        if not args.m < args.n <= profile.n_terms:
+            raise InvalidInput(f"--m and --n must satisfy --m < --n <= {profile.n_terms}, "
+                               f"the number of terms, not {args.m} and {args.n}")
         out = verify_olympiad_bound(profile, args.m, args.n, tol_abs=args.tol)
         checks = [Check("weighted_sum", out.lhs, out.rhs, out.holds),
                   Check("telescoped_bound", out.rhs), Check("head_mass", profile.head)]
@@ -179,6 +184,9 @@ def _cmd_ulim(args):
     seq = bounded_sequence(ioformats.read_sequence(args.input))
     checks = acceptance.ulim_checks(seq, args.tol, args.tail_fraction)
     if args.index is not None:
+        if args.index > len(seq.values):
+            raise InvalidInput(f"--index must be at most {len(seq.values)}, the length of the "
+                               f"sequence, not {args.index}")
         checks.insert(0, Check(f"limit_at_{args.index}", principal_limit(seq, args.index)))
     return _report("ulim", {"input": args.input, "tol": args.tol,
                             "tail_fraction": args.tail_fraction, "length": len(seq.values)},
@@ -273,14 +281,14 @@ def _cmd_hardy(args):
         else:
             raise InvalidInput("need --fixture or --input")
         checks, outer = acceptance.outer_checks(k, args.clamp)
-        extra = {"taylor_head": ioformats.complex_pairs(outer.taylor[:32])} \
+        extra = {"taylor_head": ioformats.complex_pairs(outer.boundary.taylor()[:32])} \
             if args.emit_taylor else {}
         return _report("hardy outer", {"grid": len(k), "fixture": args.fixture,
                                        "input": args.input, "clamp": args.clamp},
                        checks, **extra)
 
     f = _hardy_input(args)
-    checks, _ = acceptance.project_checks(f, _grid_input(args.inner, f.n))
+    checks, _ = acceptance.project_checks(f, inner_check(_grid_input(args.inner, f.n)))
     return _report("hardy project", {"grid": f.n, "input": args.input, "inner": args.inner},
                    checks)
 
@@ -339,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=_COUNT, help="terms of the geometric profile (default 200)")
     p.add_argument("--tail", type=_NONNEGATIVE, default=None,
                    help="mass of the terms past an --input sequence (default 0)")
-    p.add_argument("--m", type=int, default=None, help="single-window start index")
-    p.add_argument("--n", type=int, default=None, help="single-window end index")
+    p.add_argument("--m", type=_INDEX, default=None, help="single-window start index")
+    p.add_argument("--n", type=_INDEX, default=None, help="single-window end index")
     p.add_argument("--tol", type=_FINITE, default=None)
     p.set_defaults(func=_cmd_olympiad)
 
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the certificate in the report")
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("bezout", help="polar parts and the two-generator reduction")
+    p = sub.add_parser("bezout", help="principal generator of a two-generator ideal")
     common(p, seeded=True)
     p.add_argument("--input", help="JSON {f, g, weights}")
     p.add_argument("--atoms", type=_COUNT, help="atoms of the random pair (default 1000)")
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_POSITIVE, default=1e-3)
     p.add_argument("--tail-fraction", type=_FRACTION, default=0.25,
                    help="trailing share of the terms that decides the limit and the verdict")
-    p.add_argument("--index", type=int, default=None,
+    p.add_argument("--index", type=_INDEX, default=None,
                    help="also report the evaluation limit at this 1-based index")
     p.set_defaults(func=_cmd_ulim)
 

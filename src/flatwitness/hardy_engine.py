@@ -38,7 +38,7 @@ __all__ = [
     "LogIntegralReport",
     "HardyFactorization",
     "RadialDecayReport",
-    "InnerCheckReport",
+    "InnerFunction",
     "ProjectionResult",
     "grid_thetas",
     "eval_series",
@@ -126,7 +126,7 @@ def eval_series(coeffs, z):
 class GridFunction:
     """Complex boundary samples on the midpoint circle grid."""
 
-    __slots__ = ("samples", "_spectrum")
+    __slots__ = ("samples",)
 
     def __init__(self, samples):
         arr = np.asarray(samples, dtype=complex)
@@ -136,7 +136,6 @@ class GridFunction:
         if not np.all(np.isfinite(arr)):
             raise InvalidInput("samples must be finite")
         self.samples = arr
-        self._spectrum = None
 
     @property
     def n(self) -> int:
@@ -144,14 +143,11 @@ class GridFunction:
 
     def spectrum(self) -> np.ndarray:
         """Fourier coefficients in bin order: modes 0..N/2-1 then -N/2..-1."""
-        if self._spectrum is None:
-            n = self.n
-            spec = np.fft.fft(self.samples)
-            spec *= _cis((-np.pi / n) * _signed_modes(n))
-            spec /= n
-            spec.flags.writeable = False
-            self._spectrum = spec
-        return self._spectrum
+        n = self.n
+        spec = np.fft.fft(self.samples)
+        spec *= _cis((-np.pi / n) * _signed_modes(n))
+        spec /= n
+        return spec
 
     @classmethod
     def from_spectrum(cls, coefficients) -> "GridFunction":
@@ -208,9 +204,9 @@ def neg_mode_leakage(h: GridFunction) -> float:
     """2-norm fraction of the spectrum sitting in negative-mode bins.
 
     The midpoint twiddle is unimodular and the 1/N scale cancels in the
-    ratio, so the raw transform serves unless the spectrum is cached already.
+    ratio, so the raw transform serves.
     """
-    coefficients = h._spectrum if h._spectrum is not None else np.fft.fft(h.samples)
+    coefficients = np.fft.fft(h.samples)
     with np.errstate(over="ignore"):
         total = np.linalg.norm(coefficients)
     if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
@@ -340,8 +336,6 @@ class OuterFunction:
     ``log_coeffs`` are the power-series coefficients (degree N/2) of the
     analytic completion A, so the function itself is exp(A(z)) anywhere in
     the closed disk; they are built from ``log_spectrum`` on first access.
-    ``taylor``, the nonnegative part of the boundary spectrum, is computed
-    on first access and cached with that spectrum.
     """
 
     boundary: GridFunction
@@ -358,10 +352,6 @@ class OuterFunction:
         coeffs[:half] *= _cis((-np.pi / self.boundary.n) * np.arange(half))
         coeffs[half] *= -1j
         return coeffs
-
-    @property
-    def taylor(self) -> np.ndarray:
-        return self.boundary.taylor()
 
     def __call__(self, z):
         return np.exp(eval_series(self.log_coeffs, z))
@@ -536,47 +526,47 @@ def radial_decay_check(g: Callable) -> RadialDecayReport:
 
 
 @dataclass(frozen=True)
-class InnerCheckReport:
+class InnerFunction:
+    """A function ``inner_check`` accepted, with the two measures it judged."""
+
+    b: GridFunction
     boundary_dev: float   # max | |b| - 1 | on the grid
     interior_max: float   # max |b| over a coarse polar sample grid
-    interior_ok: bool
 
 
-def inner_check(b: GridFunction) -> InnerCheckReport:
-    """Unimodular boundary values plus a coarse interior maximum check, to INNER_TOL."""
-    taylor = b.taylor()  # fills the spectrum cache the leakage check reads
+def inner_check(b: GridFunction) -> InnerFunction:
+    """The one gate for inner functions, to INNER_TOL: InvalidInput unless b is analytic,
+    NotInner unless it is unimodular on the grid and at most 1 on a coarse interior grid."""
     if neg_mode_leakage(b) > INNER_TOL:
         raise InvalidInput("candidate is not analytic to tolerance")
     dev = float(np.max(np.abs(np.abs(b.samples) - 1.0)))
     radii = np.linspace(0.15, 0.9, 6)
     angles = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     pts = (radii[:, None] * angles[None, :]).ravel()
-    interior_max = float(np.max(np.abs(eval_series(taylor, pts))))
-    return InnerCheckReport(dev, interior_max, bool(interior_max <= 1.0 + INNER_TOL))
+    interior_max = float(np.max(np.abs(eval_series(b.taylor(), pts))))
+    if dev > INNER_TOL or not interior_max <= 1.0 + INNER_TOL:
+        raise NotInner(f"boundary deviation {dev:.2e}, interior max {interior_max:.6g}")
+    return InnerFunction(b, dev, interior_max)
 
 
 @dataclass(frozen=True)
 class ProjectionResult:
     projection: GridFunction
     distance: float
-    inner: InnerCheckReport   # the checks b passed before projecting
 
 
-def project_onto_bH2(f: GridFunction, b: GridFunction) -> ProjectionResult:
+def project_onto_bH2(f: GridFunction, inner: InnerFunction) -> ProjectionResult:
     """Orthogonal projection of f onto the shifted analytic subspace b * H2.
 
+    ``inner`` is ``inner_check``'s verdict on b, which is not checked again.
     For unimodular-boundary b this is b P+(conj(b) f).  The distance from
     the constant function 1 is positive for every nonconstant inner b,
     which exhibits the subspace as proper.
     """
+    b = inner.b
     if f.n != b.n:
         raise InvalidInput("f and b must share a grid")
-    chk = inner_check(b)
-    if chk.boundary_dev > INNER_TOL or not chk.interior_ok:
-        raise NotInner(
-            f"boundary deviation {chk.boundary_dev:.2e}, interior max {chk.interior_max:.6g}"
-        )
     inner_part = analytic_project(GridFunction(np.conj(b.samples) * f.samples))
     proj = GridFunction(b.samples * inner_part.samples)
     distance = float(np.sqrt(np.mean(np.abs(f.samples - proj.samples) ** 2)))
-    return ProjectionResult(proj, distance, chk)
+    return ProjectionResult(proj, distance)

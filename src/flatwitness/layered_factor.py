@@ -97,7 +97,7 @@ def shell_energies(f: SampledFunction, layout: LayeredSpace,
 class ShellWeights:
     values: np.ndarray  # one weight per shell
     mode: str
-    clamped: int        # shells whose suffix sum was clamped before rooting
+    floored: int        # shells whose suffix sum was floored before rooting
 
 
 def build_weight(profile: TailProfile, mode: str = "auto") -> ShellWeights:
@@ -115,9 +115,9 @@ def build_weight(profile: TailProfile, mode: str = "auto") -> ShellWeights:
     if np.any(r_prev == 0.0):
         bad = 2 + int(np.argmax(r_prev == 0.0))
         raise DegenerateTail(f"suffix sum before shell {bad} is zero")
-    clamped = int(np.sum(r_prev < SUFFIX_FLOOR))
+    floored = int(np.sum(r_prev < SUFFIX_FLOOR))
     w[1:] = np.maximum(r_prev, SUFFIX_FLOOR) ** -0.25
-    return ShellWeights(w, mode, clamped)
+    return ShellWeights(w, mode, floored)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class LayeredFactorization:
     residual: float             # weighted 2-norm of f - g*h
     h_norm_sq: float
     profile: TailProfile
-    clamped: int
+    floored: int
 
     @property
     def g_shell_values(self) -> np.ndarray:
@@ -170,7 +170,7 @@ def factor(f: SampledFunction, layout: LayeredSpace, mode: str = "auto",
         residual=float(np.sqrt(residual_sq)),
         h_norm_sq=h.norm_sq,
         profile=profile,
-        clamped=weights.clamped,
+        floored=weights.floored,
     )
 
 

@@ -146,7 +146,7 @@ def synthesize_witness(rel: PointwiseRelation) -> WitnessCertificate:
 class WitnessReport:
     max_coeff_residual: float
     max_reconstruction_residual: float
-    rho_bound_ok: bool
+    max_abs_rho: float   # 0 for an empty rho
     mu_norm_ok: bool
     coeff_scale: float
     reconstruction_scale: float
@@ -169,7 +169,7 @@ def verify_witness(rel: PointwiseRelation, cert: WitnessCertificate) -> WitnessR
     max_coeff = float(coeff[live].max()) if np.any(live) else 0.0
     max_recon = float(recon[live].max()) if np.any(live) else 0.0
 
-    rho_bound_ok = bool(np.max(np.abs(cert.rho)) <= 1.0 + 1e-12) if cert.rho.size else True
+    max_abs_rho = float(np.max(np.abs(cert.rho))) if cert.rho.size else 0.0
     mu_norms = np.einsum("p,pj->j", rel.point_weights, np.abs(cert.mu) ** 2)
     m_norm_total = float(np.sum(rel.point_weights[:, None] * np.abs(rel.m_rows) ** 2))
     tol = 1e-10 * (1.0 + m_norm_total)
@@ -180,7 +180,7 @@ def verify_witness(rel: PointwiseRelation, cert: WitnessCertificate) -> WitnessR
     return WitnessReport(
         max_coeff_residual=max_coeff,
         max_reconstruction_residual=max_recon,
-        rho_bound_ok=rho_bound_ok,
+        max_abs_rho=max_abs_rho,
         mu_norm_ok=mu_norm_ok,
         coeff_scale=coeff_scale,
         reconstruction_scale=recon_scale,

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from flatwitness import acceptance, cli
+from flatwitness import acceptance, cli, hardy_engine
 from flatwitness.hardy_engine import constant_function
 from flatwitness.layered_factor import preset_l2
 
@@ -57,6 +57,23 @@ def test_criterion_6_boundary_pipeline():
 
 def test_criterion_7_projection_strictness():
     _run(acceptance.criterion_7, 5.0)
+
+
+def test_inner_check_runs_once_per_inner_function(monkeypatch, capsys):
+    # hardy project checks its b once, and criterion 7 each of its four inner functions
+    calls = []
+
+    def counted(b, _check=hardy_engine.inner_check):
+        calls.append(b.n)
+        return _check(b)
+
+    for module in (hardy_engine, acceptance, cli):
+        monkeypatch.setattr(module, "inner_check", counted, raising=False)
+    assert cli.main(["hardy", "project", "--grid", "1024", "--inner", "blaschke:0.5"]) == 0
+    assert calls == [1024]
+    calls.clear()
+    assert acceptance.criterion_7().passed
+    assert calls == [2**14] * 4
 
 
 def test_criterion_8_mobius_transfer():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwitness.bezout_ops import (
-    polar_parts,
     principal_generator,
     sampled_function,
     strictness_witness,
@@ -14,40 +13,6 @@ from flatwitness.bezout_ops import (
 from flatwitness.errors import InvalidInput
 
 EPS = np.finfo(float).eps
-
-
-def test_polar_parts_basic():
-    f = sampled_function([3.0 + 4.0j])
-    modulus, u = polar_parts(f)
-    assert modulus.values[0] == pytest.approx(5.0, rel=1e-15)
-    assert u.values[0] == pytest.approx((3 + 4j) / 5, rel=1e-15)
-
-
-def test_polar_parts_zero_function():
-    modulus, u = polar_parts(sampled_function([0.0, 0.0]))
-    assert np.all(modulus.values == 0.0)
-    assert np.all(u.values == 1.0)
-
-
-def test_polar_parts_negative_real():
-    modulus, u = polar_parts(sampled_function([-2.0]))
-    assert modulus.values[0] == 2.0
-    assert u.values[0] == -1.0
-
-
-def test_polar_identities_pointwise():
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    v[::17] = 0.0
-    f = sampled_function(v)
-    modulus, u = polar_parts(f)
-    assert np.max(np.abs(modulus.values * u.values - v)) <= 2 * EPS * np.max(np.abs(v))
-    # u times the unimodular part of the conjugate is the constant one
-    _, u_conj = polar_parts(sampled_function(np.conj(v)))
-    assert np.max(np.abs(u.values * u_conj.values - 1.0)) <= 2 * EPS
-    # modulus recovered through the conjugate cofactor
-    assert np.max(np.abs(v * np.conj(u.values) - modulus.values)) \
-        <= 2 * EPS * np.max(np.abs(v))
 
 
 def test_generator_one_sided_atom():
@@ -63,8 +28,9 @@ def test_generator_one_sided_atom():
 def test_generator_degenerate_atom_conventions():
     gen = principal_generator(sampled_function([0.0]), sampled_function([0.0]))
     assert gen.d.values[0] == 0.0
-    assert gen.F.values[0] == 1.0
-    assert gen.G.values[0] == 1.0
+    # where f = g = 0 every cofactor is 1, so cf and cg stay unimodular
+    assert gen.F.values[0] == gen.G.values[0] == 1.0
+    assert gen.cf.values[0] == gen.cg.values[0] == 1.0
     assert gen.F.values[0] * gen.d.values[0] == 0.0
 
 

@@ -181,6 +181,20 @@ def test_hardy_project_blaschke(capsys):
     assert checks["strict_subspace"]["value"] is True
 
 
+@pytest.mark.parametrize("value, error", [(1.0, "InvalidInput"), (0.5, "NotInner")])
+def test_hardy_project_checks_b_before_its_grid(tmp_path, capsys, value, error):
+    # an 8-sample constant b on a 64-point input: an inner b meets the grid
+    # refusal, while one that is not inner is refused as such first
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps([[value, 0.0]] * 8))
+    code, report, err = run_cli(capsys, ["hardy", "project", "--grid", "64",
+                                         "--inner", str(path)])
+    assert code == 2 and report is None
+    refusal = json.loads(err)
+    assert refusal["error"] == error
+    assert ("share a grid" in refusal["message"]) == (error == "InvalidInput")
+
+
 def test_hardy_factor_small_grid_gates(capsys):
     # at a coarse truncation the pipeline identities hold but the decay
     # targets are out of reach; the report must say so and fail the run
@@ -343,6 +357,11 @@ BAD_INPUTS = [
     ["hardy", "outer", "--fixture", "const:-1"],
     ["olympiad", "--tol", "nan"],
     ["olympiad", "--m", "3"],
+    ["olympiad", "--m", "0"],
+    ["olympiad", "--n", "-1"],
+    ["olympiad", "--m", "5", "--n", "3"],
+    ["olympiad", "--m", "3", "--n", "300"],
+    *(["ulim", "--input", "seq.json", "--index", index] for index in ("0", "99")),
     ["olympiad", "--input", "huge.json"],
     ["olympiad", "--input", "huge_sum.json"],
     ["transfer", "--points", "huge.json"],
@@ -384,7 +403,7 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     assert error["error"] == "InvalidInput"
     # an option rejected for its value is named in the message
     checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol",
-               "--tail", "--tail-fraction", "--geometric"}
+               "--tail", "--tail-fraction", "--geometric", "--index", "--m", "--n"}
     assert all(tok in error["message"] for tok in argv if tok in checked)
 
 

@@ -39,6 +39,23 @@ def test_grid_round_trip_and_parseval():
     assert abs(g.norm_sq - np.sum(np.abs(g.spectrum()) ** 2)) <= 1e-12 * g.norm_sq
 
 
+def test_spectrum_follows_the_current_samples():
+    # nothing is kept between reads: a Taylor read leaves the leakage bits as
+    # they were, and a change to an aliased input array shows in the next read
+    n = 4096
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal(n // 2) / np.arange(1, n // 2 + 1)
+    g = GridFunction(from_taylor(c, n).samples * np.exp(-1j * grid_thetas(n)))
+    leak, taylor = neg_mode_leakage(g), g.taylor()
+    assert neg_mode_leakage(g) == leak
+    assert np.array_equal(g.taylor(), taylor)
+    arr = np.ones(8, dtype=complex)
+    x = GridFunction(arr)
+    assert x.taylor() == pytest.approx([1, 0, 0, 0], abs=1e-15)
+    arr[:] = 0.0
+    assert np.array_equal(x.taylor(), np.zeros(4))
+
+
 def test_spectrum_pure_modes():
     n = 256
     th = grid_thetas(n)
@@ -238,7 +255,7 @@ def test_outer_one_minus_z_fixture():
     assert out.clamp_count == 0  # midpoint grid never samples the zero
     target = np.zeros(16, complex)
     target[0], target[1] = 1.0, -1.0
-    assert np.max(np.abs(out.taylor[:16] - target)) <= 1e-3
+    assert np.max(np.abs(out.boundary.taylor()[:16] - target)) <= 1e-3
 
 
 def test_outer_boundary_modulus_reproduced_exactly():
@@ -357,7 +374,7 @@ def test_outer_matches_complex_transform_reference(log2n):
         assert out.clamp_count == int(np.sum(np.isinf(k)))
         assert _rel_err(out.boundary.samples, boundary) <= 1e-12
         assert _rel_err(out.log_coeffs, log_coeffs) <= 1e-12
-        assert _rel_err(out.taylor, taylor) <= 1e-12
+        assert _rel_err(out.boundary.taylor(), taylor) <= 1e-12
 
 
 @pytest.mark.parametrize("log2n", range(4, 17))
@@ -395,7 +412,7 @@ def test_hardy_factor_modulus_is_reciprocal_weight():
 
 def test_hardy_factor_fft_budget(monkeypatch):
     # two leakage transforms, one real transform pair for the outer factor;
-    # the Taylor data of g costs one more transform, once
+    # each read of g's Taylor data costs one more transform
     f = from_taylor([1.0, 0.5, 0.25], 2**12)
     counts = collections.Counter()
     for name in ("fft", "ifft", "rfft", "irfft"):
@@ -405,11 +422,11 @@ def test_hardy_factor_fft_budget(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     res = hardy_factor(f, 64)
     assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [2, 0, 1, 1]
-    first = res.outer.taylor
+    first = res.g.taylor()
     assert counts["fft"] == 3
-    assert np.array_equal(res.outer.taylor, first)
-    assert counts["fft"] == 3
-    assert sum(counts.values()) == 5
+    assert np.array_equal(res.g.taylor(), first)
+    assert counts["fft"] == 4
+    assert sum(counts.values()) == 6
 
 
 def test_hardy_factor_traced_peak_per_sample():
@@ -579,29 +596,32 @@ def test_inner_check_coordinate_and_blaschke():
     n = 2**12
     z = coordinate_function(n)
     rep = inner_check(z)
+    assert rep.b is z
     assert rep.boundary_dev <= 1e-14
-    assert rep.interior_ok
+    assert rep.interior_max <= 1.0
     a = 0.5
     b = GridFunction((z.samples - a) / (1.0 - a * z.samples))
     rep_b = inner_check(b)
     assert rep_b.boundary_dev <= 1e-10
-    assert rep_b.interior_ok
+    assert rep_b.interior_max <= 1.0
 
 
 def test_inner_check_rejects_average():
     n = 2**12
     z = coordinate_function(n)
-    rep = inner_check(GridFunction((1.0 + z.samples) / 2.0))
+    with pytest.raises(NotInner, match=r"^boundary deviation ") as refused:
+        inner_check(GridFunction((1.0 + z.samples) / 2.0))
+    dev = float(re.match(r"boundary deviation (\S+),", str(refused.value)).group(1))
     # |b| = |cos(theta/2)| dips to 0 near theta = pi, so the deviation is ~1
-    assert rep.boundary_dev == pytest.approx(1.0, abs=1e-3)
-    assert rep.boundary_dev > 0.49
+    assert dev == pytest.approx(1.0, abs=1e-3)
+    assert dev > 0.49
 
 
 def test_projection_onto_shifted_space():
     n = 2**12
     one = constant_function(n)
     z = coordinate_function(n)
-    out = project_onto_bH2(one, z)
+    out = project_onto_bH2(one, inner_check(z))
     assert np.max(np.abs(out.projection.samples)) <= 1e-12
     assert out.distance == pytest.approx(1.0, abs=1e-12)
 
@@ -612,7 +632,7 @@ def test_projection_blaschke_distance():
     zs = coordinate_function(n).samples
     for a in (0.3, 0.5, 0.9):
         b = GridFunction((zs - a) / (1.0 - a * zs))
-        out = project_onto_bH2(one, b)
+        out = project_onto_bH2(one, inner_check(b))
         assert out.distance**2 == pytest.approx(1.0 - a * a, abs=1e-8)
         # brute-force grid inner products reproduce the projection coefficient
         proj_oracle = -a * b.samples
@@ -624,7 +644,7 @@ def test_projection_fixed_point():
     zs = coordinate_function(n).samples
     b = GridFunction((zs - 0.4) / (1.0 - 0.4 * zs))
     f = GridFunction(b.samples * zs)  # already inside the subspace
-    out = project_onto_bH2(f, b)
+    out = project_onto_bH2(f, inner_check(b))
     assert out.distance <= 1e-10
 
 
@@ -634,9 +654,10 @@ def test_projection_operator_laws():
     b = GridFunction((zs - 0.6) / (1.0 - 0.6 * zs))
     f = GridFunction(1.0 + 0.3 * zs**2)
     g = GridFunction(0.5 * zs + 0.25 * zs**3)
-    pf = project_onto_bH2(f, b)
-    pg = project_onto_bH2(g, b)
-    again = project_onto_bH2(pf.projection, b)
+    inner = inner_check(b)
+    pf = project_onto_bH2(f, inner)
+    pg = project_onto_bH2(g, inner)
+    again = project_onto_bH2(pf.projection, inner)
     assert np.sqrt(np.mean(np.abs(again.projection.samples - pf.projection.samples) ** 2)) \
         <= 1e-10
     lhs = np.mean(pf.projection.samples * np.conj(g.samples))
@@ -646,13 +667,14 @@ def test_projection_operator_laws():
 
 
 def test_projection_rejects_non_inner():
+    # the projection takes only what inner_check accepted, and NotInner comes from there
     n = 2**12
     zs = coordinate_function(n).samples
     with pytest.raises(NotInner):
-        project_onto_bH2(constant_function(n), GridFunction((1.0 + zs) / 2.0))
+        project_onto_bH2(constant_function(n), inner_check(GridFunction((1.0 + zs) / 2.0)))
     # a huge candidate's interior maximum is reported in six significant digits
     with pytest.raises(NotInner, match=r"interior max 1e\+100$"):
-        project_onto_bH2(constant_function(n), GridFunction(np.full(n, 1e100)))
+        project_onto_bH2(constant_function(n), inner_check(GridFunction(np.full(n, 1e100))))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -663,7 +685,7 @@ def test_projection_rejects_non_inner():
      "profile length does not match the layout's shell count"),
     (lambda: inner_check(GridFunction(np.exp(-1j * grid_thetas(64)))),
      "candidate is not analytic to tolerance"),
-    (lambda: project_onto_bH2(constant_function(64), coordinate_function(128)),
+    (lambda: project_onto_bH2(constant_function(64), inner_check(coordinate_function(128))),
      "f and b must share a grid"),
 ])
 def test_grid_refusals(call, message):

@@ -83,7 +83,7 @@ def test_single_point_hand_example():
     rep = verify_witness(rel, cert)
     assert rep.max_coeff_residual <= 1e-14
     assert rep.max_reconstruction_residual <= 1e-14
-    assert rep.rho_bound_ok and rep.mu_norm_ok
+    assert rep.max_abs_rho <= 1.0 + 1e-12 and rep.mu_norm_ok
 
 
 def test_zero_coefficient_row_passes_module_through():
@@ -113,7 +113,7 @@ def test_random_relations_synthesize_then_verify():
         rep = verify_witness(rel, cert)
         assert rep.max_coeff_residual <= 1e-10 * rep.coeff_scale
         assert rep.max_reconstruction_residual <= 1e-10 * rep.reconstruction_scale
-        assert rep.rho_bound_ok
+        assert rep.max_abs_rho <= 1.0 + 1e-12
         assert rep.mu_norm_ok
 
 
