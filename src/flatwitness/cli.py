@@ -75,10 +75,13 @@ _NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) and v
 _POSITIVE = _checked(float, "finite and > 0", lambda v: np.isfinite(v) and v > 0)
 _FRACTION = _checked(float, "in (0, 1)", lambda v: 0 < v < 1)
 _INDEX = _checked(int, "an index >= 1", lambda v: v >= 1)
-# --random and --fixture keep their text, which the report shows; _COUNT and
+_SIZE = _checked(int, "a count >= 1", lambda v: v >= 1)
+_EVEN_SIZE = _checked(int, "an even count >= 2", lambda v: v >= 2 and v % 2 == 0)
+_GRID = _checked(int, "a power of two >= 4", lambda v: v >= 4 and v & (v - 1) == 0)
+# --random and --fixture keep their text, which the report shows; _SIZE and
 # _POSITIVE refuse a bad n, P or C with their own message
-_COUNT_PAIR = _checked(str, "two counts 'n,P'",
-                       lambda text: len([_COUNT(n) for n in text.split(",")]) == 2)
+_SIZE_PAIR = _checked(str, "two counts 'n,P'",
+                      lambda text: len([_SIZE(n) for n in text.split(",")]) == 2)
 _FIXTURE = _checked(str, "const:C or log-sin", lambda text: text == "log-sin"
                     or text.startswith("const:") and _POSITIVE(text[6:]))
 
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="sequence file (.json pairs or .csv index,re,im)")
     p.add_argument("--geometric", type=_FRACTION,
                    help="ratio of |a_k|^2 = ratio^k (default 0.5)")
-    p.add_argument("--terms", type=_COUNT, help="terms of the geometric profile (default 200)")
+    p.add_argument("--terms", type=_SIZE, help="terms of the geometric profile (default 200)")
     p.add_argument("--tail", type=_NONNEGATIVE, default=None,
                    help="mass of the terms past an --input sequence (default 0)")
     p.add_argument("--m", type=_INDEX, default=None, help="single-window start index")
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="synthesize and verify a relation certificate")
     common(p, seeded=True)
     p.add_argument("--input", help="relation JSON {weights, r, m}")
-    p.add_argument("--random", type=_COUNT_PAIR, help="random instance 'n,P' (default 3,128)")
+    p.add_argument("--random", type=_SIZE_PAIR, help="random instance 'n,P' (default 3,128)")
     p.add_argument("--certificate", action="store_true",
                    help="include the certificate in the report")
     p.set_defaults(func=_cmd_witness)
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bezout", help="principal generator of a two-generator ideal")
     common(p, seeded=True)
     p.add_argument("--input", help="JSON {f, g, weights}")
-    p.add_argument("--atoms", type=_COUNT, help="atoms of the random pair (default 1000)")
+    p.add_argument("--atoms", type=_SIZE, help="atoms of the random pair (default 1000)")
     p.add_argument("--strictness", action="store_true",
                    help="report the zero-set obstruction of the second generator")
     p.set_defaults(func=_cmd_bezout)
@@ -381,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("layered", help="shell-layered weight factorization")
     common(p)
     p.add_argument("--preset", choices=["l2", "lebesgue-r", "circle"])
-    p.add_argument("--shells", type=_COUNT, help="shells of a --preset (default 64)")
-    p.add_argument("--atoms-per-shell", type=_COUNT,
+    p.add_argument("--shells", type=_SIZE, help="shells of a --preset (default 64)")
+    p.add_argument("--atoms-per-shell", type=_EVEN_SIZE,
                    help="atoms per shell of lebesgue-r and circle (default 64)")
     p.add_argument("--geometric", type=_FRACTION, help="ratio of the l2 preset (default 0.5)")
     p.add_argument("--layout", help="layered space JSON")
@@ -399,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     def action(name, help):
         q = actions.add_parser(name, help=help)
         common(q)
-        q.add_argument("--grid", type=_COUNT,
+        q.add_argument("--grid", type=_GRID,
                        help="grid size N (default 16384; a grid file sets it)")
         q.set_defaults(func=_cmd_hardy)
         return q
 
     inputs = "constant1, z, blaschke:A, or a grid file (.json/.bin)"
     q = action("factor", "factor f = g * h against the arc-shell weight")
-    q.add_argument("--shells", type=_COUNT, default=256)
+    q.add_argument("--shells", type=_SIZE, default=256)
     q.add_argument("--input", default="constant1", help=inputs)
     q = action("outer", "synthesize an outer function from its log-modulus")
     source = q.add_mutually_exclusive_group()
@@ -420,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="move a disk factorization to the half-plane")
     common(p, seeded=True)
-    p.add_argument("--grid", type=_COUNT, default=2**14)
-    p.add_argument("--shells", type=_COUNT, default=256)
+    p.add_argument("--grid", type=_GRID, default=2**14)
+    p.add_argument("--shells", type=_SIZE, default=256)
     p.add_argument("--points", help="half-plane sample points (.json pairs)")
-    p.add_argument("--num-points", type=_COUNT, help="random sample points (default 100)")
+    p.add_argument("--num-points", type=_SIZE, help="random sample points (default 100)")
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import math
-
 
 class FlatwitnessError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,7 +28,6 @@ class ScaleOverflow(FlatwitnessError):
     """
 
     def __init__(self, log_rescale):
-        self.suggested_rescale = math.exp(log_rescale)
         super().__init__(
             f"outer synthesis would overflow; multiply the modulus by <= exp({log_rescale:g})"
         )

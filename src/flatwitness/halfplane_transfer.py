@@ -98,37 +98,29 @@ def halfplane_to_disk_h2(F) -> Callable:
 
 @dataclass(frozen=True)
 class TransferResult:
-    F: Callable
-    G: Callable
-    H: Callable
-    points: np.ndarray
+    F: np.ndarray  # the transferred factors' values at the sample points
+    G: np.ndarray
+    H: np.ndarray
     max_identity_residual: float  # max |F - G H| over the sample points
     disk_residual: float          # max |f - g h| at the disk images of the points
 
 
 def transfer_factorization(f, g, h, points) -> TransferResult:
-    """Carry a disk factorization f = g h to the half-plane.
+    """Carry a disk factorization f = g h to the half-plane sample points.
 
     The bounded factor moves by composition, G = g o phi; the other two
     carry the 1/(1+s) factor, so F = G H pointwise by construction and the
-    residual only reports evaluation noise (scaled by 1/|1+s|).
+    residual only reports evaluation noise (scaled by 1/|1+s|).  Each of
+    f, g and h is evaluated once, at z = phi(points).
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or pts.size == 0:
         raise InvalidInput("need a nonempty list of sample points")
     _check_halfplane(pts)
-    f_eval = as_disk_evaluator(f)
-    g_eval = as_disk_evaluator(g)
-    h_eval = as_disk_evaluator(h)
-
-    def G(s):
-        s = np.asarray(s, dtype=complex)
-        _check_halfplane(s)
-        return g_eval(mobius(s))
-
-    F = disk_to_halfplane_h2(f_eval)
-    H = disk_to_halfplane_h2(h_eval)
     z = mobius(pts)
-    disk_residual = float(np.max(np.abs(f_eval(z) - g_eval(z) * h_eval(z))))
-    identity_residual = float(np.max(np.abs(F(pts) - G(pts) * H(pts))))
-    return TransferResult(F, G, H, pts, identity_residual, disk_residual)
+    fz, gz, hz = (as_disk_evaluator(e)(z) for e in (f, g, h))
+    F = fz / (1.0 + pts)
+    H = hz / (1.0 + pts)
+    disk_residual = float(np.max(np.abs(fz - gz * hz)))
+    identity_residual = float(np.max(np.abs(F - gz * H)))
+    return TransferResult(F, gz, H, identity_residual, disk_residual)

@@ -206,7 +206,11 @@ def neg_mode_leakage(h: GridFunction) -> float:
     The midpoint twiddle is unimodular and the 1/N scale cancels in the
     ratio, so the raw transform serves.
     """
-    coefficients = np.fft.fft(h.samples)
+    return _negative_fraction(np.fft.fft(h.samples))
+
+
+def _negative_fraction(coefficients: np.ndarray) -> float:
+    """2-norm fraction of bin-ordered coefficients in the upper half of the bins."""
     with np.errstate(over="ignore"):
         total = np.linalg.norm(coefficients)
     if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
@@ -214,7 +218,7 @@ def neg_mode_leakage(h: GridFunction) -> float:
         total = np.linalg.norm(coefficients)
     if total == 0.0:
         return 0.0
-    return float(np.linalg.norm(coefficients[h.n // 2:]) / total)
+    return float(np.linalg.norm(coefficients[coefficients.size // 2:]) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +541,14 @@ class InnerFunction:
 def inner_check(b: GridFunction) -> InnerFunction:
     """The one gate for inner functions, to INNER_TOL: InvalidInput unless b is analytic,
     NotInner unless it is unimodular on the grid and at most 1 on a coarse interior grid."""
-    if neg_mode_leakage(b) > INNER_TOL:
+    spectrum = b.spectrum()  # the twiddle and the 1/N scale leave the leakage ratio as it is
+    if _negative_fraction(spectrum) > INNER_TOL:
         raise InvalidInput("candidate is not analytic to tolerance")
     dev = float(np.max(np.abs(np.abs(b.samples) - 1.0)))
     radii = np.linspace(0.15, 0.9, 6)
     angles = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     pts = (radii[:, None] * angles[None, :]).ravel()
-    interior_max = float(np.max(np.abs(eval_series(b.taylor(), pts))))
+    interior_max = float(np.max(np.abs(eval_series(spectrum[: b.n // 2], pts))))
     if dev > INNER_TOL or not interior_max <= 1.0 + INNER_TOL:
         raise NotInner(f"boundary deviation {dev:.2e}, interior max {interior_max:.6g}")
     return InnerFunction(b, dev, interior_max)

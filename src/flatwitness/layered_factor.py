@@ -180,7 +180,6 @@ class StarBoundReport:
     rhs: float           # branch majorant
     tol: float
     holds: bool
-    mode: str
     cauchy_bound: float  # 2(sqrt(r_1) - sqrt(r_N)), certifies the tail series
 
 
@@ -195,7 +194,6 @@ def verify_star_bound(result: LayeredFactorization) -> StarBoundReport:
         rhs=rhs,
         tol=tol,
         holds=bool(lhs <= rhs + tol),
-        mode=result.mode,
         cauchy_bound=float(cauchy),
     )
 

@@ -349,6 +349,15 @@ BAD_INPUTS = [
     ["witness", "--random", "2,-1"],
     ["bezout", "--atoms", "-3"],
     ["transfer", "--num-points", "-1"],
+    ["transfer", "--num-points", "0"],
+    ["olympiad", "--terms", "0"],
+    ["bezout", "--atoms", "0"],
+    *(["witness", "--random", pair] for pair in ("0,5", "3,0")),
+    *(["layered", "--preset", preset, "--shells", "0"] for preset in ("l2", "lebesgue-r")),
+    *(["layered", "--preset", "lebesgue-r", "--atoms-per-shell", count] for count in ("1", "3")),
+    *([*cmd, "--shells", "0"] for cmd in (["hardy", "factor"], ["transfer"])),
+    *([*cmd, "--grid", size] for cmd in (["hardy", "factor"], ["hardy", "project"], ["transfer"])
+      for size in ("12", "2")),
     *([cmd, "--seed", "-1"] for cmd in ("witness", "bezout", "transfer", "suite")),
     ["hardy", "outer", "--fixture", "const:2", "--clamp", "-1"],
     ["hardy", "outer", "--fixture", "const:2", "--clamp", "0"],
@@ -403,7 +412,8 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     assert error["error"] == "InvalidInput"
     # an option rejected for its value is named in the message
     checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol",
-               "--tail", "--tail-fraction", "--geometric", "--index", "--m", "--n"}
+               "--tail", "--tail-fraction", "--geometric", "--index", "--m", "--n",
+               "--shells", "--terms", "--atoms-per-shell"}
     assert all(tok in error["message"] for tok in argv if tok in checked)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from flatwitness import halfplane_transfer
+from flatwitness.acceptance import halfplane_points
 from flatwitness.errors import InvalidInput
 from flatwitness.halfplane_transfer import (
     as_disk_evaluator,
@@ -83,17 +85,17 @@ def test_transfer_trivial_factorization():
     coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     out = transfer_factorization(coeffs, np.array([1.0]), coeffs, pts)
     assert out.max_identity_residual <= 1e-13
-    assert np.max(np.abs(out.G(pts) - 1.0)) == 0.0
-    assert np.max(np.abs(out.H(pts) - out.F(pts))) <= 1e-15
+    assert np.max(np.abs(out.G - 1.0)) == 0.0
+    assert np.max(np.abs(out.H - out.F)) <= 1e-15
 
 
 def test_transfer_linear_fixture():
     pts = np.array([0.5, 1.0, 2.0 + 1.0j])
     half = transfer_factorization(np.array([0.5, -0.5]), np.array([0.5, -0.5]),
                                   np.array([1.0]), pts)
-    assert np.max(np.abs(half.F(pts) - 1.0 / (1.0 + pts) ** 2)) <= 1e-15
-    assert np.max(np.abs(half.G(pts) - 1.0 / (1.0 + pts))) <= 1e-15
-    assert np.max(np.abs(half.H(pts) - 1.0 / (1.0 + pts))) <= 1e-15
+    assert np.max(np.abs(half.F - 1.0 / (1.0 + pts) ** 2)) <= 1e-15
+    assert np.max(np.abs(half.G - 1.0 / (1.0 + pts))) <= 1e-15
+    assert np.max(np.abs(half.H - 1.0 / (1.0 + pts))) <= 1e-15
 
 
 def test_transfer_pipeline_output():
@@ -104,6 +106,50 @@ def test_transfer_pipeline_output():
     out = transfer_factorization(f_eval, g_eval, h_eval, pts)
     assert out.max_identity_residual <= 1e-8
     assert out.disk_residual <= 1e-10
+
+
+def test_transfer_evaluates_each_factor_once(monkeypatch):
+    calls = {"f": 0, "g": 0, "h": 0, "mobius": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(halfplane_transfer, "mobius",
+                        counted("mobius", halfplane_transfer.mobius))
+    res = hardy_factor(constant_function(2**10), 16)
+    evaluators = [counted(name, fn) for name, fn in zip("fgh", res.evaluators())]
+    transfer_factorization(*evaluators, halfplane_points(np.random.default_rng(5), 20))
+    assert calls == {"f": 1, "g": 1, "h": 1, "mobius": 1}
+
+
+def _closure_route(f_eval, g_eval, h_eval, pts):
+    """The transfer as closures evaluated at the points: the reference route."""
+    F = disk_to_halfplane_h2(f_eval)
+    H = disk_to_halfplane_h2(h_eval)
+
+    def G(s):
+        return g_eval(mobius(np.asarray(s, dtype=complex)))
+
+    z = mobius(pts)
+    disk = float(np.max(np.abs(f_eval(z) - g_eval(z) * h_eval(z))))
+    identity = float(np.max(np.abs(F(pts) - G(pts) * H(pts))))
+    return F(pts), G(pts), H(pts), identity, disk
+
+
+@pytest.mark.parametrize("seed", [20250811, 4099])
+def test_transfer_values_match_closure_route_bitwise(seed):
+    evaluators = hardy_factor(constant_function(2**14), 256).evaluators()
+    pts = halfplane_points(np.random.default_rng(seed), 100)
+    out = transfer_factorization(*evaluators, pts)
+    F, G, H, identity, disk = _closure_route(*evaluators, pts)
+    assert out.F.tobytes() == F.tobytes()
+    assert out.G.tobytes() == G.tobytes()
+    assert out.H.tobytes() == H.tobytes()
+    assert out.max_identity_residual == identity
+    assert out.disk_residual == disk
 
 
 def test_transfer_residual_scales_with_disk_error():
