@@ -54,6 +54,9 @@ __all__ = ["Check", "CriterionResult", "run_suite", "olympiad_checks", "witness_
            "blaschke", "halfplane_points"] + [f"criterion_{i}" for i in range(1, 10)]
 
 DEFAULT_SEED = 20250811
+# most points that criterion 2 stacks into one witness call; the bound keeps
+# the (P, n, n) temporaries, and so the suite's peak memory, small
+WITNESS_BLOCK_POINTS = 2048
 EPS = np.finfo(float).eps
 ULP_BUDGET = 2.0 * EPS
 
@@ -106,26 +109,30 @@ def olympiad_checks(profile, tol) -> List[Check]:
             Check("windows", gaps.size), Check("head_mass", profile.head)]
 
 
-def manufactured_relation(weights, r, raw_m):
+def manufactured_relation(weights, r, raw_m, starts=(0,)):
     """The relation (weights, r, m), m being raw_m with each row projected so sum_i r_i m_i = 0."""
     c = np.conj(r)
     cc = np.einsum("pi,pi->p", c, r).real
     coef = np.where(cc > 0, np.einsum("pi,pi->p", raw_m, r) / np.where(cc > 0, cc, 1), 0)
-    return pointwise_relation(weights, r, raw_m - coef[:, None] * c)
+    return pointwise_relation(weights, r, raw_m - coef[:, None] * c, starts)
 
 
 def witness_checks(rel):
-    """Synthesize a certificate for ``rel`` and verify it; returns (checks, certificate)."""
+    """Synthesize a certificate for ``rel`` and verify it.
+
+    Returns (one check list per relation of the stack, certificate).
+    """
     cert = synthesize_witness(rel)
     ver = verify_witness(rel, cert)
-    checks = [
-        _gate("coeff_residual", ver.max_coeff_residual, 1e-10 * ver.coeff_scale),
-        _gate("reconstruction_residual", ver.max_reconstruction_residual,
-              1e-10 * ver.reconstruction_scale),
-        _gate("rho_bound", ver.max_abs_rho, 1.0 + 1e-12),
-        Check("mu_norm_bound", ver.mu_norm_ok, None, ver.mu_norm_ok),
-    ]
-    return checks, cert
+    fields = (ver.max_coeff_residual, ver.coeff_scale, ver.max_reconstruction_residual,
+              ver.reconstruction_scale, ver.max_abs_rho, ver.mu_norm_ok)
+    runs = [[_gate("coeff_residual", coeff, 1e-10 * coeff_scale),
+             _gate("reconstruction_residual", recon, 1e-10 * recon_scale),
+             _gate("rho_bound", abs_rho, 1.0 + 1e-12),
+             Check("mu_norm_bound", mu_ok, None, mu_ok)]
+            for coeff, coeff_scale, recon, recon_scale, abs_rho, mu_ok
+            in zip(*(f.tolist() for f in fields))]
+    return runs, cert
 
 
 def random_pair(rng, atoms):
@@ -322,11 +329,27 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Synthesize-and-verify on random manufactured pointwise relations."""
+    """Synthesize-and-verify on random manufactured pointwise relations.
+
+    The relations are drawn one by one and certified in stacks: each term
+    count n has a buffer, run through one ``witness_checks`` call when the
+    next relation would take it past WITNESS_BLOCK_POINTS points, and at the
+    end.  The checks come back in draw order.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 2)
-    runs = []
-    for _ in range(200):
+    runs = [None] * 200
+    buffers: Dict[int, list] = {}
+
+    def flush(block):
+        order, weights, r, raw_m = zip(*block)
+        starts = np.cumsum([0] + [w.size for w in weights[:-1]])
+        rel = manufactured_relation(*map(np.concatenate, (weights, r, raw_m)), starts)
+        for i, checks in zip(order, witness_checks(rel)[0]):
+            runs[i] = checks
+        block.clear()
+
+    for i in range(200):
         n = int(rng.integers(1, 6))
         p = int(rng.integers(1, 513))
         weights = rng.uniform(size=p)
@@ -334,7 +357,12 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         r = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         r[rng.uniform(size=p) < 0.1] = 0.0
         raw_m = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
-        runs.append(witness_checks(manufactured_relation(weights, r, raw_m))[0])
+        block = buffers.setdefault(n, [])
+        if sum(entry[1].size for entry in block) + p > WITNESS_BLOCK_POINTS:
+            flush(block)
+        block.append((i, weights, r, raw_m))
+    for block in buffers.values():
+        flush(block)
     gates, records = _all_instances(runs)
     details = {
         "relations": 200,

@@ -154,7 +154,7 @@ def _cmd_witness(args):
         r = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         raw_m = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         rel = acceptance.manufactured_relation(weights, r, raw_m)
-    checks, cert = acceptance.witness_checks(rel)
+    [checks], cert = acceptance.witness_checks(rel)
     extra = {"certificate": ioformats.certificate_to_obj(cert)} if args.certificate else {}
     return _report("witness", {"input": args.input, "random": args.random, "seed": args.seed,
                                "points": rel.n_points, "terms": rel.n_terms}, checks, **extra)

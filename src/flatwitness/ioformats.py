@@ -90,9 +90,10 @@ def relation_from_obj(obj) -> PointwiseRelation:
 
 
 def certificate_to_obj(cert: WitnessCertificate) -> dict:
+    """{"k", "rho", "mu"} with rho[p][i][j] and mu[p][j] as [re, im] pairs."""
     return {
         "k": cert.k,
-        "rho": [[complex_pairs(col) for col in point] for point in cert.rho],
+        "rho": [[complex_pairs(row) for row in point] for point in cert.rho],
         "mu": [complex_pairs(point) for point in cert.mu],
     }
 

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from flatwitness import ioformats
 from flatwitness.errors import InvalidInput
-from flatwitness.pointwise_witness import pointwise_relation, synthesize_witness
+from flatwitness.pointwise_witness import (
+    WitnessCertificate,
+    pointwise_relation,
+    synthesize_witness,
+)
 
 
 def test_sequence_json_round_trip(tmp_path):
@@ -43,12 +47,19 @@ def test_relation_round_trip():
 
 
 def test_certificate_serialization_shape():
-    rel = pointwise_relation([1.0], [[1.0, 1.0]], [[1.0, -1.0]])
-    cert = synthesize_witness(rel)
-    obj = ioformats.certificate_to_obj(cert)
-    assert obj["k"] == 2
-    assert len(obj["rho"]) == 1 and len(obj["rho"][0]) == 2
-    assert len(obj["mu"][0]) == 2
+    for cert in (
+        synthesize_witness(pointwise_relation([1.0], [[1.0, 1.0]], [[1.0, -1.0]])),
+        # a rho that is not symmetric, so rows and columns cannot be confused
+        WitnessCertificate(np.array([[[1.0, 2.0j], [3.0, 4.0 - 1.0j]]]), np.array([[0.5, -1.0j]])),
+    ):
+        obj = ioformats.certificate_to_obj(cert)
+        assert obj["k"] == 2
+        assert len(obj["rho"]) == 1 and len(obj["rho"][0]) == 2
+        assert len(obj["mu"][0]) == 2
+        # rho[p][i][j] and mu[p][j], each entry an [re, im] pair
+        for p, i, j in np.ndindex(cert.rho.shape):
+            assert complex(*obj["rho"][p][i][j]) == cert.rho[p, i, j]
+            assert complex(*obj["mu"][p][j]) == cert.mu[p, j]
 
 
 def test_layered_space_parse():

@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatwitness import acceptance
+from flatwitness.acceptance import Check
 from flatwitness.errors import InvalidInput, NotARelation
 from flatwitness.pointwise_witness import (
     ZERO_THRESHOLD,
@@ -177,6 +180,39 @@ def test_near_threshold_row_treated_as_zero():
     assert np.array_equal(cert.rho[0], np.eye(2, dtype=complex))
 
 
+def test_verify_empty_inner_dimension():
+    # k = 0: no coefficient residual and no rho entry, and nothing rebuilds m
+    rel = pointwise_relation([1.0, 0.0], [[1.0, 1.0], [0.0, 0.0]], [[1.0, -1.0], [2.0, 0.0]])
+    cert = WitnessCertificate(np.zeros((2, 2, 0), complex), np.zeros((2, 0), complex))
+    rep = verify_witness(rel, cert)
+    assert rep.max_coeff_residual.tolist() == [0.0]
+    assert rep.max_abs_rho.tolist() == [0.0]
+    assert rep.max_reconstruction_residual.tolist() == [1.0]
+    assert rep.mu_norm_ok.tolist() == [True]
+
+
+def test_relation_mass_within_error_model():
+    # the mass sums w_p |m_p|^2 from the row norms; against the entrywise sum
+    # it differs by order and by the sqrt-then-square, within 2 P eps relative
+    rng = np.random.default_rng(29)
+    for n, p in ((1, 1), (3, 100), (5, 512)):
+        rel = random_relation(rng, n, p, zero_weights=0.1)
+        direct = np.sum(rel.point_weights[:, None] * np.abs(rel.m_rows) ** 2)
+        assert abs(rel.mass[0] - direct) <= 2 * p * np.finfo(float).eps * direct
+
+
+def test_each_relation_of_a_stack_is_refused_only_on_its_own_mass():
+    # each point's mass is 1e308: one relation of two points overflows, two
+    # stacked relations of one point each do not
+    w, r, m = [1.0, 1.0], [[0.0], [0.0]], [[1e154], [1e154]]
+    with pytest.raises(InvalidInput, match="weighted module mass"):
+        pointwise_relation(w, r, m)
+    rel = pointwise_relation(w, r, m, starts=(0, 1))
+    assert rel.mass.tolist() == [1e308, 1e308]
+    runs, _ = acceptance.witness_checks(rel)
+    assert len(runs) == 2 and all(c.passed for checks in runs for c in checks)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: pointwise_relation([-1.0], [[1.0]], [[0.0]]), "point weights must be nonnegative"),
     (lambda: verify_witness(pointwise_relation([1.0], [[1.0, 0.0]], [[0.0, 1.0]]),
@@ -186,6 +222,12 @@ def test_near_threshold_row_treated_as_zero():
 def test_relation_refusals(call, message):
     with pytest.raises(InvalidInput, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("starts", [(), (1,), (0, 0), (1, 0), (0, 2), [[0]]])
+def test_relation_starts_refused(starts):
+    with pytest.raises(InvalidInput, match="relation starts must rise strictly from 0"):
+        pointwise_relation([1.0, 1.0], [[1.0], [0.0]], [[0.0], [1.0]], starts)
 
 
 def frame_route(rel):
@@ -223,16 +265,113 @@ def assert_frame_route_bits(rel):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def segments(rel):
+    """Each relation of a stack as a relation of its own, with the bounds of its points."""
+    bounds = [*rel.starts.tolist(), rel.n_points]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        yield a, b, pointwise_relation(rel.point_weights[a:b], rel.r_rows[a:b], rel.m_rows[a:b])
+
+
 @pytest.mark.parametrize("seed", [acceptance.DEFAULT_SEED, 4099])
 def test_certificate_bits_match_frame_route_on_criterion_2(monkeypatch, seed):
-    relations = []
+    stacks = []
     checks = acceptance.witness_checks
     monkeypatch.setattr(acceptance, "witness_checks",
-                        lambda rel: relations.append(rel) or checks(rel))
+                        lambda rel: stacks.append(rel) or checks(rel))
     acceptance.criterion_2(seed)
-    assert len(relations) == 200
-    for rel in relations:
-        assert_frame_route_bits(rel)
+    assert sum(rel.starts.size for rel in stacks) == 200
+    assert len(stacks) < 200
+    assert max(rel.n_points for rel in stacks) <= acceptance.WITNESS_BLOCK_POINTS
+    for rel in stacks:
+        cert = synthesize_witness(rel)
+        for a, b, one in segments(rel):
+            rho, mu = frame_route(one)
+            for got, want in ((cert.rho[a:b], rho), (cert.mu[a:b], mu)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), null=st.integers(0, 5),
+       specs=st.lists(st.tuples(st.integers(1, 64), st.sampled_from([0.0, 0.3, 1.0]),
+                                st.sampled_from([0.0, 0.3])), min_size=1, max_size=6))
+def test_stacked_gates_equal_one_call_per_relation(n, seed, null, specs):
+    # zero rows and zero weights at random, and one relation with every weight zero
+    rng = np.random.default_rng(seed)
+    parts = []
+    for index, (p, zero_rows, zero_weights) in enumerate(specs):
+        weights = rng.uniform(size=p)
+        weights[rng.uniform(size=p) < zero_weights] = 0.0
+        if index == null % len(specs):
+            weights[:] = 0.0
+        r = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+        r[rng.uniform(size=p) < zero_rows] = 0.0
+        parts.append((weights, r, rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))))
+    starts = np.cumsum([0] + [weights.size for weights, _, _ in parts[:-1]])
+    stack = acceptance.manufactured_relation(*map(np.concatenate, zip(*parts)), starts)
+    runs, cert = acceptance.witness_checks(stack)
+    assert len(runs) == len(parts)
+    for (a, b, _), part, checks in zip(segments(stack), parts, runs):
+        [one], one_cert = acceptance.witness_checks(acceptance.manufactured_relation(*part))
+        assert checks == one
+        assert cert.rho[a:b].tobytes() == one_cert.rho.tobytes()
+        assert cert.mu[a:b].tobytes() == one_cert.mu.tobytes()
+
+
+def per_relation_gates(rel):
+    """The four witness gates of one relation, computed as the one-relation verifier did."""
+    cert = synthesize_witness(rel)
+    live = rel.point_weights > 0
+    coeff = np.abs(np.einsum("pi,pij->pj", rel.r_rows, cert.rho))
+    recon = np.abs(rel.m_rows - np.einsum("pij,pj->pi", cert.rho, cert.mu))
+    max_coeff = float(coeff[live].max()) if np.any(live) else 0.0
+    max_recon = float(recon[live].max()) if np.any(live) else 0.0
+    max_abs_rho = float(np.max(np.abs(cert.rho)))
+    mu_norms = np.einsum("p,pj->j", rel.point_weights, np.abs(cert.mu) ** 2)
+    total = float(np.sum(rel.point_weights[:, None] * np.abs(rel.m_rows) ** 2))
+    mu_ok = bool(np.all(mu_norms <= total + 1e-10 * (1.0 + total)))
+    coeff_tol = 1e-10 * (1.0 + float(np.max(rel.r_norms)))
+    recon_tol = 1e-10 * (1.0 + float(np.max(rel.m_norms)))
+    return [Check("coeff_residual", max_coeff, coeff_tol, max_coeff <= coeff_tol),
+            Check("reconstruction_residual", max_recon, recon_tol, max_recon <= recon_tol),
+            Check("rho_bound", max_abs_rho, 1.0 + 1e-12, max_abs_rho <= 1.0 + 1e-12),
+            Check("mu_norm_bound", mu_ok, None, mu_ok)]
+
+
+def per_relation_criterion_2(seed):
+    """Criterion 2's draws, one relation and one verifier call at a time."""
+    rng = np.random.default_rng(seed + 2)
+    runs = []
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        p = int(rng.integers(1, 513))
+        weights = rng.uniform(size=p)
+        weights[rng.uniform(size=p) < 0.1] = 0.0
+        r = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+        r[rng.uniform(size=p) < 0.1] = 0.0
+        raw_m = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+        runs.append(per_relation_gates(acceptance.manufactured_relation(weights, r, raw_m)))
+    return runs
+
+
+@pytest.mark.parametrize("seed", [acceptance.DEFAULT_SEED, 4099])
+def test_criterion_2_matches_per_relation_loop(monkeypatch, seed):
+    seen = []
+    join = acceptance._all_instances
+    monkeypatch.setattr(acceptance, "_all_instances", lambda runs: seen.append(runs) or join(runs))
+    result = acceptance.criterion_2(seed)
+    want = per_relation_criterion_2(seed)
+    # every gate of every relation in draw order, each mu_norm_bound verdict included
+    assert seen == [want]
+    gates, records = join(want)
+    assert result.checks == gates
+    assert result.details == {
+        "relations": 200,
+        "worst_coeff_residual_over_scale":
+            max(c.value / c.tol for c in records["coeff_residual"]),
+        "worst_reconstruction_residual_over_scale":
+            max(c.value / c.tol for c in records["reconstruction_residual"]),
+        "max_abs_rho": max(c.value for c in records["rho_bound"]),
+    }
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
