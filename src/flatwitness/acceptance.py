@@ -50,13 +50,16 @@ from .ultralimits import (
 
 __all__ = ["Check", "CriterionResult", "run_suite", "olympiad_checks", "witness_checks",
            "bezout_checks", "ulim_checks", "layered_checks", "factor_checks", "outer_checks",
-           "project_checks", "transfer_checks", "manufactured_relation", "random_pair",
-           "blaschke", "halfplane_points"] + [f"criterion_{i}" for i in range(1, 10)]
+           "project_checks", "transfer_checks", "manufactured_relation", "decaying_sequences",
+           "random_pair", "blaschke", "halfplane_points"] + [f"criterion_{i}" for i in range(1, 10)]
 
 DEFAULT_SEED = 20250811
 # most points that criterion 2 stacks into one witness call; the bound keeps
 # the (P, n, n) temporaries, and so the suite's peak memory, small
 WITNESS_BLOCK_POINTS = 2048
+# sequences that criterion 1 stacks into one olympiad call; more rows run no
+# faster and raise the suite's peak memory
+OLYMPIAD_BLOCK = 4
 EPS = np.finfo(float).eps
 ULP_BUDGET = 2.0 * EPS
 
@@ -95,18 +98,26 @@ def _worst(records, name) -> float:
 # pipelines, one per subcommand
 
 
-def olympiad_checks(profile, tol) -> List[Check]:
-    """The telescoping bound on every window between dyadic indices and the last term."""
+def olympiad_checks(profile, tol):
+    """The telescoping bound on every window between dyadic indices and the last term.
+
+    Returns one check list, or for a stack one per row (``tol`` one value or
+    one per row).
+    """
     n = profile.n_terms
     grid = np.unique(np.concatenate([2 ** np.arange(0, 14), [n]]))
     grid = grid[grid <= n]
     first, last = np.triu_indices(grid.size, 1)
     out = verify_olympiad_bound(profile, grid[first], grid[last], tol_abs=tol)
-    gaps = out.lhs - out.rhs
+    gaps = np.atleast_2d(out.lhs - out.rhs)
+    holds = np.all(np.atleast_2d(out.holds), axis=-1).tolist()
     # with no window (a one-term profile) there is no worst gap to report
-    worst = float(gaps.max()) if gaps.size else None
-    return [Check("bound_holds_all_windows", worst, tol, bool(np.all(out.holds))),
-            Check("windows", gaps.size), Check("head_mass", profile.head)]
+    worst = gaps.max(axis=-1).tolist() if gaps.shape[-1] else [None] * len(holds)
+    tols = np.broadcast_to(tol, len(holds)).tolist()
+    runs = [[Check("bound_holds_all_windows", w, t, h), Check("windows", gaps.shape[-1]),
+             Check("head_mass", r0)]
+            for w, t, h, r0 in zip(worst, tols, holds, np.atleast_1d(profile.head).tolist())]
+    return runs if profile.magnitudes_sq.ndim == 2 else runs[0]
 
 
 def manufactured_relation(weights, r, raw_m, starts=(0,)):
@@ -310,18 +321,34 @@ def _result(index, name, t0, checks, details) -> CriterionResult:
     )
 
 
+def decaying_sequences(rng, block):
+    """Fill each row of the complex ``block`` with a_k = (x_k + i y_k) k^-p, p ~ U(0.6, 1.5).
+
+    x and y are standard normal draws, written straight into the real and
+    imaginary parts; the rows equal (x + 1j*y) * k^-p bit for bit unless a
+    draw is exactly +-0.0.
+    """
+    k = np.arange(1, block.shape[-1] + 1, dtype=float)
+    for row in block:
+        decay = k ** -rng.uniform(0.6, 1.5)
+        np.multiply(rng.standard_normal(k.size), decay, out=row.real)
+        np.multiply(rng.standard_normal(k.size), decay, out=row.imag)
+    return block
+
+
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Weighted tail-series bound on random square-summable sequences."""
+    """Weighted tail-series bound on random square-summable sequences.
+
+    The sequences are drawn in blocks of OLYMPIAD_BLOCK rows, and each block
+    is checked by one ``olympiad_checks`` call on its stacked profile.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    n = 10_000
+    buf = np.empty((OLYMPIAD_BLOCK, 10_000), dtype=complex)
     runs = []
-    for _ in range(100):
-        power = rng.uniform(0.6, 1.5)
-        decay = np.arange(1, n + 1, dtype=float) ** -power
-        a = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
-        profile = tail_profile(a)
-        runs.append(olympiad_checks(profile, default_bound_tol(profile)))
+    for start in range(0, 100, OLYMPIAD_BLOCK):
+        profile = tail_profile(decaying_sequences(rng, buf[: min(OLYMPIAD_BLOCK, 100 - start)]))
+        runs.extend(olympiad_checks(profile, default_bound_tol(profile)))
     gates, records = _all_instances(runs)
     details = {"sequences": 100, "windows": sum(c.value for c in records["windows"]),
                "worst_lhs_minus_rhs": _worst(records, "bound_holds_all_windows")}

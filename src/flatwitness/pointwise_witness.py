@@ -116,7 +116,10 @@ def _frame_columns(rows: np.ndarray, norms: np.ndarray, zero_threshold: np.ndarr
     # the points innermost, in long loops rather than P * n loops of n - 1
     frame, vt = rho.transpose(1, 2, 0)[:, : n - 1], v.T
     np.multiply(2.0 * vt[:, None, :], np.conj(vt)[None, 1:, :], out=frame, order="C")
-    np.true_divide(frame, vnorm_sq, out=frame, order="C")
+    # the reciprocal gives the division's bits: numpy divides by vnorm_sq + 0j as
+    # (re + im*0) * (1 / vnorm_sq), and a zero part, whose sign alone may differ,
+    # turns into +0 (or 1) in the subtraction from the identity; vnorm_sq >= 1
+    np.multiply(frame, 1.0 / vnorm_sq, out=frame, order="C")
     np.subtract(np.eye(n)[:, 1:, None], frame, out=frame, order="C")
     rho[zero] = np.eye(n)
     return rho

@@ -228,6 +228,20 @@ def test_olympiad_single_window(capsys):
     assert checks["weighted_sum"]["pass"] is True
 
 
+def test_olympiad_refuses_zero_suffix_without_tail(tmp_path, capsys):
+    # the last term is zero, so r_{N-1} = 0 and the window ending at N has no
+    # weight; a tail mass makes every suffix sum positive again
+    path = tmp_path / "seq.json"
+    path.write_text("[[1, 0], [0.5, 0], [0, 0]]")
+    code = cli.main(["olympiad", "--input", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "Traceback" not in out.err
+    assert json.loads(out.err) == {"error": "DegenerateTail",
+                                   "message": "window touches a zero suffix sum"}
+    code, report, _ = run_cli(capsys, ["olympiad", "--input", str(path), "--tail", "0.1"])
+    assert code == 0 and report["pass"] is True
+
+
 def test_ulim_principal_index(tmp_path, capsys):
     path = tmp_path / "seq.json"
     sequence_file(path, np.array([5.0, 7.0, 9.0], dtype=complex))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatwitness import acceptance
+from flatwitness import acceptance, pointwise_witness
 from flatwitness.acceptance import Check
 from flatwitness.errors import InvalidInput, NotARelation
 from flatwitness.pointwise_witness import (
@@ -384,3 +384,40 @@ def test_certificate_bits_match_frame_route(n):
     m = rng.standard_normal((4, n))
     assert_frame_route_bits(pointwise_relation(np.ones(4), np.zeros((4, n)), m))
     assert_frame_route_bits(pointwise_relation(np.zeros(4), rng.standard_normal((4, n)), m))
+
+
+def frame_columns_by_division(rows, norms, zero_threshold):
+    """The frame columns as once built, dividing the frame by vnorm_sq + 0j."""
+    P, n = rows.shape
+    rho = np.zeros((P, n, n), dtype=complex)
+    zero = norms <= zero_threshold
+    v = rows / np.where(zero, 1.0, norms)[:, None]
+    lead = v[:, 0]
+    alead = np.abs(lead)
+    phase = np.where(alead > 0, lead / np.where(alead > 0, alead, 1), 1.0)
+    v[:, 0] += phase
+    vnorm_sq = np.einsum("pi,pi->p", v, np.conj(v)).real
+    frame, vt = rho.transpose(1, 2, 0)[:, : n - 1], v.T
+    np.multiply(2.0 * vt[:, None, :], np.conj(vt)[None, 1:, :], out=frame, order="C")
+    np.true_divide(frame, vnorm_sq, out=frame, order="C")
+    np.subtract(np.eye(n)[:, 1:, None], frame, out=frame, order="C")
+    rho[zero] = np.eye(n)
+    return rho
+
+
+def test_frame_reciprocal_multiply_matches_division_bits():
+    # exact +0 and -0 real and imaginary parts, purely real and purely
+    # imaginary rows, and zero rows: the multiply by 1 / vnorm_sq may give a
+    # zero part another sign than the division, but never a different rho
+    rng = np.random.default_rng(15)
+    parts = np.array([0.0, -0.0, 1.0, -2.5, 0.75])
+    for _ in range(300):
+        n, p = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        rows = rng.choice(parts, (p, n)) + 1j * rng.choice(parts, (p, n))
+        rows = np.where(rng.uniform(size=(p, n)) < 0.5, rows, rng.standard_normal((p, n)))
+        rows[rng.uniform(size=p) < 0.2] = 0.0
+        norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+        threshold = np.full(p, ZERO_THRESHOLD)
+        got = pointwise_witness._frame_columns(rows, norms, threshold)
+        want = frame_columns_by_division(rows, norms, threshold)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

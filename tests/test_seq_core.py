@@ -1,12 +1,15 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatwitness import acceptance
 from flatwitness.errors import DegenerateTail, InvalidInput
 from flatwitness.seq_core import (
+    default_bound_tol,
     geometric_profile,
     olympiad_weighted_sum,
     profile_from_energies,
@@ -208,17 +211,113 @@ def test_one_window_is_the_plain_slice_sum():
     assert olympiad_weighted_sum(prof, np.array([m]), np.array([n]))[0] == exact
 
 
+SHAPE = "need a one-dimensional, nonempty sequence"  # also said to a stack of rank 3
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: profile_from_energies(np.ones((2, 2))), "need a one-dimensional, nonempty sequence"),
-    (lambda: profile_from_energies([]), "need a one-dimensional, nonempty sequence"),
+    (lambda: profile_from_energies(np.ones((2, 2, 2))), SHAPE),
+    (lambda: profile_from_energies([]), SHAPE),
     (lambda: profile_from_energies([1.0], np.inf), "tail mass must be finite and nonnegative"),
     (lambda: profile_from_energies([1.0], -1.0), "tail mass must be finite and nonnegative"),
-    (lambda: tail_profile([]), "need a one-dimensional, nonempty sequence"),
-    (lambda: tail_profile(np.ones((2, 2))), "need a one-dimensional, nonempty sequence"),
+    (lambda: tail_profile([]), SHAPE),
+    (lambda: tail_profile(np.ones((2, 2, 2))), SHAPE),
     (lambda: geometric_profile(1.0, 8), "ratio must lie in (0, 1)"),
     (lambda: geometric_profile(0.0, 8), "ratio must lie in (0, 1)"),
     (lambda: geometric_profile(0.5, 0), "need at least one term"),
+    (lambda: tail_profile(np.ones((3, 0))), SHAPE),
+    (lambda: profile_from_energies([[1.0], [-1.0]]),
+     "per-term masses must be finite and nonnegative"),
 ])
 def test_profile_refusals(call, message):
     with pytest.raises(InvalidInput, match=re.escape(message)):
         call()
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=300),
+       st.integers(min_value=0, max_value=10**6), st.sampled_from([0.0, 0.25]))
+@settings(max_examples=100, deadline=None)
+def test_stack_rows_equal_one_sequence_calls(rows, length, seed, tail):
+    # each row of a stack, under array windows and under one scalar window,
+    # gives bit for bit what the one-sequence call on that row gives
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+    a *= np.arange(1, length + 1.0) ** -rng.uniform(0.6, 1.5, size=(rows, 1))
+    stack = tail_profile(a, tail)
+    edges = np.unique(rng.integers(1, length + 1, size=int(rng.integers(2, 17))))
+    first, last = np.triu_indices(edges.size, 1)
+    m = int(rng.integers(1, length))
+    n = int(rng.integers(m + 1, length + 1))
+    ones = [tail_profile(row, tail) for row in a]
+    assert stack.n_terms == length and stack.head.shape == (rows,)
+    for i, one in enumerate(ones):
+        assert bits(stack.suffix_sums[i]) == bits(one.suffix_sums)
+        assert bits(stack.head[i]) == bits(one.head)
+        assert bits(default_bound_tol(stack)[i]) == bits(default_bound_tol(one))
+    for wm, wn in ((edges[first], edges[last]), (m, n)):
+        out = verify_olympiad_bound(stack, wm, wn)
+        assert out.lhs.shape == out.rhs.shape == out.holds.shape == (rows,) + np.shape(wm)
+        for i, one in enumerate(ones):
+            want = verify_olympiad_bound(one, wm, wn)
+            assert bits(out.lhs[i]) == bits(want.lhs) and bits(out.rhs[i]) == bits(want.rhs)
+            assert np.array_equal(out.holds[i], want.holds) and out.tol[i] == want.tol
+    if tail == 0.0:
+        # a zero suffix sum in any one row refuses the whole stack, as that row alone is refused
+        bad = int(rng.integers(rows))
+        a[bad, length - 1] = 0.0
+        for call in (lambda: verify_olympiad_bound(tail_profile(a), 1, length),
+                     lambda: verify_olympiad_bound(tail_profile(a[bad]), 1, length)):
+            with pytest.raises(DegenerateTail, match="window touches a zero suffix sum"):
+                call()
+
+
+def test_stack_profile_from_energies_matches_rows():
+    rng = np.random.default_rng(5)
+    mags = rng.uniform(size=(3, 50))
+    stack = profile_from_energies(mags, 0.5)
+    for row, sums in zip(mags, stack.suffix_sums):
+        assert bits(sums) == bits(profile_from_energies(row, 0.5).suffix_sums)
+    assert stack.tail == 0.5 and isinstance(tail_profile([1.0, 2.0]).head, float)
+    # the masses of a stack are a copy, never a view that keeps every suffix sum alive
+    assert stack.head.base is None
+
+
+@pytest.mark.parametrize("seed", [acceptance.DEFAULT_SEED, 4099])
+def test_criterion_1_blocks_equal_per_sequence_draws(monkeypatch, seed):
+    # the rows written into each block are the sequences once drawn one by one
+    # as (a + 1j*b) * decay, and each row's checks are the one-sequence checks
+    blocks, calls = [], []
+    draw, checks = acceptance.decaying_sequences, acceptance.olympiad_checks
+    monkeypatch.setattr(acceptance, "decaying_sequences",
+                        lambda rng, block: blocks.append(draw(rng, block).copy()) or block)
+    monkeypatch.setattr(acceptance, "olympiad_checks",
+                        lambda profile, tol: calls.append(checks(profile, tol)) or calls[-1])
+    acceptance.criterion_1(seed)
+    assert len(blocks) == len(calls) == 100 // acceptance.OLYMPIAD_BLOCK
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, 10_001, dtype=float)
+    for block, runs in zip(blocks, calls):
+        assert block.shape == (acceptance.OLYMPIAD_BLOCK, k.size) and len(runs) == len(block)
+        for row, run in zip(block, runs):
+            decay = k ** -rng.uniform(0.6, 1.5)
+            a = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) * decay
+            assert np.array_equal(row.view(np.uint64), a.view(np.uint64))
+            one = tail_profile(a)
+            assert run == checks(one, default_bound_tol(one))
+
+
+def test_criterion_1_traced_peak_memory():
+    # a block of four 10^4-term rows and its profile take about 2 MiB; a larger
+    # block, or a record that keeps a block's suffix sums alive (a view
+    # instead of a copy of the head masses), passes the bound
+    acceptance.criterion_1()
+    tracemalloc.start()
+    try:
+        acceptance.criterion_1()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
