@@ -10,7 +10,6 @@ other, and the two factors cancel exactly on a round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "TransferResult",
     "mobius",
     "mobius_inv",
-    "as_disk_evaluator",
     "disk_to_halfplane_h2",
     "halfplane_to_disk_h2",
     "transfer_factorization",
@@ -56,44 +54,25 @@ def _check_disk(points: np.ndarray):
         raise InvalidInput("points must lie strictly inside the unit disk")
 
 
-def as_disk_evaluator(f) -> Callable:
-    """Normalize a disk-side representation to a point evaluator.
-
-    Accepts a callable or a power-series coefficient array (ascending order).
-    """
-    if callable(f):
-        return f
-    coeffs = np.array(f, dtype=complex)
+def _taylor_values(coeffs, z):
+    coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise InvalidInput("coefficient array must be one-dimensional and nonempty")
-
-    def evaluate(z):
-        return eval_series(coeffs, np.asarray(z, dtype=complex))
-
-    return evaluate
+    return eval_series(coeffs, z)
 
 
-def disk_to_halfplane_h2(f) -> Callable:
-    """Half-plane function F(s) = f(phi(s)) / (1 + s)."""
-    f_eval = as_disk_evaluator(f)
-
-    def F(s):
-        s = np.asarray(s, dtype=complex)
-        _check_halfplane(s)
-        return f_eval(mobius(s)) / (1.0 + s)
-
-    return F
+def disk_to_halfplane_h2(coeffs, s):
+    """F(s) = f(phi(s)) / (1 + s) at the half-plane points s, f given by its Taylor coefficients."""
+    s = np.asarray(s, dtype=complex)
+    _check_halfplane(s)
+    return _taylor_values(coeffs, mobius(s)) / (1.0 + s)
 
 
-def halfplane_to_disk_h2(F) -> Callable:
-    """Disk function f(z) = 2 F(phi^{-1}(z)) / (1 - z)."""
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        _check_disk(z)
-        return 2.0 * F(mobius_inv(z)) / (1.0 - z)
-
-    return f
+def halfplane_to_disk_h2(F, z):
+    """f(z) = 2 F(phi^{-1}(z)) / (1 - z) at the disk points z, F a half-plane evaluator."""
+    z = np.asarray(z, dtype=complex)
+    _check_disk(z)
+    return 2.0 * F(mobius_inv(z)) / (1.0 - z)
 
 
 @dataclass(frozen=True)
@@ -105,20 +84,24 @@ class TransferResult:
     disk_residual: float          # max |f - g h| at the disk images of the points
 
 
-def transfer_factorization(f, g, h, points) -> TransferResult:
+def transfer_factorization(f_coeffs, g, points) -> TransferResult:
     """Carry a disk factorization f = g h to the half-plane sample points.
 
-    The bounded factor moves by composition, G = g o phi; the other two
-    carry the 1/(1+s) factor, so F = G H pointwise by construction and the
-    residual only reports evaluation noise (scaled by 1/|1+s|).  Each of
-    f, g and h is evaluated once, at z = phi(points).
+    f is given by its Taylor coefficients and g by an evaluator, such as a
+    factorization's OuterFunction; each is evaluated once, at z = phi(points),
+    and h = f/g there, its analytic continuation.  The bounded factor moves
+    by composition, G = g o phi; the other two carry the 1/(1+s) factor, so
+    F = G H pointwise by construction and the residual only reports
+    evaluation noise (scaled by 1/|1+s|).
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or pts.size == 0:
         raise InvalidInput("need a nonempty list of sample points")
     _check_halfplane(pts)
     z = mobius(pts)
-    fz, gz, hz = (as_disk_evaluator(e)(z) for e in (f, g, h))
+    fz = _taylor_values(f_coeffs, z)
+    gz = g(z)
+    hz = fz / gz
     F = fz / (1.0 + pts)
     H = hz / (1.0 + pts)
     disk_residual = float(np.max(np.abs(fz - gz * hz)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -435,25 +435,6 @@ class HardyFactorization:
     star_rhs: float
     h_leakage: float
     log_report: LogIntegralReport
-
-    def evaluators(self) -> Tuple[Callable, Callable, Callable]:
-        """Analytic evaluators (f, g, h) agreeing with the boundary data.
-
-        h is evaluated as f/g, its analytic continuation, so the product
-        identity g*h = f holds pointwise wherever they are evaluated.
-        """
-        f_taylor = self.f.taylor()
-
-        def f_eval(z):
-            return eval_series(f_taylor, z)
-
-        def g_eval(z):
-            return self.outer(z)
-
-        def h_eval(z):
-            return f_eval(z) / g_eval(z)
-
-        return f_eval, g_eval, h_eval
 
 
 def _weighted_tail_series(profile: TailProfile) -> float:

@@ -42,9 +42,9 @@ class TailProfile:
     r_n = tail + sum_{k>n} |a_k|^2, so ``suffix_sums`` has one more entry
     than ``magnitudes_sq`` and ``suffix_sums[-1] == tail``.  For a stack both
     arrays are 2-D, one row per sequence, and these relations hold row by
-    row.  Build one with ``profile_from_energies`` (or ``tail_profile`` and
-    ``geometric_profile``, which call it): it checks the terms and the tail,
-    and its suffix sums never increase.
+    row.  Build one with ``profile_from_energies``, ``tail_profile`` or
+    ``geometric_profile``: each checks its own input and the tail, and the
+    suffix sums never increase.
     """
 
     magnitudes_sq: np.ndarray
@@ -69,15 +69,11 @@ class TailProfile:
 def _check_shape(arr):
     # one sequence, or a stack of equal-length ones, with at least one term
     if arr.ndim not in (1, 2) or arr.size == 0:
-        raise InvalidInput("need a one-dimensional, nonempty sequence")
+        raise InvalidInput("need a nonempty sequence, or a 2-D stack of equal-length ones")
 
 
-def profile_from_energies(magnitudes_sq, tail_sum_sq: float = 0.0) -> TailProfile:
-    """Build a profile from the per-term masses |a_k|^2 themselves (one row per sequence)."""
-    mags = np.asarray(magnitudes_sq, dtype=float)
-    _check_shape(mags)
-    if not np.all(np.isfinite(mags)) or np.any(mags < 0):
-        raise InvalidInput("per-term masses must be finite and nonnegative")
+def _profile(mags: np.ndarray, tail_sum_sq: float) -> TailProfile:
+    # mags are checked finite and nonnegative by the caller
     if not np.isfinite(tail_sum_sq) or tail_sum_sq < 0:
         raise InvalidInput("tail mass must be finite and nonnegative")
     # cumsum runs left to right, so accumulate in place through the reversed
@@ -91,6 +87,15 @@ def profile_from_energies(magnitudes_sq, tail_sum_sq: float = 0.0) -> TailProfil
     if not np.all(np.isfinite(sums[..., 0])):  # the largest suffix sum, r_0
         raise InvalidInput("the total mass of the sequence overflows float64")
     return TailProfile(mags, sums, float(tail_sum_sq))
+
+
+def profile_from_energies(magnitudes_sq, tail_sum_sq: float = 0.0) -> TailProfile:
+    """Build a profile from the per-term masses |a_k|^2 themselves (one row per sequence)."""
+    mags = np.asarray(magnitudes_sq, dtype=float)
+    _check_shape(mags)
+    if not np.all(np.isfinite(mags)) or np.any(mags < 0):
+        raise InvalidInput("per-term masses must be finite and nonnegative")
+    return _profile(mags, tail_sum_sq)
 
 
 def tail_profile(a, tail_sum_sq: float = 0.0) -> TailProfile:
@@ -108,7 +113,7 @@ def tail_profile(a, tail_sum_sq: float = 0.0) -> TailProfile:
         np.square(mags, out=mags)
     if not np.all(np.isfinite(mags)):
         raise InvalidInput("a squared term |a_k|^2 overflows float64")
-    return profile_from_energies(mags, tail_sum_sq)
+    return _profile(mags, tail_sum_sq)
 
 
 def geometric_profile(ratio: float, n_terms: int) -> TailProfile:
@@ -124,7 +129,7 @@ def geometric_profile(ratio: float, n_terms: int) -> TailProfile:
     k = np.arange(1, n_terms + 1, dtype=float)
     mags = ratio**k
     tail = ratio ** (n_terms + 1) / (1.0 - ratio)
-    return profile_from_energies(mags, tail)
+    return _profile(mags, tail)
 
 
 def default_bound_tol(profile: TailProfile):

@@ -8,10 +8,12 @@ is fixed here or inside the battery, not tuned at run time.
 import json
 import time
 
+import numpy as np
 import pytest
 
 from flatwitness import acceptance, cli, hardy_engine
-from flatwitness.hardy_engine import constant_function
+from flatwitness.halfplane_transfer import mobius, mobius_inv
+from flatwitness.hardy_engine import constant_function, eval_series
 from flatwitness.layered_factor import preset_l2
 
 
@@ -78,6 +80,44 @@ def test_inner_check_runs_once_per_inner_function(monkeypatch, capsys):
 
 def test_criterion_8_mobius_transfer():
     _run(acceptance.criterion_8, 5.0)
+
+
+def _criterion_8_closure_loop(seed):
+    """Criterion 8's round trips as one forward and one backward closure per series."""
+    rng = np.random.default_rng(seed + 8)
+    worst_round, directs = 0.0, []
+    for _ in range(100):
+        coeffs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        zpts = 0.95 * np.sqrt(rng.uniform(size=100)) * np.exp(2j * np.pi * rng.uniform(size=100))
+
+        def forward(s):
+            s = np.asarray(s, dtype=complex)
+            return eval_series(coeffs, mobius(s)) / (1.0 + s)
+
+        def back(z):
+            z = np.asarray(z, dtype=complex)
+            return 2.0 * forward(mobius_inv(z)) / (1.0 - z)
+
+        directs.append(np.polyval(coeffs[::-1], zpts))
+        worst_round = max(worst_round, float(np.max(np.abs(back(zpts) - directs[-1]))))
+    return worst_round, np.array(directs)
+
+
+@pytest.mark.parametrize("seed", [20250811, 4099])
+def test_criterion_8_matches_closure_loop(seed, monkeypatch):
+    worst_round, loop_directs = _criterion_8_closure_loop(seed)
+    directs = []
+
+    def recorded(p, x):
+        directs.append(polyval(p, x))
+        return directs[-1]
+
+    polyval = np.polyval
+    monkeypatch.setattr(np, "polyval", recorded)
+    result = acceptance.criterion_8(seed)
+    assert len(directs) == 1
+    assert result.details["worst_round_trip_error"] == worst_round
+    assert directs[0].tobytes() == loop_directs.tobytes()
 
 
 def test_criterion_9_ultralimit_contracts():

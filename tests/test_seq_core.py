@@ -211,7 +211,7 @@ def test_one_window_is_the_plain_slice_sum():
     assert olympiad_weighted_sum(prof, np.array([m]), np.array([n]))[0] == exact
 
 
-SHAPE = "need a one-dimensional, nonempty sequence"  # also said to a stack of rank 3
+SHAPE = "need a nonempty sequence, or a 2-D stack of equal-length ones"
 
 
 @pytest.mark.parametrize("call, message", [
