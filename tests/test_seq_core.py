@@ -214,6 +214,11 @@ def test_one_window_is_the_plain_slice_sum():
 SHAPE = "need a nonempty sequence, or a 2-D stack of equal-length ones"
 
 
+def _refusal_id(value):
+    # the shape cases keep the ids they had under the earlier wording of the refusal
+    return "need a one-dimensional, nonempty sequence" if value == SHAPE else None
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: profile_from_energies(np.ones((2, 2, 2))), SHAPE),
     (lambda: profile_from_energies([]), SHAPE),
@@ -227,7 +232,7 @@ SHAPE = "need a nonempty sequence, or a 2-D stack of equal-length ones"
     (lambda: tail_profile(np.ones((3, 0))), SHAPE),
     (lambda: profile_from_energies([[1.0], [-1.0]]),
      "per-term masses must be finite and nonnegative"),
-])
+], ids=_refusal_id)
 def test_profile_refusals(call, message):
     with pytest.raises(InvalidInput, match=re.escape(message)):
         call()
