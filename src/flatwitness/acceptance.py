@@ -102,23 +102,22 @@ def _worst(records, name) -> float:
 def olympiad_checks(profile, tol):
     """The telescoping bound on every window between dyadic indices and the last term.
 
-    Returns one check list, or for a stack one per row (``tol`` one value or
-    one per row).
+    ``profile`` is a stack and ``tol`` one value or one per row; returns one
+    check list per row.
     """
     n = profile.n_terms
     grid = np.unique(np.concatenate([2 ** np.arange(0, 14), [n]]))
     grid = grid[grid <= n]
     first, last = np.triu_indices(grid.size, 1)
     out = verify_olympiad_bound(profile, grid[first], grid[last], tol_abs=tol)
-    gaps = np.atleast_2d(out.lhs - out.rhs)
-    holds = np.all(np.atleast_2d(out.holds), axis=-1).tolist()
+    gaps = out.lhs - out.rhs
+    holds = np.all(out.holds, axis=-1).tolist()
     # with no window (a one-term profile) there is no worst gap to report
     worst = gaps.max(axis=-1).tolist() if gaps.shape[-1] else [None] * len(holds)
     tols = np.broadcast_to(tol, len(holds)).tolist()
-    runs = [[Check("bound_holds_all_windows", w, t, h), Check("windows", gaps.shape[-1]),
+    return [[Check("bound_holds_all_windows", w, t, h), Check("windows", gaps.shape[-1]),
              Check("head_mass", r0)]
-            for w, t, h, r0 in zip(worst, tols, holds, np.atleast_1d(profile.head).tolist())]
-    return runs if profile.magnitudes_sq.ndim == 2 else runs[0]
+            for w, t, h, r0 in zip(worst, tols, holds, profile.head.tolist())]
 
 
 def manufactured_relation(weights, r, raw_m, starts=(0,)):

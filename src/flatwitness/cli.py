@@ -27,7 +27,8 @@ from .errors import FlatwitnessError, InvalidInput
 from .hardy_engine import (DEFAULT_CLAMP, constant_function, coordinate_function, grid_thetas,
                            inner_check)
 from .layered_factor import preset_circle, preset_l2, preset_lebesgue_r
-from .seq_core import default_bound_tol, geometric_profile, tail_profile, verify_olympiad_bound
+from .seq_core import (TailProfile, default_bound_tol, geometric_profile, tail_profile,
+                       verify_olympiad_bound)
 from .ultralimits import bounded_sequence, principal_limit
 
 
@@ -132,11 +133,12 @@ def _cmd_olympiad(args):
             raise InvalidInput(f"--m and --n must satisfy --m < --n <= {profile.n_terms}, "
                                f"the number of terms, not {args.m} and {args.n}")
         out = verify_olympiad_bound(profile, args.m, args.n, tol_abs=args.tol)
-        checks = [Check("weighted_sum", out.lhs, out.rhs, out.holds),
+        checks = [Check("weighted_sum", out.lhs, out.rhs + out.tol, out.holds),
                   Check("telescoped_bound", out.rhs), Check("head_mass", profile.head)]
     else:
-        tol = args.tol if args.tol is not None else default_bound_tol(profile)
-        checks = acceptance.olympiad_checks(profile, tol)
+        stack = TailProfile(profile.magnitudes_sq[None], profile.suffix_sums[None], profile.tail)
+        tol = args.tol if args.tol is not None else default_bound_tol(stack)
+        [checks] = acceptance.olympiad_checks(stack, tol)
     return _report("olympiad", {"input": args.input, "geometric": args.geometric,
                                 "terms": profile.n_terms, "tail": profile.tail,
                                 "m": args.m, "n": args.n}, checks)

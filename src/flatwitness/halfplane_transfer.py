@@ -31,8 +31,7 @@ def mobius(s):
     s = np.asarray(s, dtype=complex)
     if np.any(s == -1):
         raise InvalidInput("pole of the map at s = -1")
-    out = (s - 1.0) / (s + 1.0)
-    return complex(out) if out.ndim == 0 else out
+    return (s - 1.0) / (s + 1.0)
 
 
 def mobius_inv(z):
@@ -40,8 +39,7 @@ def mobius_inv(z):
     z = np.asarray(z, dtype=complex)
     if np.any(z == 1):
         raise InvalidInput("pole of the map at z = 1")
-    out = (1.0 + z) / (1.0 - z)
-    return complex(out) if out.ndim == 0 else out
+    return (1.0 + z) / (1.0 - z)
 
 
 def _check_halfplane(points: np.ndarray):

@@ -56,7 +56,10 @@ def complex_pairs(arr) -> list:
 
 
 def read_sequence(path) -> np.ndarray:
-    """Complex sequence from a .json array of pairs or a .csv of index,re,im."""
+    """Complex sequence from a .json array of pairs or a .csv of index,re,im.
+
+    A CSV file's indices, in any row order, must be 1..N, each once.
+    """
     path = Path(path)
     if path.suffix.lower() != ".csv":
         return complex_array(read_json(path))
@@ -67,6 +70,8 @@ def read_sequence(path) -> np.ndarray:
     except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
         raise InvalidInput(f"cannot read sequence file {path}: {exc}") from exc
     rows.sort()
+    if [i for i, _, _ in rows] != list(range(1, len(rows) + 1)):
+        raise InvalidInput(f"sequence file {path}: the indices must be 1..N, each once")
     return np.asarray([complex(re, im) for _, re, im in rows])
 
 
@@ -148,9 +153,10 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
+        # a complex array is a list of [re, im] pairs; a 0-d array is the scalar it holds
+        if np.iscomplexobj(obj) and obj.shape:
             return complex_pairs(obj)
-        return [jsonable(v) for v in obj.tolist()]
+        return jsonable(obj.tolist())
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return c.real if c.imag == 0.0 else [c.real, c.imag]

@@ -9,7 +9,9 @@ to be finitely supported.
 A profile may also hold a stack: equal-length sequences, one per row of a
 2-D array, sharing one tail mass.  Every function here then works row by
 row with the windows shared across rows, and each row's values are bit for
-bit those of the one-sequence call on that row.
+bit those of the one-sequence call on that row.  As in numpy's reductions,
+a result has its input's leading shape: one sequence and one window give
+numpy scalars, and a stack or an array of windows gives arrays.
 """
 
 from __future__ import annotations
@@ -57,13 +59,12 @@ class TailProfile:
 
     @property
     def head(self):
-        """r_0, the total mass of the sequence: a float, or one per row of a stack.
+        """r_0, the total mass of the sequence: a scalar, or one per row of a stack.
 
         A stack's masses are a copy, so a caller that keeps them does not keep
         every suffix sum alive.
         """
-        r0 = self.suffix_sums[..., 0]
-        return float(r0) if r0.ndim == 0 else r0.copy()
+        return self.suffix_sums.T[0].copy()
 
 
 def _check_shape(arr):
@@ -133,7 +134,7 @@ def geometric_profile(ratio: float, n_terms: int) -> TailProfile:
 
 
 def default_bound_tol(profile: TailProfile):
-    """1e-12 (1 + r_0): a float, or one per row of a stack."""
+    """1e-12 (1 + r_0): a scalar, or one per row of a stack."""
     return 1e-12 * (1.0 + profile.head)
 
 
@@ -170,13 +171,12 @@ def olympiad_weighted_sum(profile: TailProfile, m, n):
                        for a, b in zip(edges[:-1], edges[1:])], axis=-1)
     inside = (edges[:-1] >= m[..., None]) & (edges[1:] <= n[..., None])
     blocks = blocks.reshape(rows + (1,) * (inside.ndim - 1) + blocks.shape[-1:])
-    sums = np.where(inside, blocks, 0.0).sum(axis=-1)
-    return float(sums) if sums.ndim == 0 else sums
+    return np.where(inside, blocks, 0.0).sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class OlympiadBound:
-    """One window's verdict, or elementwise arrays of them for arrays of windows.
+    """One window's verdict lhs <= rhs + tol, or elementwise arrays for arrays of windows.
 
     For a stack the arrays lead with one axis of rows, and ``tol`` holds one
     tolerance per row unless one was given for all.
@@ -191,14 +191,12 @@ class OlympiadBound:
 def verify_olympiad_bound(profile: TailProfile, m, n, tol_abs=None) -> OlympiadBound:
     """Check the telescoping bound: the window sum is at most 2(sqrt(r_m) - sqrt(r_n)).
 
-    Scalar windows give floats and a bool; arrays of m and n give arrays.
+    Scalar windows give numpy scalars; arrays of m and n, or a stack, give arrays.
     ``tol_abs`` is one tolerance, or for a stack one per row.
     """
     lhs = olympiad_weighted_sum(profile, m, n)
     r = profile.suffix_sums
     rhs = 2.0 * (np.sqrt(r[..., m]) - np.sqrt(r[..., n]))
-    tol = np.asarray(default_bound_tol(profile) if tol_abs is None else tol_abs, dtype=float)
+    tol = np.asarray(default_bound_tol(profile) if tol_abs is None else tol_abs, dtype=float)[()]
     holds = lhs <= rhs + tol.reshape(tol.shape + (1,) * (np.ndim(rhs) - tol.ndim))
-    if np.ndim(lhs) == 0:
-        rhs, holds = float(rhs), bool(holds)
-    return OlympiadBound(lhs=lhs, rhs=rhs, tol=float(tol) if tol.ndim == 0 else tol, holds=holds)
+    return OlympiadBound(lhs=lhs, rhs=rhs, tol=tol, holds=holds)

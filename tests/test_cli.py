@@ -228,6 +228,16 @@ def test_olympiad_single_window(capsys):
     assert checks["weighted_sum"]["pass"] is True
 
 
+@pytest.mark.parametrize("tol", [["--tol", "-1"], ["--tol", "0"], []],
+                         ids=["tol-1", "tol0", "default"])
+def test_olympiad_single_window_tol_judges_it(capsys, tol):
+    # the reported tol is the threshold rhs + tol that the verdict compares against
+    code, report, _ = run_cli(capsys, ["olympiad", "--terms", "2", "--m", "1", "--n", "2", *tol])
+    check = {c["name"]: c for c in report["checks"]}["weighted_sum"]
+    assert (check["value"] <= check["tol"]) is check["pass"] is report["pass"]
+    assert code == (0 if check["pass"] else 1) and check["pass"] is (tol != ["--tol", "-1"])
+
+
 def test_olympiad_refuses_zero_suffix_without_tail(tmp_path, capsys):
     # the last term is zero, so r_{N-1} = 0 and the window ending at N has no
     # weight; a tail mass makes every suffix sum positive again
@@ -250,6 +260,20 @@ def test_ulim_principal_index(tmp_path, capsys):
     assert code == 0
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["limit_at_2"]["value"] == 7.0
+
+
+@pytest.mark.parametrize("rows", ["1,1,0\n3,0.5,0\n", "1,1,0\n1,0.5,0\n3,0.25,0\n",
+                                  "0,1,0\n1,0.5,0\n2,0.25,0\n"],
+                         ids=["gap", "duplicate", "zero-based"])
+def test_ulim_refuses_csv_indices_other_than_one_to_n(tmp_path, capsys, rows):
+    # read as 1..N, the row of index 3 would be reported as the limit at 2
+    path = tmp_path / "seq.csv"
+    path.write_text("index,re,im\n" + rows)
+    code = cli.main(["ulim", "--input", str(path), "--index", "2"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "Traceback" not in out.err
+    error = json.loads(out.err)
+    assert error["error"] == "InvalidInput" and str(path) in error["message"]
 
 
 def test_transfer_small(capsys):

@@ -29,6 +29,19 @@ def test_sequence_csv_round_trip(tmp_path):
     assert np.array_equal(ioformats.read_sequence(path), [0.125 + 0.5j, 3.0, -1.0 - 1.0j])
 
 
+@pytest.mark.parametrize("rows", [
+    "1,1.0,0.0\n3,0.5,0.0\n",             # a gap: no index 2
+    "1,1.0,0.0\n2,0.5,0.0\n2,0.25,0.0\n",  # a duplicate index 2
+    "0,1.0,0.0\n1,0.5,0.0\n",             # 0-based
+], ids=["gap", "duplicate", "zero-based"])
+def test_sequence_csv_indices_must_be_one_to_n(tmp_path, rows):
+    # a gap or a duplicate would shift every later term to another index
+    path = tmp_path / "seq.csv"
+    path.write_text("index,re,im\n" + rows)
+    with pytest.raises(InvalidInput, match=f"sequence file {path}: the indices must be 1..N"):
+        ioformats.read_sequence(path)
+
+
 def test_complex_array_accepts_pairs_and_scalars():
     arr = ioformats.complex_array([[1.0, -1.0], 2.0, [0, 3]])
     assert np.array_equal(arr, np.array([1 - 1j, 2, 3j]))
@@ -141,6 +154,16 @@ def test_jsonable_handles_reports():
                    "arr": [[0.0, 1.0], [2.0, 0.0]], "real": [[1.0], [2.0]], "7": "verdict"}
     assert type(obj["checks"][0]["pass"]) is bool
     assert type(obj["values"][0]) is float and type(obj["values"][1]) is int
+
+
+def test_jsonable_writes_a_0d_array_as_its_scalar():
+    # indexing one sequence with ... gives a 0-d array, which is one value and not a list
+    obj = ioformats.jsonable({"f": np.array(1.5), "b": np.array(True), "i": np.array(3),
+                              "c": np.array(1.0 - 2.0j), "r": np.array(2.0 + 0.0j),
+                              "view": np.arange(4.0)[..., 2]})
+    assert obj == {"f": 1.5, "b": True, "i": 3, "c": [1.0, -2.0], "r": 2.0, "view": 2.0}
+    assert [type(obj[k]) for k in ("f", "b", "i", "r")] == [float, bool, int, float]
+    assert json.loads(json.dumps(obj)) == obj
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", np.datetime64("2025-01-01")])

@@ -310,8 +310,8 @@ def test_criterion_1_blocks_equal_per_sequence_draws(monkeypatch, seed):
             decay = k ** -rng.uniform(0.6, 1.5)
             a = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) * decay
             assert np.array_equal(row.view(np.uint64), a.view(np.uint64))
-            one = tail_profile(a)
-            assert run == checks(one, default_bound_tol(one))
+            one = tail_profile(a[None])
+            assert [run] == checks(one, default_bound_tol(one))
 
 
 def test_criterion_1_traced_peak_memory():
