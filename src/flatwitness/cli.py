@@ -63,7 +63,7 @@ def _checked(kind, rule, holds):
         try:
             if holds(value := kind(text)):
                 return value
-        except ValueError:
+        except (ValueError, OSError):  # OSError: a path too long to look up
             pass
         raise argparse.ArgumentTypeError(f"must be {rule}, not {text!r}")
     return parse
@@ -85,6 +85,9 @@ _SIZE_PAIR = _checked(str, "two counts 'n,P'",
                       lambda text: len([_SIZE(n) for n in text.split(",")]) == 2)
 _FIXTURE = _checked(str, "const:C or log-sin", lambda text: text == "log-sin"
                     or text.startswith("const:") and _POSITIVE(text[6:]))
+# refused before the pipeline runs; _emit still refuses a file it cannot write
+_OUT = _checked(str, "a file in an existing directory",
+                lambda text: not Path(text).is_dir() and Path(text).parent.is_dir())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,9 +112,11 @@ def _defaults(args, **defaults):
 
 def _number_after_colon(spec) -> float:
     try:
-        return float(spec.split(":", 1)[1])
-    except ValueError as exc:
-        raise InvalidInput(f"expected a number after the colon in {spec!r}") from exc
+        if np.isfinite(value := float(spec.split(":", 1)[1])):
+            return value
+    except ValueError:
+        pass
+    raise InvalidInput(f"expected a finite number after the colon in {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +162,8 @@ def _cmd_witness(args):
         raw_m = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
         rel = acceptance.manufactured_relation(weights, r, raw_m)
     [checks], cert = acceptance.witness_checks(rel)
-    extra = {"certificate": ioformats.certificate_to_obj(cert)} if args.certificate else {}
+    extra = {"certificate": {"k": cert.k, "rho": cert.rho, "mu": cert.mu}} \
+        if args.certificate else {}
     return _report("witness", {"input": args.input, "random": args.random, "seed": args.seed,
                                "points": rel.n_points, "terms": rel.n_terms}, checks, **extra)
 
@@ -249,12 +255,8 @@ def _built_in(spec):
     return None
 
 
-def _grid_input(spec, n):
-    """The grid function ``spec`` names: a built-in sampled at N = ``n``, or a grid file,
-    whose length is its N."""
-    build = _built_in(spec)
-    if build is not None:
-        return build(n)
+def _grid_file(spec):
+    """The grid function in the grid file ``spec``, whose length is its N."""
     f = ioformats.read_grid_function(spec)
     with np.errstate(over="ignore"):  # the norms taken later would overflow, with a warning
         if np.isinf(np.sum(np.abs(f.samples) ** 2)):
@@ -262,10 +264,17 @@ def _grid_input(spec, n):
     return f
 
 
+def _grid_input(spec, n):
+    """The grid function ``spec`` names: a built-in sampled at N = ``n``, or a grid file."""
+    build = _built_in(spec)
+    return _grid_file(spec) if build is None else build(n)
+
+
 def _hardy_input(args):
     """``--input`` of ``hardy factor``/``project``, at ``--grid`` unless a grid file sets N."""
-    _grid_size(args, from_file=_built_in(args.input) is None)
-    return _grid_input(args.input, args.grid)
+    build = _built_in(args.input)
+    _grid_size(args, from_file=build is None)
+    return _grid_file(args.input) if build is None else build(args.grid)
 
 
 def _cmd_hardy(args):
@@ -286,8 +295,7 @@ def _cmd_hardy(args):
         else:
             raise InvalidInput("need --fixture or --input")
         checks, outer = acceptance.outer_checks(k, args.clamp)
-        extra = {"taylor_head": ioformats.complex_pairs(outer.boundary.taylor()[:32])} \
-            if args.emit_taylor else {}
+        extra = {"taylor_head": outer.boundary.taylor()[:32]} if args.emit_taylor else {}
         return _report("hardy outer", {"grid": len(k), "fixture": args.fixture,
                                        "input": args.input, "clamp": args.clamp},
                        checks, **extra)
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seeded=False):
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--out", type=_OUT, help="write the JSON report here instead of stdout")
         p.add_argument("--json", action="store_true", help="compact single-line JSON")
         if seeded:
             p.add_argument("--seed", type=_COUNT, help=f"default {acceptance.DEFAULT_SEED}")

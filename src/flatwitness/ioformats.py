@@ -1,10 +1,10 @@
 """Readers for the input formats: complex sequences, relations, sampled
 functions, layered spaces, and boundary grids; and the report's JSON form.
 
-Complex scalars travel as [re, im] pairs in JSON.  Sequences may also be
-CSV with columns index,re,im.  Grid functions may be JSON or a little-endian
-binary: an 8-byte unsigned sample count followed by interleaved float64
-re/im pairs.
+Complex numbers travel as [re, im] pairs in JSON, nested to an array's
+depth in a report.  Sequences may also be CSV with columns index,re,im.
+Grid functions may be JSON or a little-endian binary: an 8-byte unsigned
+sample count followed by interleaved float64 re/im pairs.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ import numpy as np
 from .errors import InvalidInput
 from .hardy_engine import GridFunction
 from .layered_factor import LayeredSpace
-from .pointwise_witness import PointwiseRelation, WitnessCertificate, pointwise_relation
+from .pointwise_witness import PointwiseRelation, pointwise_relation
 
 __all__ = [
     "complex_array",
-    "complex_pairs",
     "read_sequence",
     "read_json",
     "relation_from_obj",
-    "certificate_to_obj",
     "layered_space_from_obj",
     "read_grid_function",
     "jsonable",
@@ -49,10 +47,6 @@ def complex_array(entries) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"not a list of complex entries: {exc}") from exc
     return np.asarray(out, dtype=complex)
-
-
-def complex_pairs(arr) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(arr, dtype=complex)]
 
 
 def read_sequence(path) -> np.ndarray:
@@ -92,15 +86,6 @@ def relation_from_obj(obj) -> PointwiseRelation:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed relation object: {exc}") from exc
     return pointwise_relation(weights, r_rows, m_rows)
-
-
-def certificate_to_obj(cert: WitnessCertificate) -> dict:
-    """{"k", "rho", "mu"} with rho[p][i][j] and mu[p][j] as [re, im] pairs."""
-    return {
-        "k": cert.k,
-        "rho": [[complex_pairs(row) for row in point] for point in cert.rho],
-        "mu": [complex_pairs(point) for point in cert.mu],
-    }
 
 
 _ATOM = operator.itemgetter("id", "weight")
@@ -153,9 +138,10 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        # a complex array is a list of [re, im] pairs; a 0-d array is the scalar it holds
+        # a complex array is nested [re, im] pairs at any depth; a 0-d array is the scalar it holds
         if np.iscomplexobj(obj) and obj.shape:
-            return complex_pairs(obj)
+            obj = obj.astype(complex, copy=False)
+            return np.stack((obj.real, obj.imag), axis=-1).tolist()
         return jsonable(obj.tolist())
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)

@@ -381,7 +381,11 @@ BAD_INPUTS = [
     ["layered", "--layout", "layout.json", "--values", "no_values.json"],
     ["hardy", "outer", "--fixture", "const:abc"],
     ["hardy", "project", "--inner", "blaschke:x"],
+    ["hardy", "project", "--inner", "blaschke:inf"],
+    ["hardy", "factor", "--input", "blaschke:nan"],
+    ["hardy", "project", "--input", "blaschke:-inf"],
     ["olympiad", "--out", "no_such_dir/report.json"],
+    ["suite", "--out", "no_such_dir/report.json"],
     ["hardy", "factor", "--grid", "-4"],
     ["hardy", "outer", "--grid", "-8", "--fixture", "const:2"],
     ["witness", "--random", "2,-1"],
@@ -451,8 +455,10 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     # an option rejected for its value is named in the message
     checked = {"--grid", "--atoms", "--num-points", "--random", "--seed", "--clamp", "--tol",
                "--tail", "--tail-fraction", "--geometric", "--index", "--m", "--n",
-               "--shells", "--terms", "--atoms-per-shell"}
+               "--shells", "--terms", "--atoms-per-shell", "--out"}
     assert all(tok in error["message"] for tok in argv if tok in checked)
+    # and so is a built-in grid function refused for its parameter
+    assert all(tok in error["message"] for tok in argv if tok.startswith("blaschke:"))
 
 
 IGNORED_OPTIONS = [

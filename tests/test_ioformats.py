@@ -60,12 +60,14 @@ def test_relation_round_trip():
 
 
 def test_certificate_serialization_shape():
+    # the certificate as `witness --certificate` reports it
     for cert in (
         synthesize_witness(pointwise_relation([1.0], [[1.0, 1.0]], [[1.0, -1.0]])),
         # a rho that is not symmetric, so rows and columns cannot be confused
         WitnessCertificate(np.array([[[1.0, 2.0j], [3.0, 4.0 - 1.0j]]]), np.array([[0.5, -1.0j]])),
     ):
-        obj = ioformats.certificate_to_obj(cert)
+        obj = json.loads(json.dumps(ioformats.jsonable({"k": cert.k, "rho": cert.rho,
+                                                        "mu": cert.mu})))
         assert obj["k"] == 2
         assert len(obj["rho"]) == 1 and len(obj["rho"][0]) == 2
         assert len(obj["mu"][0]) == 2
@@ -164,6 +166,31 @@ def test_jsonable_writes_a_0d_array_as_its_scalar():
     assert obj == {"f": 1.5, "b": True, "i": 3, "c": [1.0, -2.0], "r": 2.0, "view": 2.0}
     assert [type(obj[k]) for k in ("f", "b", "i", "r")] == [float, bool, int, float]
     assert json.loads(json.dumps(obj)) == obj
+
+
+def _nested_pairs(arr):
+    return [_nested_pairs(a) for a in arr] if arr.ndim else [float(arr.real), float(arr.imag)]
+
+
+def _leaves(obj):
+    return [leaf for item in obj for leaf in _leaves(item)] if isinstance(obj, list) else [obj]
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(24.0).reshape(2, 3, 4) * (1.0 - 0.5j),
+    np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)], [complex(-0.0, -0.0), 2.5j]]),
+    (np.arange(12.0).reshape(3, 2, 2) / 3.0 + 0.1j).astype(np.complex64),
+], ids=["3d", "2d-signed-zeros", "3d-complex64"])
+def test_jsonable_writes_complex_arrays_as_nested_pairs(arr):
+    obj = ioformats.jsonable({"arr": arr})["arr"]
+    # the same text as element by element, so -0.0 keeps its sign and complex64 its value
+    assert json.dumps(obj) == json.dumps(_nested_pairs(arr))
+    assert {type(leaf) for leaf in _leaves(obj)} == {float}
+
+
+def test_jsonable_2d_complex_example():
+    assert ioformats.jsonable(np.ones((2, 2), complex)) == \
+        [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", np.datetime64("2025-01-01")])
