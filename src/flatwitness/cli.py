@@ -251,6 +251,9 @@ def _built_in(spec):
         return coordinate_function
     if spec.startswith("blaschke:"):
         a = _number_after_colon(spec)
+        if abs(a) > 1.0:  # the pole 1/A would lie inside the disk
+            raise InvalidInput(f"expected |A| <= 1 in {spec!r}, since (z - A)/(1 - A z) "
+                               "has its pole 1/A inside the disk otherwise")
         return lambda n: acceptance.blaschke(n, a)
     return None
 

@@ -229,47 +229,73 @@ def _negative_fraction(coefficients: np.ndarray) -> float:
 class ArcLayout:
     """Partition of the grid: outer region, arc shells 1..M, residual core.
 
-    ``region[j]`` is 0 for |theta| >= 1, n for the shell
-    1/(n+1) <= |theta| < 1/n, and M+1 for the core |theta| < 1/(M+1).
+    Sample j lies in region 0 for |theta_j| >= 1, region n for the shell
+    1/(n+1) <= |theta_j| < 1/n, and region M+1 for the core |theta_j| < 1/(M+1).
+    Each region is one arc on either side of theta = 0, and sample N-1-j
+    (theta = -theta_j exactly, and the same region after rounding) shares
+    sample j's region, so the layout is M + 2 run lengths: ``half_counts[r]``
+    samples of region r on 0 < theta < pi.  In sample order the runs are
+    core, M, ..., 1, outer, then outer, 1, ..., M, core.
     """
 
     n_samples: int
     max_shell: int
-    region: np.ndarray
+    half_counts: np.ndarray
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.region, minlength=self.max_shell + 2)
+        return 2 * self.half_counts
+
+    def expand(self, region_values) -> np.ndarray:
+        """The per-sample array taking ``region_values[r]`` on region r."""
+        v = np.asarray(region_values)
+        return np.repeat(np.concatenate((v[::-1], v)),
+                         np.concatenate((self.half_counts[::-1], self.half_counts)))
 
 
 def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
+    """The run lengths of the regions, in O(M) work for M shells.
+
+    On the half grid 0 < theta_j < pi the region index falls as j grows, so
+    the samples of region >= n are the first ones, up to the first j where
+    the rule fails: theta_j < 1 for n = 1, floor(1/theta_j) >= n otherwise,
+    with theta_j formed by ``grid_thetas``' own operations.  Each such j
+    lies within a sample of N/(2 pi n) - 1/2, so the rule is evaluated on a
+    6-sample window there.  Midpoint angles are irrational multiples of pi,
+    so no sample sits on a shell boundary and none sits at angle zero.
+    """
     if max_shell < 1:
         raise InvalidInput("need at least one shell")
-    shell = grid_thetas(n_samples)
-    np.abs(shell, out=shell)
-    outer = shell >= 1.0
-    # midpoint angles are irrational multiples of pi, so no sample sits on a
-    # shell boundary and none sits at angle zero
-    np.divide(1.0, shell, out=shell)
-    np.floor(shell, out=shell)
-    shell[outer] = 0.0
-    np.minimum(shell, max_shell + 1, out=shell)
-    return ArcLayout(n_samples, max_shell, shell.astype(int))
+    n = np.arange(1, max_shell + 2)
+    start = np.maximum(np.floor(n_samples / (2.0 * np.pi * n) - 0.5).astype(int) - 2, 0)
+    th = (start[:, None] + np.arange(6)).astype(float)
+    th += 0.5
+    th *= 2.0 * np.pi
+    th /= n_samples
+    below_one = th[0] < 1.0
+    np.divide(1.0, th, out=th)
+    np.floor(th, out=th)
+    inside = th >= n[:, None]
+    inside[0] = below_one
+    at_least = start + np.count_nonzero(inside, axis=1)  # half-grid samples of region >= n
+    return ArcLayout(n_samples, max_shell, -np.diff(at_least, prepend=n_samples // 2, append=0))
 
 
 def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
     """Per-shell mean-square mass of the boundary samples, core mass as tail.
 
-    Shells narrower than the sample spacing may contain no samples at all;
-    they get zero mass, which contributes nothing to either side of the
-    factorization's bounds (``ArcLayout.counts`` tells how many are empty).
+    The masses are summed per region in sample order over the expanded
+    layout.  Shells narrower than the sample spacing may contain no samples
+    at all; they get zero mass, which contributes nothing to either side of
+    the factorization's bounds (``ArcLayout.counts`` tells how many are empty).
     """
     if layout.n_samples != f.n:
         raise InvalidInput("layout and function grid sizes differ")
+    M = layout.max_shell
     energy = np.abs(f.samples)
     np.square(energy, out=energy)
     energy /= f.n
-    sums = np.bincount(layout.region, weights=energy, minlength=layout.max_shell + 2)
-    return profile_from_energies(sums[1: layout.max_shell + 1], float(sums[layout.max_shell + 1]))
+    sums = np.bincount(layout.expand(np.arange(M + 2)), weights=energy, minlength=M + 2)
+    return profile_from_energies(sums[1: M + 1], float(sums[M + 1]))
 
 
 @dataclass(frozen=True)
@@ -301,7 +327,7 @@ def build_circle_weight(profile: TailProfile, layout: ArcLayout) -> CircleWeight
     shells = np.arange(2, M + 1, dtype=float)
     region_values[2: M + 1] = np.minimum(r_used[: M - 1] ** -0.25, shells)
     region_values[M + 1] = min(r_used[M - 1] ** -0.25, float(M + 1))
-    return CircleWeight(region_values[layout.region], region_values, floored)
+    return CircleWeight(layout.expand(region_values), region_values, floored)
 
 
 @dataclass(frozen=True)
@@ -322,8 +348,9 @@ def check_log_integrable(w: np.ndarray, layout: ArcLayout) -> LogIntegralReport:
     np.log(logs, out=logs)
     integral = float(np.mean(logs))
     shells = np.arange(2, layout.max_shell + 1, dtype=float)
-    core = layout.region == layout.max_shell + 1
-    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) + float(np.sum(logs[core]) / w.size)
+    c = layout.half_counts[-1]  # the core is the first c and the last c samples
+    core = np.concatenate((logs[:c], logs[w.size - c:]))
+    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) + float(np.sum(core) / w.size)
     return LogIntegralReport(integral, bound)
 
 
@@ -470,7 +497,7 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     weight = build_circle_weight(profile, layout)
     log_report = check_log_integrable(weight.values, layout)
     # the weight takes M + 2 values, so their logs are taken once each
-    outer = outer_from_modulus((-np.log(weight.region_values))[layout.region])
+    outer = outer_from_modulus(layout.expand(-np.log(weight.region_values)))
     g = outer.boundary
     h = GridFunction(fn.samples / g.samples)
 

@@ -166,7 +166,7 @@ def olympiad_weighted_sum(profile: TailProfile, m, n):
     lo, hi = edges[0], edges[-1]
     terms = np.sqrt(profile.suffix_sums[..., lo:hi])
     np.divide(profile.magnitudes_sq[..., lo:hi], terms, out=terms)
-    # one pairwise sum per row and block; np.add.reduceat would sum sequentially
+    # one pairwise sum per row and block; numpy does not specify np.add.reduceat's order
     blocks = np.stack([np.sum(terms[..., a - lo:b - lo], axis=-1)
                        for a, b in zip(edges[:-1], edges[1:])], axis=-1)
     inside = (edges[:-1] >= m[..., None]) & (edges[1:] <= n[..., None])

@@ -384,6 +384,9 @@ BAD_INPUTS = [
     ["hardy", "project", "--inner", "blaschke:inf"],
     ["hardy", "factor", "--input", "blaschke:nan"],
     ["hardy", "project", "--input", "blaschke:-inf"],
+    ["hardy", "factor", "--input", "blaschke:-1.7e308"],
+    ["hardy", "project", "--inner", "blaschke:-1.7e308"],
+    ["hardy", "factor", "--input", "blaschke:2"],
     ["olympiad", "--out", "no_such_dir/report.json"],
     ["suite", "--out", "no_such_dir/report.json"],
     ["hardy", "factor", "--grid", "-4"],

@@ -430,7 +430,8 @@ def test_hardy_factor_fft_budget(monkeypatch):
 
 
 def test_hardy_factor_traced_peak_per_sample():
-    # a rescaled input keeps the most: f, g and h, the layout, weight and log spectrum
+    # a rescaled input keeps the most: f, g and h, the weight and log spectrum,
+    # about 64 bytes a sample; a per-sample region array would add 8 to each figure
     n = 2**16
     rng = np.random.default_rng(2)
     f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=n // 2)) / np.arange(1, n // 2 + 1), n)
@@ -439,11 +440,12 @@ def test_hardy_factor_traced_peak_per_sample():
     try:
         start = tracemalloc.get_traced_memory()[0]
         res = hardy_factor(f, 256)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert res.scale > 1.0
-    assert (peak - start) / n <= 110
+    assert (peak - start) / n <= 92
+    assert (kept - start) / n <= 66
 
 
 def test_hardy_factor_constant_small_grid():
@@ -473,6 +475,52 @@ def test_arc_layout_partitions_grid():
     counts = layout.counts()
     assert counts.sum() == 2**12
     assert np.all(counts[1:17] > 0)  # resolvable shells are nonempty at this size
+
+
+def _per_sample_regions(n, m):
+    """The layout's rule sample by sample: 0 for |theta| >= 1, else min(floor(1/|theta|), M+1)."""
+    th = np.abs(grid_thetas(n))
+    region = np.minimum(np.floor(1.0 / th), m + 1)
+    region[th >= 1.0] = 0
+    return region.astype(int)
+
+
+LAYOUT_SHELLS = (1, 2, 3, 7, 16, 64, 255, 256, 1000, 4096)
+
+
+@pytest.mark.parametrize("log2n", range(2, 21))
+def test_arc_layout_runs_match_per_sample_rule(log2n):
+    n = 2**log2n
+    for m in (*LAYOUT_SHELLS, n):
+        layout = arc_layout(n, m)
+        region = _per_sample_regions(n, m)
+        assert layout.half_counts.shape == (m + 2,)
+        assert np.array_equal(layout.expand(np.arange(m + 2)), region)
+        assert np.array_equal(layout.counts(), np.bincount(region, minlength=m + 2))
+
+
+@pytest.mark.parametrize("n, m", [(2**4, 3), (2**10, 256), (2**12, 16), (2**14, 64), (2**16, 1000)])
+def test_arc_pipeline_matches_per_sample_references(n, m):
+    # masses, weight and log check bit for bit against the per-sample region array
+    layout = arc_layout(n, m)
+    region = _per_sample_regions(n, m)
+    rng = np.random.default_rng(n + m)
+    f = from_taylor(rng.standard_normal(n // 8) + 1j * rng.standard_normal(n // 8), n)
+    f = GridFunction(f.samples / (2.0 * f.norm))
+    prof = arc_energies(f, layout)
+    energy = np.abs(f.samples) ** 2 / n
+    sums = np.bincount(region, weights=energy, minlength=m + 2)
+    assert np.array_equal(prof.magnitudes_sq, sums[1: m + 1])
+    assert prof.tail == sums[m + 1]
+    w = build_circle_weight(prof, layout)
+    assert np.array_equal(w.values, w.region_values[region])
+    rep = check_log_integrable(w.values, layout)
+    logs = np.log(np.maximum(w.values, 1.0))
+    shells = np.arange(2, m + 1, dtype=float)
+    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) \
+        + float(np.sum(logs[region == m + 1]) / n)
+    assert rep.integral_value == float(np.mean(logs))
+    assert rep.comparison_bound == bound
 
 
 def test_hardy_factor_rotation_invariant_arc_masses():
