@@ -52,7 +52,8 @@ from .ultralimits import (
 __all__ = ["Check", "CriterionResult", "run_suite", "olympiad_checks", "witness_checks",
            "bezout_checks", "ulim_checks", "layered_checks", "factor_checks", "outer_checks",
            "project_checks", "transfer_checks", "manufactured_relation", "decaying_sequences",
-           "random_pair", "blaschke", "halfplane_points"] + [f"criterion_{i}" for i in range(1, 10)]
+           "random_pair", "blaschke", "outer_fixture",
+           "halfplane_points"] + [f"criterion_{i}" for i in range(1, 10)]
 
 DEFAULT_SEED = 20250811
 # most points that criterion 2 stacks into one witness call; the bound keeps
@@ -260,6 +261,14 @@ def blaschke(n, a) -> GridFunction:
     return GridFunction((zs - a) / (1.0 - a * zs))
 
 
+def outer_fixture(spec, n) -> np.ndarray:
+    """The log-modulus of the outer fixture ``const:C`` (the constant C) or
+    ``log-sin`` (|1 - z| = 2|sin(theta/2)|) on the n-point grid."""
+    if spec == "log-sin":
+        return np.log(2.0 * np.abs(np.sin(grid_thetas(n) / 2.0)))
+    return np.full(n, np.log(float(spec[6:])))
+
+
 def project_checks(f, inner):
     """Projection of f onto b*H2 and its idempotence; returns (checks, projection)."""
     out = project_onto_bH2(f, inner)
@@ -452,13 +461,12 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     n = 2**14
     c = 2.5
-    checks, fix_a = outer_checks(np.full(n, np.log(c)), DEFAULT_CLAMP)
-    gates, records = _all_instances([checks])
+    checks_a, fix_a = outer_checks(outer_fixture(f"const:{c}", n), DEFAULT_CLAMP)
+    checks_b, fix_b = outer_checks(outer_fixture("log-sin", n), DEFAULT_CLAMP)
+    gates, records = _all_instances([checks_a, checks_b])
     a_err = float(np.max(np.abs(fix_a.boundary.samples - c)))
     a_leak = records["negative_mode_leakage"][0].value
 
-    theta = grid_thetas(n)
-    fix_b = outer_from_modulus(np.log(2.0 * np.abs(np.sin(theta / 2.0))))
     target = np.zeros(16, dtype=complex)
     target[0] = 1.0
     target[1] = -1.0

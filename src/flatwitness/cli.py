@@ -24,8 +24,7 @@ from . import acceptance, ioformats
 from .acceptance import Check
 from .bezout_ops import sampled_function, strictness_witness
 from .errors import FlatwitnessError, InvalidInput
-from .hardy_engine import (DEFAULT_CLAMP, constant_function, coordinate_function, grid_thetas,
-                           inner_check)
+from .hardy_engine import DEFAULT_CLAMP, constant_function, coordinate_function, inner_check
 from .layered_factor import preset_circle, preset_l2, preset_lebesgue_r
 from .seq_core import (TailProfile, default_bound_tol, geometric_profile, tail_profile,
                        verify_olympiad_bound)
@@ -79,6 +78,7 @@ _INDEX = _checked(int, "an index >= 1", lambda v: v >= 1)
 _SIZE = _checked(int, "a count >= 1", lambda v: v >= 1)
 _EVEN_SIZE = _checked(int, "an even count >= 2", lambda v: v >= 2 and v % 2 == 0)
 _GRID = _checked(int, "a power of two >= 4", lambda v: v >= 4 and v & (v - 1) == 0)
+_DEFAULT_GRID = 2**14  # N of the hardy actions' built-in inputs and fixtures, and of transfer
 # --random and --fixture keep their text, which the report shows; _SIZE and
 # _POSITIVE refuse a bad n, P or C with their own message
 _SIZE_PAIR = _checked(str, "two counts 'n,P'",
@@ -223,11 +223,17 @@ def _cmd_layered(args):
         _unread(args, "a --layout", "shells", "atoms_per_shell", "geometric")
         layout = ioformats.layered_space_from_obj(ioformats.read_json(args.layout))
         obj = ioformats.read_json(args.values)
+        if not isinstance(obj, dict):
+            obj = {"values": obj}
         try:
-            vals = ioformats.complex_array(obj["values"] if isinstance(obj, dict) else obj)
+            vals = ioformats.complex_array(obj["values"])
+            # factor refuses weights that differ from the layout's atom weights
+            weights = np.asarray(obj.get("weights", layout.flat_weights), dtype=float)
         except KeyError as exc:
             raise InvalidInput("layered values need a 'values' key") from exc
-        f = sampled_function(vals, layout.flat_weights)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"layered weights must be a list of numbers: {exc}") from exc
+        f = sampled_function(vals, weights)
         tail = args.tail or 0.0
     checks, _ = acceptance.layered_checks(f, layout, args.mode, tail, args.tol)
     return _report("layered", {"preset": args.preset, "shells": layout.n_shells,
@@ -235,26 +241,18 @@ def _cmd_layered(args):
                                "mode": args.mode, "tail": tail}, checks)
 
 
-def _grid_size(args, from_file):
-    """Refuse ``--grid`` when a grid file sets N; otherwise give it its default."""
-    if from_file:
-        _unread(args, "a grid file", "grid")
-    else:
-        _defaults(args, grid=2**14)
-
-
-def _built_in(spec):
-    """The map N -> grid function for a built-in ``spec``, or None when ``spec`` is a grid file."""
+def _built_in(spec, n):
+    """``spec`` sampled at N = ``n`` when it names a built-in, or None when it is a grid file."""
     if spec == "constant1":
-        return constant_function
+        return constant_function(n)
     if spec == "z":
-        return coordinate_function
+        return coordinate_function(n)
     if spec.startswith("blaschke:"):
         a = _number_after_colon(spec)
         if abs(a) > 1.0:  # the pole 1/A would lie inside the disk
             raise InvalidInput(f"expected |A| <= 1 in {spec!r}, since (z - A)/(1 - A z) "
                                "has its pole 1/A inside the disk otherwise")
-        return lambda n: acceptance.blaschke(n, a)
+        return acceptance.blaschke(n, a)
     return None
 
 
@@ -267,17 +265,13 @@ def _grid_file(spec):
     return f
 
 
-def _grid_input(spec, n):
-    """The grid function ``spec`` names: a built-in sampled at N = ``n``, or a grid file."""
-    build = _built_in(spec)
-    return _grid_file(spec) if build is None else build(n)
-
-
 def _hardy_input(args):
     """``--input`` of ``hardy factor``/``project``, at ``--grid`` unless a grid file sets N."""
-    build = _built_in(args.input)
-    _grid_size(args, from_file=build is None)
-    return _grid_file(args.input) if build is None else build(args.grid)
+    f = _built_in(args.input, args.grid or _DEFAULT_GRID)
+    if f is None:
+        _unread(args, "a grid file", "grid")
+        f = _grid_file(args.input)
+    return f
 
 
 def _cmd_hardy(args):
@@ -288,12 +282,10 @@ def _cmd_hardy(args):
                                         "input": args.input}, checks)
 
     if args.action == "outer":
-        _grid_size(args, from_file=args.input is not None)
-        if args.fixture == "log-sin":
-            k = np.log(2.0 * np.abs(np.sin(grid_thetas(args.grid) / 2.0)))
-        elif args.fixture:
-            k = np.full(args.grid, np.log(float(args.fixture[6:])))
+        if args.fixture:
+            k = acceptance.outer_fixture(args.fixture, args.grid or _DEFAULT_GRID)
         elif args.input:
+            _unread(args, "a grid file", "grid")
             k = ioformats.read_grid_function(args.input).samples
         else:
             raise InvalidInput("need --fixture or --input")
@@ -304,7 +296,8 @@ def _cmd_hardy(args):
                        checks, **extra)
 
     f = _hardy_input(args)
-    checks, _ = acceptance.project_checks(f, inner_check(_grid_input(args.inner, f.n)))
+    b = _built_in(args.inner, f.n) or _grid_file(args.inner)
+    checks, _ = acceptance.project_checks(f, inner_check(b))
     return _report("hardy project", {"grid": f.n, "input": args.input, "inner": args.inner},
                    checks)
 
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = actions.add_parser(name, help=help)
         common(q)
         q.add_argument("--grid", type=_GRID,
-                       help="grid size N (default 16384; a grid file sets it)")
+                       help=f"grid size N (default {_DEFAULT_GRID}; a grid file sets it)")
         q.set_defaults(func=_cmd_hardy)
         return q
 
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="move a disk factorization to the half-plane")
     common(p, seeded=True)
-    p.add_argument("--grid", type=_GRID, default=2**14)
+    p.add_argument("--grid", type=_GRID, default=_DEFAULT_GRID)
     p.add_argument("--shells", type=_SIZE, default=256)
     p.add_argument("--points", help="half-plane sample points (.json pairs)")
     p.add_argument("--num-points", type=_SIZE, help="random sample points (default 100)")

@@ -65,12 +65,6 @@ INNER_TOL = 1e-8      # boundary, interior and analyticity slack of an inner fun
 RADIAL_DEPTHS = 12    # radial_decay_check samples the radii 1 - 2^-j, j = 1..RADIAL_DEPTHS
 
 
-def _signed_modes(n: int) -> np.ndarray:
-    m = np.arange(n)
-    m[n // 2:] -= n
-    return m
-
-
 def _cis(angle: np.ndarray) -> np.ndarray:
     """exp(i*angle), written through the real and imaginary views of one array."""
     out = np.empty(angle.shape, dtype=complex)
@@ -79,12 +73,18 @@ def _cis(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_thetas(n: int) -> np.ndarray:
-    """Midpoint sample angles in (-pi, pi]."""
-    th = np.arange(n, dtype=float)
+def _midpoint_angles(j, n: int) -> np.ndarray:
+    """The angles 2*pi*(j + 1/2)/N of the sample indices j, not wrapped, as a fresh array."""
+    th = np.asarray(j).astype(float)
     th += 0.5
     th *= 2.0 * np.pi
     th /= n
+    return th
+
+
+def grid_thetas(n: int) -> np.ndarray:
+    """Midpoint sample angles in (-pi, pi]."""
+    th = _midpoint_angles(np.arange(n), n)
     return np.subtract(th, 2.0 * np.pi, out=th, where=th > np.pi)
 
 
@@ -145,7 +145,7 @@ class GridFunction:
         """Fourier coefficients in bin order: modes 0..N/2-1 then -N/2..-1."""
         n = self.n
         spec = np.fft.fft(self.samples)
-        spec *= _cis((-np.pi / n) * _signed_modes(n))
+        spec *= _cis((-np.pi / n) * np.fft.fftfreq(n, 1.0 / n))
         spec /= n
         return spec
 
@@ -153,7 +153,7 @@ class GridFunction:
     def from_spectrum(cls, coefficients) -> "GridFunction":
         coefficients = np.asarray(coefficients, dtype=complex)
         n = coefficients.size
-        raw = coefficients * _cis((np.pi / n) * _signed_modes(n))
+        raw = coefficients * _cis((np.pi / n) * np.fft.fftfreq(n, 1.0 / n))
         raw *= n
         return cls(np.fft.ifft(raw))
 
@@ -258,7 +258,7 @@ def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
     On the half grid 0 < theta_j < pi the region index falls as j grows, so
     the samples of region >= n are the first ones, up to the first j where
     the rule fails: theta_j < 1 for n = 1, floor(1/theta_j) >= n otherwise,
-    with theta_j formed by ``grid_thetas``' own operations.  Each such j
+    with theta_j formed by ``_midpoint_angles``, as in ``grid_thetas``.  Each such j
     lies within a sample of N/(2 pi n) - 1/2, so the rule is evaluated on a
     6-sample window there.  Midpoint angles are irrational multiples of pi,
     so no sample sits on a shell boundary and none sits at angle zero.
@@ -267,10 +267,7 @@ def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
         raise InvalidInput("need at least one shell")
     n = np.arange(1, max_shell + 2)
     start = np.maximum(np.floor(n_samples / (2.0 * np.pi * n) - 0.5).astype(int) - 2, 0)
-    th = (start[:, None] + np.arange(6)).astype(float)
-    th += 0.5
-    th *= 2.0 * np.pi
-    th /= n_samples
+    th = _midpoint_angles(start[:, None] + np.arange(6), n_samples)
     below_one = th[0] < 1.0
     np.divide(1.0, th, out=th)
     np.floor(th, out=th)

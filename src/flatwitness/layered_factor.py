@@ -87,7 +87,8 @@ def shell_energies(f: SampledFunction, layout: LayeredSpace,
     when the function is a truncation of something with a known tail.
     """
     _check_alignment(f, layout)
-    energy = f.weights * np.abs(f.values) ** 2
+    with np.errstate(over="ignore"):  # profile_from_energies refuses a mass that overflows
+        energy = f.weights * np.abs(f.values) ** 2
     mags = np.bincount(layout.shell_of_atom, weights=energy,
                        minlength=layout.n_shells + 1)[1:]
     return profile_from_energies(mags, tail_sum_sq)

@@ -40,7 +40,11 @@ def bounded_sequence(values) -> BoundedSequence:
         raise InvalidInput("need a one-dimensional, nonempty sequence")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("sequence entries must be finite")
-    return BoundedSequence(arr, float(np.max(np.abs(arr))))
+    with np.errstate(over="ignore"):
+        sup_norm = float(np.max(np.abs(arr)))
+    if np.isinf(sup_norm):
+        raise InvalidInput("the modulus of a sequence entry overflows float64")
+    return BoundedSequence(arr, sup_norm)
 
 
 def principal_limit(seq: BoundedSequence, m: int) -> complex:
@@ -63,7 +67,7 @@ def eventual_limit(seq: BoundedSequence, tol: float,
     The trailing ``tail_fraction`` of the samples must all lie within ``tol``
     of their mean.  A certified limit is the limit along every filter that
     contains the cofinite sets; None means the stored data does not settle
-    and no verdict is issued.
+    and no verdict is issued, as when the spread of the tail overflows.
     """
     if not 0 < tail_fraction < 1:
         raise InvalidInput("tail_fraction must lie in (0, 1)")
@@ -72,8 +76,11 @@ def eventual_limit(seq: BoundedSequence, tol: float,
     n = len(seq.values)
     count = max(1, ceil(tail_fraction * n))
     tail = seq.values[n - count:]
-    center = complex(np.mean(tail))
-    radius = float(np.max(np.abs(tail - center)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = complex(np.mean(tail))
+        radius = float(np.max(np.abs(tail - center)))
+    if not np.isfinite(center):
+        raise InvalidInput("the mean of the sequence's tail overflows float64")
     if radius <= tol:
         return EventualLimit(center, radius)
     return None

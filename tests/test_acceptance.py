@@ -5,6 +5,7 @@ criterion 10 exercises the `suite` subcommand end to end.  Every tolerance
 is fixed here or inside the battery, not tuned at run time.
 """
 
+import dataclasses
 import json
 import time
 
@@ -51,6 +52,31 @@ def test_criterion_4_layered_factorization():
 
 def test_criterion_5_outer_fixtures():
     _run(acceptance.criterion_5, 5.0)
+
+
+def test_criterion_5_gates_both_fixtures_boundary_modulus(monkeypatch):
+    # the log-sin fixture's boundary modulus is gated too: off by a factor 1 + 1e-6,
+    # which its Taylor coefficients' 1e-3 gate lets through, it must fail
+    def skewed(log_modulus, *args, _synthesize=acceptance.outer_from_modulus, **kwargs):
+        outer = _synthesize(log_modulus, *args, **kwargs)
+        if np.ptp(log_modulus) == 0.0:  # the constant fixture stays exact
+            return outer
+        boundary = hardy_engine.GridFunction(outer.boundary.samples * (1.0 + 1e-6))
+        return dataclasses.replace(outer, boundary=boundary)
+
+    monkeypatch.setattr(acceptance, "outer_from_modulus", skewed)
+    result = acceptance.criterion_5()
+    assert not result.passed
+    assert [name for name, ok in result.checks.items() if not ok] == \
+        ["boundary_modulus_deviation"]
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(2, 15)])
+def test_outer_fixture_matches_its_formulas(n):
+    theta = hardy_engine.grid_thetas(n)
+    assert np.array_equal(acceptance.outer_fixture("log-sin", n),
+                          np.log(2.0 * np.abs(np.sin(theta / 2.0))))
+    assert np.array_equal(acceptance.outer_fixture("const:2.5", n), np.full(n, np.log(2.5)))
 
 
 def test_criterion_6_boundary_pipeline():

@@ -149,6 +149,36 @@ def test_layered_custom_layout(tmp_path, capsys):
     assert code == 0 and report["pass"]
 
 
+def test_layered_values_weights_equal_to_the_layouts_change_nothing(tmp_path, capsys):
+    layout = {"shells": [{"n": n, "atoms": [{"id": 2 * n + i, "weight": w}
+                                            for i, w in enumerate((0.5, 0.25))]}
+                         for n in (1, 2)]}
+    values = [[1.0, 0.0], [0.5, 0.5], [0.25, 0.0], [0.0, 0.125]]
+    (tmp_path / "lay.json").write_text(json.dumps(layout))
+    reports = []
+    for name, obj in (("bare.json", {"values": values}),
+                      ("weighted.json", {"values": values, "weights": [0.5, 0.25] * 2})):
+        (tmp_path / name).write_text(json.dumps(obj))
+        code, report, _ = run_cli(capsys, ["layered", "--layout", str(tmp_path / "lay.json"),
+                                           "--values", str(tmp_path / name)])
+        assert code == 0
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_ulim_overflowing_tail_spread_is_no_verdict(tmp_path, capsys):
+    # the tail's mean is finite, its distance to the entries overflows
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps([[1.7e308, 0.0], [-1.7e308, 0.0], [1.7e308, 0.0]] * 4))
+    code, report, err = run_cli(capsys, ["ulim", "--input", str(path)])
+    assert code == 0 and err == ""
+    verdicts = {c["name"]: c["value"] for c in report["checks"]}
+    assert verdicts["eventual_limit"] == "no verdict"
+    assert verdicts["ideal_membership"] == "undecidable"
+
+
 def test_hardy_outer_fixture(capsys):
     code, report, _ = run_cli(capsys, ["hardy", "outer", "--grid", "4096",
                                        "--fixture", "log-sin", "--emit-taylor"])
@@ -348,6 +378,10 @@ BAD_INPUT_FILES = {
     "huge.json": "[[1e200, 0.0], [1.0, 0.0]]",
     "huge_sum.json": "[[1.2e154, 0.0], [1.2e154, 0.0]]",
     "huge_grid.json": json.dumps([[1e200, 0.0]] * 8),
+    "huge_entry.json": json.dumps([[1.7e308, 1.7e308]] * 4),
+    "huge_tail.json": json.dumps([[1.7e308, 0.0]] * 8),
+    "huge_values.json": "[[1e200, 0.0]]",
+    "heavy_values.json": '{"values": [[1.0, 0.0]], "weights": [3.0]}',
     "huge_pair.json": '{"f": [[1e308, 0.0], [1e308, 1e308]], "g": [[1e308, 0.0], [1e308, 0.0]]}',
     "huge_rel.json": '{"weights": [1.0], "r": [[[1e200, 0.0], [1.0, 0.0]]],'
                      ' "m": [[[1.0, 0.0], [-1e200, 0.0]]]}',
@@ -379,6 +413,10 @@ BAD_INPUTS = [
     ["witness", "--input", "null_rel.json"],
     ["layered", "--layout", "layout.json", "--values", "missing.json"],
     ["layered", "--layout", "layout.json", "--values", "no_values.json"],
+    ["layered", "--layout", "layout.json", "--values", "huge_values.json"],
+    ["layered", "--layout", "layout.json", "--values", "heavy_values.json"],
+    ["ulim", "--input", "huge_entry.json"],
+    ["ulim", "--input", "huge_tail.json"],
     ["hardy", "outer", "--fixture", "const:abc"],
     ["hardy", "project", "--inner", "blaschke:x"],
     ["hardy", "project", "--inner", "blaschke:inf"],
@@ -493,8 +531,9 @@ IGNORED_OPTIONS = [
     ["transfer", "--points", "seq.json", "--num-points", "10"],
     ["transfer", "--points", "seq.json", "--seed", "3"],
     ["hardy", "outer", "--fixture", "log-sin", "--input", "grid.json"],
-    *(["hardy", action, "--input", "grid.json", "--grid", "64"]
-      for action in ("factor", "project", "outer")),
+    # a grid file is refused --grid before it is read, so a missing one is too
+    *(["hardy", action, "--input", name, "--grid", "64"]
+      for action in ("factor", "project", "outer") for name in ("grid.json", "missing.json")),
 ]
 
 # valid inputs, so that a refusal is the ignored option's doing and not the file's
