@@ -176,7 +176,7 @@ def _cmd_bezout(args):
             weights = obj.get("weights")
             f = sampled_function(ioformats.complex_array(obj["f"]), weights)
             g = sampled_function(ioformats.complex_array(obj["g"]), weights)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bezout input must be an object with keys f and g: {exc}") \
                 from exc
     else:

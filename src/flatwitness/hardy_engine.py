@@ -280,10 +280,14 @@ def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
 def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
     """Per-shell mean-square mass of the boundary samples, core mass as tail.
 
-    The masses are summed per region in sample order over the expanded
-    layout.  Shells narrower than the sample spacing may contain no samples
-    at all; they get zero mass, which contributes nothing to either side of
-    the factorization's bounds (``ArcLayout.counts`` tells how many are empty).
+    Each of the layout's 2(M + 2) runs is summed in sample order by one
+    ``reduceat`` over the nonempty runs, and a region's mass is its left run
+    plus its right run.  The terms are nonnegative, so in any summation order
+    a region of n_r samples and exact mass s_r comes out within
+    gamma_{n_r} s_r.  Shells narrower than the sample spacing may contain no
+    samples at all; they get zero mass, which contributes nothing to either
+    side of the factorization's bounds (``ArcLayout.counts`` tells how many
+    are empty).
     """
     if layout.n_samples != f.n:
         raise InvalidInput("layout and function grid sizes differ")
@@ -291,7 +295,11 @@ def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
     energy = np.abs(f.samples)
     np.square(energy, out=energy)
     energy /= f.n
-    sums = np.bincount(layout.expand(np.arange(M + 2)), weights=energy, minlength=M + 2)
+    lengths = np.concatenate((layout.half_counts[::-1], layout.half_counts))
+    full = lengths > 0
+    runs = np.zeros(lengths.size)
+    runs[full] = np.add.reduceat(energy, (np.cumsum(lengths) - lengths)[full])
+    sums = runs[M + 1::-1] + runs[M + 2:]  # region r: runs M + 1 - r and M + 2 + r
     return profile_from_energies(sums[1: M + 1], float(sums[M + 1]))
 
 
@@ -403,15 +411,14 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
         imag = vals.imag[np.isfinite(vals.imag)]
         if imag.size != vals.size or (imag.size and np.max(np.abs(imag)) > 1e-12 * scale):
             raise InvalidInput("log-modulus must be real")
-        k = vals.real.astype(float)
-    else:
-        k = vals.astype(float)
-    top = float(np.max(k))  # NaN propagates through the maximum, and +inf is it
+        vals = vals.real
+    vals = vals.astype(float, copy=False)
+    top = float(np.max(vals))  # NaN propagates through the maximum, and +inf is it
     if np.isnan(top) or top == np.inf:
         raise InvalidInput("log-modulus must be bounded above and not NaN")
     floor = np.log(clamp)
-    clamp_count = int(np.count_nonzero(k < floor))
-    np.maximum(k, floor, out=k)
+    clamp_count = int(np.count_nonzero(vals < floor))
+    k = np.maximum(vals, floor)  # a fresh array: the caller's is never written
     n = k.size
     # the transforms of the boundary sum N samples of size up to exp(peak)
     limit = min(EXP_OVERFLOW_LIMIT, float(np.log(np.finfo(float).max) - np.log(n)))
@@ -440,13 +447,15 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
 class HardyFactorization:
     """f = g * h on the boundary grid, g outer with modulus 1/w.
 
-    ``scale`` is the factor the input was divided by to reach unit norm;
-    the factorization is of the normalized input.  ``star_rhs`` is the
-    norm majorant head + weighted tail series + core term, and
-    ``gw_deviation`` is max | |g| w - 1 | over the grid.
+    ``source`` is the input as given and ``scale`` the factor it was divided
+    by to reach unit norm; the factorization is of the normalized input
+    ``f``, which is rebuilt from ``source`` and ``scale`` on first read, so
+    the pipeline keeps no copy of it.  ``star_rhs`` is the norm majorant
+    head + weighted tail series + core term, and ``gw_deviation`` is
+    max | |g| w - 1 | over the grid.
     """
 
-    f: GridFunction
+    source: GridFunction
     g: GridFunction
     h: GridFunction
     w: CircleWeight
@@ -459,6 +468,10 @@ class HardyFactorization:
     star_rhs: float
     h_leakage: float
     log_report: LogIntegralReport
+
+    @cached_property
+    def f(self) -> GridFunction:
+        return self.source if self.scale == 1.0 else GridFunction(self.source.samples / self.scale)
 
 
 def _weighted_tail_series(profile: TailProfile) -> float:
@@ -476,7 +489,8 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     analytic to ANALYTIC_TOL (negative-mode fraction) and not the zero
     function; it is divided by its norm when that norm exceeds 1.
     """
-    norm_sq = f.norm_sq
+    sq = np.abs(f.samples)  # |f|^2, and on the rescale path |fn|^2 in the same buffer
+    norm_sq = float(np.mean(np.square(sq, out=sq)))
     if norm_sq == 0.0:
         raise InvalidInput("cannot factor the zero function")
     leak = neg_mode_leakage(f)
@@ -485,9 +499,10 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     scale = max(1.0, float(np.sqrt(norm_sq)))
     if scale > 1.0:
         fn = GridFunction(f.samples / scale)
-        norm_sq = fn.norm_sq
+        norm_sq = float(np.mean(np.square(np.abs(fn.samples, out=sq), out=sq)))
     else:
         fn = f
+    del sq
 
     layout = arc_layout(fn.n, max_shell)
     profile = arc_energies(fn, layout)
@@ -497,6 +512,7 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     outer = outer_from_modulus(layout.expand(-np.log(weight.region_values)))
     g = outer.boundary
     h = GridFunction(fn.samples / g.samples)
+    del fn  # the result rebuilds it from f and scale when it is read
 
     dev = np.abs(g.samples)
     dev *= weight.values
@@ -506,7 +522,7 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
         if profile.tail > 0 else 0.0
     star_rhs = norm_sq + _weighted_tail_series(profile) + core_term
     return HardyFactorization(
-        f=fn, g=g, h=h, w=weight, outer=outer, profile=profile, layout=layout,
+        source=f, g=g, h=h, w=weight, outer=outer, profile=profile, layout=layout,
         scale=scale, gw_deviation=gw_dev, h_norm_sq=h.norm_sq, star_rhs=star_rhs,
         h_leakage=neg_mode_leakage(h), log_report=log_report,
     )

@@ -383,6 +383,7 @@ BAD_INPUT_FILES = {
     "huge_values.json": "[[1e200, 0.0]]",
     "heavy_values.json": '{"values": [[1.0, 0.0]], "weights": [3.0]}',
     "huge_pair.json": '{"f": [[1e308, 0.0], [1e308, 1e308]], "g": [[1e308, 0.0], [1e308, 0.0]]}',
+    "huge_weight.json": '{"f": [[1, 0]], "g": [[1, 0]], "weights": [1' + "0" * 400 + ']}',
     "huge_rel.json": '{"weights": [1.0], "r": [[[1e200, 0.0], [1.0, 0.0]]],'
                      ' "m": [[[1.0, 0.0], [-1e200, 0.0]]]}',
     "heavy_rel.json": '{"weights": [1e300], "r": [[[1.0, 0.0], [1.0, 0.0]]],'
@@ -408,6 +409,7 @@ BAD_INPUTS = [
     ["bezout", "--input", "malformed.json"],
     ["bezout", "--input", "list.json"],
     ["bezout", "--input", "huge_pair.json"],
+    ["bezout", "--input", "huge_weight.json"],
     ["witness", "--input", "huge_rel.json"],
     ["witness", "--input", "heavy_rel.json"],
     ["witness", "--input", "null_rel.json"],
