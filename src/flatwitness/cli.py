@@ -168,17 +168,31 @@ def _cmd_witness(args):
                                "points": rel.n_points, "terms": rel.n_terms}, checks, **extra)
 
 
+def _bezout_pair(obj):
+    """The sampled pair of a bezout input object; a refused value names its field."""
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"bezout input must be an object with keys f and g, "
+                           f"not a {type(obj).__name__}")
+
+    def field(key, read):
+        try:
+            return read(obj[key])
+        except KeyError as exc:
+            raise InvalidInput(f"bezout input must be an object with keys f and g: {exc}") \
+                from exc
+        except (InvalidInput, OverflowError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"bezout input field {key}: {exc}") from exc
+
+    weights = field("weights", lambda v: np.asarray(v, dtype=float)) \
+        if obj.get("weights") is not None else None
+    f, g = field("f", ioformats.complex_array), field("g", ioformats.complex_array)
+    return sampled_function(f, weights), sampled_function(g, weights)
+
+
 def _cmd_bezout(args):
     if args.input:
         _unread(args, "an --input pair", "atoms", "seed")
-        obj = ioformats.read_json(args.input)
-        try:
-            weights = obj.get("weights")
-            f = sampled_function(ioformats.complex_array(obj["f"]), weights)
-            g = sampled_function(ioformats.complex_array(obj["g"]), weights)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"bezout input must be an object with keys f and g: {exc}") \
-                from exc
+        f, g = _bezout_pair(ioformats.read_json(args.input))
     else:
         _defaults(args, atoms=1000, seed=acceptance.DEFAULT_SEED)
         f, g = acceptance.random_pair(np.random.default_rng(args.seed), args.atoms)

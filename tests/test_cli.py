@@ -504,6 +504,29 @@ def test_bad_input_is_one_json_error_line(tmp_path, monkeypatch, capsys, argv):
     assert all(tok in error["message"] for tok in argv if tok.startswith("blaschke:"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"f": [[1, 0]]}', "bezout input must be an object with keys f and g: 'g'"),
+    ("[[1.0, 0.0]]", "bezout input must be an object with keys f and g, not a list"),
+    (BAD_INPUT_FILES["huge_weight.json"],
+     "bezout input field weights: int too large to convert to float"),
+    ('{"f": [[1, 0]], "g": [[1, 0]], "weights": ["ab"]}',
+     "bezout input field weights: could not convert string to float"),
+    ('{"f": [[1, 0, 3]], "g": [[1, 0]]}',
+     "bezout input field f: complex entry must be a [re, im] pair"),
+    ('{"f": [[1, 0]], "g": 5}', "bezout input field g: not a list of complex entries"),
+], ids=["missing_g", "list", "huge_weight", "text_weight", "triple_f", "scalar_g"])
+def test_bezout_input_refusal_names_its_field(tmp_path, capsys, text, message):
+    # only a missing key is reported as one; any other refusal names the field at fault
+    path = tmp_path / "pair.json"
+    path.write_text(text)
+    code = cli.main(["bezout", "--input", str(path)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    [line] = out.err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "InvalidInput" and error["message"].startswith(message)
+
+
 IGNORED_OPTIONS = [
     *([cmd, "--seed", "3"] for cmd in ("olympiad", "layered")),
     ["ulim", "--input", "seq.json", "--seed", "3"],

@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatwitness.errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
 from flatwitness.hardy_engine import (
     RADIAL_DEPTHS,
     GridFunction,
     _block_size,
+    _blocked_fft,
     analytic_project,
     arc_energies,
     arc_layout,
@@ -402,6 +405,91 @@ def test_leakage_survives_overflowing_squares():
         assert neg_mode_leakage(h) == pytest.approx(0.5 / np.sqrt(1.25), rel=1e-12)
 
 
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _gamma(k):
+    return k * U / (1 - k * U)
+
+
+def _fft_error_bound(stages, mu):
+    """Higham's bound (ch. 24) on ||fl(FFT x) - DFT x|| / ||DFT x|| after the given number
+    of butterfly stages, each computed root of unity within mu of the exact one."""
+    eta = mu + _gamma(4) * (np.sqrt(2) + mu)
+    return stages * eta / (1 - stages * eta)
+
+
+def _transform_errors(n):
+    """The error models of the plain length-n transform and of ``_blocked_fft``.
+
+    The plain roots are taken within 2u.  A blocked twiddle is the product of two
+    table roots, each cis of an angle fl(fl(-2 pi/n) * m) within 4 pi u of its own,
+    rounded by cos and sin; the two complex multiplies that apply it are counted in
+    mu, and the twiddle pass is one stage more than log2 n.
+    """
+    table_root = (4 * np.pi + 2 * np.sqrt(2)) * U
+    blocked_mu = 2 * table_root + 2 * np.sqrt(2) * _gamma(2)
+    log2n = np.log2(n)
+    return _fft_error_bound(log2n, 2 * U), _fft_error_bound(log2n + 1, blocked_mu)
+
+
+@pytest.mark.parametrize("log2n", [*range(2, 17), 20])
+def test_blocked_fft_matches_plain_transform_within_error_model(log2n):
+    n = 2**log2n
+    rng = np.random.default_rng(300 + log2n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    blocked = _blocked_fft(x)
+    n1 = 2 ** (log2n // 2)
+    assert blocked.shape == (n1, n // n1)
+    want = np.fft.fft(x)
+    eps_plain, eps_blocked = _transform_errors(n)
+    # column-major order is natural bin order: C[k1, k2] is bin k1 + N1*k2
+    dist = np.linalg.norm(blocked.T.ravel() - want)
+    assert dist <= (eps_blocked + eps_plain) / (1 - eps_plain) * np.linalg.norm(want)
+
+
+def test_leakage_traced_peak_is_one_blocked_buffer():
+    # the (N1, N2) transform buffer is 16 bytes a sample and the twiddle tables
+    # under 4 more; a copy of the strided upper half would add 8
+    n = 2**16
+    h = GridFunction(np.random.default_rng(5).standard_normal(n) + 0j)
+    neg_mode_leakage(h)  # transform plans and first-call caches are not the leakage's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        neg_mode_leakage(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / n <= 20
+
+
+def _plain_leakage(samples):
+    # the reference rule: one full-length transform in natural bin order, scaled to max 1
+    spec = np.fft.fft(samples)
+    top = np.max(np.abs(spec))
+    if top == 0.0:
+        return 0.0
+    spec /= top
+    return np.linalg.norm(spec[samples.size // 2:]) / np.linalg.norm(spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(log2n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       noise=st.sampled_from([0.0, 1e-9, 1e-4, 1.0]), scale=st.sampled_from([0.0, 1.0, 1e300]))
+def test_leakage_matches_plain_transform(log2n, seed, noise, scale):
+    # scale 0 is the zero function, and at 1e300 the squares overflow
+    n = 2**log2n
+    rng = np.random.default_rng(seed)
+    analytic = from_taylor(rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2), n)
+    samples = analytic.samples + noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    samples *= scale
+    eps_plain, eps_blocked = _transform_errors(n)
+    got, want = neg_mode_leakage(GridFunction(samples)), _plain_leakage(samples)
+    assert abs(got - want) <= 2 * (eps_blocked + eps_plain)
+    assert got == want == 0.0 or scale != 0.0
+
+
 def test_hardy_factor_modulus_is_reciprocal_weight():
     rng = np.random.default_rng(9)
     f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=2**11)) / np.arange(1, 2**11 + 1), 2**12)
@@ -412,22 +500,28 @@ def test_hardy_factor_modulus_is_reciprocal_weight():
 
 
 def test_hardy_factor_fft_budget(monkeypatch):
-    # two leakage transforms, one real transform pair for the outer factor;
-    # each read of g's Taylor data costs one more transform
-    f = from_taylor([1.0, 0.5, 0.25], 2**12)
+    # two leakage transforms, each two batched passes over all N points with
+    # cores of N1 = 64 and N2 = 128, and one real transform pair for the outer
+    # factor; each read of g's Taylor data costs one more, full-length, transform
+    n = 2**13
+    f = from_taylor([1.0, 0.5, 0.25], n)
     counts = collections.Counter()
+    passes = []  # (core length, points covered) of each complex forward transform
     for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _name=name, _kernel=getattr(np.fft, name), **kwargs):
+        def counted(a, *args, _name=name, _kernel=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
-            return _kernel(*args, **kwargs)
+            if _name == "fft":
+                passes.append((np.shape(a)[kwargs.get("axis", -1)], np.size(a)))
+            return _kernel(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     res = hardy_factor(f, 64)
-    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [2, 0, 1, 1]
+    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [4, 0, 1, 1]
+    assert passes == [(64, n), (128, n)] * 2
     first = res.g.taylor()
-    assert counts["fft"] == 3
+    assert counts["fft"] == 5 and passes[-1] == (n, n)
     assert np.array_equal(res.g.taylor(), first)
-    assert counts["fft"] == 4
-    assert sum(counts.values()) == 6
+    assert counts["fft"] == 6
+    assert sum(counts.values()) == 8
 
 
 def test_hardy_factor_traced_peak_per_sample():
