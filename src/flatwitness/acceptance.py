@@ -4,10 +4,13 @@ Each CLI pipeline has one function here (``olympiad_checks``, ``witness_checks``
 ...) that runs it and returns ``Check`` records: name, measured value, the
 tolerance that judges it, and the verdict (None when informational).  A
 subcommand parses its arguments, calls its function once and serialises the
-records.  A criterion calls the same function on pinned inputs, joins the
-instances with ``_all_instances`` (a gate passes only if it passed on every
-instance) and adds only the checks that belong to it alone, such as closed
-forms, round trips and operator laws.  ``run_suite`` executes all criteria.
+records.  A criterion calls the same function on pinned inputs and returns
+``Check`` records too: ``_all_instances`` joins the instances, reporting each
+gate by its worst instance (a failing one first, then the largest value/tol),
+and the criterion adds the records that belong to it alone, such as closed
+forms, round trips and operator laws.  Every gate carries its value and tol;
+only a ``bool``-valued predicate, whose value is its verdict, has no tol.
+``run_suite`` executes all criteria.
 """
 
 from __future__ import annotations
@@ -81,19 +84,18 @@ def _gate(name, value, tol) -> Check:
 
 
 def _all_instances(runs):
-    """Gates that passed on every run of a pipeline, and each name's records in run order."""
-    gates: Dict[str, bool] = {}
+    """Each gate's worst instance over a pipeline's runs, and each name's records in run order.
+
+    A failing instance is worse than a passing one, and then the one with the
+    larger value / tol is worse (a predicate with no tol has no ratio).
+    """
     records: Dict[str, List[Check]] = {}
     for checks in runs:
         for c in checks:
             records.setdefault(c.name, []).append(c)
-            if c.passed is not None:
-                gates[c.name] = gates.get(c.name, True) and bool(c.passed)
+    gates = [max(rs, key=lambda c: (not c.passed, 0.0 if c.tol is None else c.value / c.tol))
+             for rs in records.values() if rs[0].passed is not None]
     return gates, records
-
-
-def _worst(records, name) -> float:
-    return max(c.value for c in records[name])
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +313,21 @@ def transfer_checks(grid, shells, points) -> List[Check]:
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """One criterion's records, gated and informational, and its wall time."""
+
     index: int
     name: str
-    passed: bool
     elapsed_s: float
-    checks: Dict[str, bool]
-    details: Dict[str, object]
+    records: List[Check]
 
+    @property
+    def checks(self) -> Dict[str, bool]:
+        """Each gate's verdict, by name."""
+        return {c.name: bool(c.passed) for c in self.records if c.passed is not None}
 
-def _result(index, name, t0, checks, details) -> CriterionResult:
-    return CriterionResult(
-        index=index,
-        name=name,
-        passed=all(checks.values()),
-        elapsed_s=time.perf_counter() - t0,
-        checks=checks,
-        details=details,
-    )
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 def decaying_sequences(rng, block):
@@ -359,9 +359,12 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         profile = tail_profile(decaying_sequences(rng, buf[: min(OLYMPIAD_BLOCK, 100 - start)]))
         runs.extend(olympiad_checks(profile, default_bound_tol(profile)))
     gates, records = _all_instances(runs)
-    details = {"sequences": 100, "windows": sum(c.value for c in records["windows"]),
-               "worst_lhs_minus_rhs": _worst(records, "bound_holds_all_windows")}
-    return _result(1, "olympiad bound suite", t0, gates, details)
+    # each row has its own tol, so the largest gap need not be the worst instance's
+    gates += [Check("sequences", 100),
+              Check("windows", sum(c.value for c in records["windows"])),
+              Check("worst_lhs_minus_rhs",
+                    max(c.value for c in records["bound_holds_all_windows"]))]
+    return CriterionResult(1, "olympiad bound suite", time.perf_counter() - t0, gates)
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -399,26 +402,18 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         block.append((i, weights, r, raw_m))
     for block in buffers.values():
         flush(block)
-    gates, records = _all_instances(runs)
-    details = {
-        "relations": 200,
-        "worst_coeff_residual_over_scale":
-            max(c.value / c.tol for c in records["coeff_residual"]),
-        "worst_reconstruction_residual_over_scale":
-            max(c.value / c.tol for c in records["reconstruction_residual"]),
-        "max_abs_rho": _worst(records, "rho_bound"),
-    }
-    return _result(2, "witness suite", t0, gates, details)
+    gates, _ = _all_instances(runs)
+    return CriterionResult(2, "witness suite", time.perf_counter() - t0,
+                           gates + [Check("relations", 200)])
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Pointwise generator identities at two ulp on random pairs."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
-    gates, records = _all_instances(bezout_checks(*random_pair(rng, 1000)) for _ in range(100))
-    details = {"pairs": 100, "atoms": 1000, "ulp_budget": ULP_BUDGET,
-               "worst_errors": {name: _worst(records, name) for name in gates}}
-    return _result(3, "bezout suite", t0, gates, details)
+    gates, _ = _all_instances(bezout_checks(*random_pair(rng, 1000)) for _ in range(100))
+    return CriterionResult(3, "bezout suite", time.perf_counter() - t0,
+                           gates + [Check("pairs", 100), Check("atoms", 1000)])
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -427,13 +422,11 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     n_shells = 64
     f, layout, tail = preset_l2(n_shells, ratio=0.5)
     checks, res = layered_checks(f, layout, "auto", tail, 1e-3)
-    gates, records = _all_instances([checks])
     k = np.arange(1, n_shells + 1, dtype=float)
     g_expected = 2.0 ** (-(k - 1) / 4.0)
     g_err = float(np.max(np.abs(res.g_shell_values - g_expected)))
     x = 2.0 ** -0.5
     h_norm_closed = float(0.5 * (1.0 - x**n_shells) / (1.0 - x))  # sum 2^-(k+1)/2, k<=64
-    h_err = abs(res.h_norm_sq - h_norm_closed)
 
     compact_f = sampled_function(
         np.concatenate([[1.0], np.zeros(n_shells - 1)]), layout.flat_weights
@@ -441,19 +434,14 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     compact = factor(compact_f, layout)
     w_compact_exact = bool(
         np.array_equal(compact.w_values, np.arange(1, n_shells + 1, dtype=float))
-    )
-    gates["g_matches_closed_form"] = g_err <= 1e-12
-    gates["h_norm_matches_closed_form"] = h_err <= 1e-10
-    gates["compact_weights_exact"] = w_compact_exact and compact.mode == "compact"
-    star = records["star_bound_lhs_vs_rhs"][0]
-    details = {
-        "g_max_error": g_err,
-        "h_norm_sq": res.h_norm_sq,
-        "h_norm_closed_form": h_norm_closed,
-        "star_lhs": star.value,
-        "star_rhs": star.tol,
-    }
-    return _result(4, "layered factorization", t0, gates, details)
+    ) and compact.mode == "compact"
+    checks += [
+        _gate("g_matches_closed_form", g_err, 1e-12),
+        _gate("h_norm_matches_closed_form", abs(res.h_norm_sq - h_norm_closed), 1e-10),
+        Check("h_norm_closed_form", h_norm_closed),
+        Check("compact_weights_exact", w_compact_exact, None, w_compact_exact),
+    ]
+    return CriterionResult(4, "layered factorization", time.perf_counter() - t0, checks)
 
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -464,46 +452,30 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     checks_a, fix_a = outer_checks(outer_fixture(f"const:{c}", n), DEFAULT_CLAMP)
     checks_b, fix_b = outer_checks(outer_fixture("log-sin", n), DEFAULT_CLAMP)
     gates, records = _all_instances([checks_a, checks_b])
-    a_err = float(np.max(np.abs(fix_a.boundary.samples - c)))
-    a_leak = records["negative_mode_leakage"][0].value
 
     target = np.zeros(16, dtype=complex)
     target[0] = 1.0
     target[1] = -1.0
-    b_err = float(np.max(np.abs(fix_b.boundary.taylor()[:16] - target)))
-
-    gates["constant_reproduced"] = a_err <= 1e-10
-    gates["one_minus_z_coefficients"] = b_err <= 1e-3
-    gates["constant_leakage"] = a_leak <= 1e-8
-    details = {
-        "constant_error": a_err,
-        "one_minus_z_coeff_error": b_err,
-        "constant_leakage": a_leak,
-        "clamp_counts": [fix_a.clamp_count, fix_b.clamp_count],
-    }
-    return _result(5, "outer-function fixtures", t0, gates, details)
+    gates += [
+        _gate("constant_reproduced", float(np.max(np.abs(fix_a.boundary.samples - c))), 1e-10),
+        _gate("one_minus_z_coefficients",
+              float(np.max(np.abs(fix_b.boundary.taylor()[:16] - target))), 1e-3),
+        _gate("constant_leakage", records["negative_mode_leakage"][0].value, 1e-8),
+        Check("clamp_count", [r.value for r in records["clamp_count"]]),
+    ]
+    return CriterionResult(5, "outer-function fixtures", time.perf_counter() - t0, gates)
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Full boundary factorization pipeline on the constant function."""
     t0 = time.perf_counter()
     checks, res = factor_checks(constant_function(2**14), 256)
-    gates, records = _all_instances([checks])
-    radial = records["radial_values"][0].value
-    gates["radial_strictly_decreasing_from_4"] = bool(np.all(np.diff(radial[3:]) < 0))
-    details = {
-        "gw_deviation": res.gw_deviation,
-        "h_norm_sq": res.h_norm_sq,
-        "star_rhs": res.star_rhs,
-        "h_leakage": res.h_leakage,
-        "radial_values": radial.tolist(),
-        "radial_ratio": records["radial_ratio"][0].value,
-        "log_integral": res.log_report.integral_value,
-        "log_bound": res.log_report.comparison_bound,
-    }
-    for name in ("weight_floored", "clamp_count", "empty_shells"):
-        details[name] = records[name][0].value
-    return _result(6, "boundary factorization pipeline", t0, gates, details)
+    radial = next(c.value for c in checks if c.name == "radial_values")
+    step = np.diff(radial[3:]).max()  # the profile decreases strictly from its fourth value
+    checks += [Check("radial_strictly_decreasing_from_4", step, 0.0, bool(step < 0)),
+               Check("star_rhs", res.star_rhs)]
+    return CriterionResult(6, "boundary factorization pipeline", time.perf_counter() - t0,
+                           checks)
 
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -513,7 +485,6 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     one = constant_function(n)
     z = coordinate_function(n)
     proj_z = project_onto_bH2(one, inner_check(z))
-    dist_z_err = abs(proj_z.distance - 1.0)
 
     runs = []
     worst_dist = 0.0
@@ -528,17 +499,11 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         lhs = np.mean(proj.projection.samples * np.conj(probe.samples))
         rhs = np.mean(one.samples * np.conj(project_onto_bH2(probe, inner).projection.samples))
         worst_adj = max(worst_adj, abs(lhs - rhs))
-    gates, records = _all_instances(runs)
-    gates["distance_to_shifted_space"] = dist_z_err <= 1e-12
-    gates["blaschke_distances"] = worst_dist <= 1e-8
-    gates["self_adjoint"] = bool(worst_adj <= 1e-10)
-    details = {
-        "dist_one_zH2_error": dist_z_err,
-        "worst_blaschke_distance_error": worst_dist,
-        "worst_idempotence_residual": _worst(records, "idempotence_residual"),
-        "worst_self_adjointness_residual": worst_adj,
-    }
-    return _result(7, "projection strictness", t0, gates, details)
+    gates, _ = _all_instances(runs)
+    gates += [_gate("distance_to_shifted_space", abs(proj_z.distance - 1.0), 1e-12),
+              _gate("blaschke_distances", worst_dist, 1e-8),
+              _gate("self_adjoint", worst_adj, 1e-10)]
+    return CriterionResult(7, "projection strictness", time.perf_counter() - t0, gates)
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -556,15 +521,9 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
                      for c, z in zip(coeffs, zpts)])
     worst_round = float(np.max(np.abs(back - direct)))
 
-    gates, records = _all_instances([transfer_checks(2**14, 256, halfplane_points(rng, 100))])
-    gates["round_trip"] = worst_round <= 1e-10
-    details = {
-        "worst_round_trip_error": worst_round,
-        "fixture_error": records["fixture_one_minus_z"][0].value,
-        "transferred_identity_residual": records["transferred_identity_residual"][0].value,
-        "disk_side_residual": records["disk_side_residual"][0].value,
-    }
-    return _result(8, "half-plane transfer", t0, gates, details)
+    checks = transfer_checks(2**14, 256, halfplane_points(rng, 100))
+    checks.append(_gate("round_trip", worst_round, 1e-10))
+    return CriterionResult(8, "half-plane transfer", time.perf_counter() - t0, checks)
 
 
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -581,16 +540,13 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     _, records = _all_instances(ulim_checks(s, 1e-3, 0.25) for s in (decaying, alternating))
     verdict_decay, verdict_alt = (c.value for c in records["ideal_membership"])
 
-    checks = {
-        "principal_limits_exact": exact,
-        "decaying_in_ideal": verdict_decay == "yes",
-        "alternating_undecidable": verdict_alt == "undecidable",
-    }
-    details = {
-        "decaying_verdict": verdict_decay,
-        "alternating_verdict": verdict_alt,
-    }
-    return _result(9, "ultralimit contracts", t0, checks, details)
+    checks = [
+        Check("principal_limits_exact", exact, None, exact),
+        Check("decaying_in_ideal", verdict_decay, "yes", verdict_decay == "yes"),
+        Check("alternating_undecidable", verdict_alt, "undecidable",
+              verdict_alt == "undecidable"),
+    ]
+    return CriterionResult(9, "ultralimit contracts", time.perf_counter() - t0, checks)
 
 
 _CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

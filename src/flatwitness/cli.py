@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acceptance, ioformats
 from .acceptance import Check
-from .bezout_ops import sampled_function, strictness_witness
+from .bezout_ops import strictness_witness
 from .errors import FlatwitnessError, InvalidInput
 from .hardy_engine import DEFAULT_CLAMP, constant_function, coordinate_function, inner_check
 from .layered_factor import preset_circle, preset_l2, preset_lebesgue_r
@@ -35,10 +35,14 @@ def _report(subcommand, parameters, checks, **extra):
     return {"subcommand": subcommand, "parameters": parameters, "checks": checks, **extra}
 
 
+def _rows(checks):
+    """The JSON rows of check records, as every report gives them."""
+    return [{"name": c.name, "value": c.value, "tol": c.tol, "pass": c.passed} for c in checks]
+
+
 def _emit(report, args, t0) -> int:
     checks = report["checks"]
-    report["checks"] = [{"name": c.name, "value": c.value, "tol": c.tol, "pass": c.passed}
-                        for c in checks]
+    report["checks"] = _rows(checks)
     report["pass"] = all(c.passed for c in checks if c.passed is not None)
     report["wall_time_s"] = time.perf_counter() - t0
     indent = None if args.json else 2
@@ -168,31 +172,10 @@ def _cmd_witness(args):
                                "points": rel.n_points, "terms": rel.n_terms}, checks, **extra)
 
 
-def _bezout_pair(obj):
-    """The sampled pair of a bezout input object; a refused value names its field."""
-    if not isinstance(obj, dict):
-        raise InvalidInput(f"bezout input must be an object with keys f and g, "
-                           f"not a {type(obj).__name__}")
-
-    def field(key, read):
-        try:
-            return read(obj[key])
-        except KeyError as exc:
-            raise InvalidInput(f"bezout input must be an object with keys f and g: {exc}") \
-                from exc
-        except (InvalidInput, OverflowError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"bezout input field {key}: {exc}") from exc
-
-    weights = field("weights", lambda v: np.asarray(v, dtype=float)) \
-        if obj.get("weights") is not None else None
-    f, g = field("f", ioformats.complex_array), field("g", ioformats.complex_array)
-    return sampled_function(f, weights), sampled_function(g, weights)
-
-
 def _cmd_bezout(args):
     if args.input:
         _unread(args, "an --input pair", "atoms", "seed")
-        f, g = _bezout_pair(ioformats.read_json(args.input))
+        f, g = ioformats.bezout_pair_from_obj(ioformats.read_json(args.input))
     else:
         _defaults(args, atoms=1000, seed=acceptance.DEFAULT_SEED)
         f, g = acceptance.random_pair(np.random.default_rng(args.seed), args.atoms)
@@ -236,18 +219,7 @@ def _cmd_layered(args):
             raise InvalidInput("need --preset, or --layout together with --values")
         _unread(args, "a --layout", "shells", "atoms_per_shell", "geometric")
         layout = ioformats.layered_space_from_obj(ioformats.read_json(args.layout))
-        obj = ioformats.read_json(args.values)
-        if not isinstance(obj, dict):
-            obj = {"values": obj}
-        try:
-            vals = ioformats.complex_array(obj["values"])
-            # factor refuses weights that differ from the layout's atom weights
-            weights = np.asarray(obj.get("weights", layout.flat_weights), dtype=float)
-        except KeyError as exc:
-            raise InvalidInput("layered values need a 'values' key") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInput(f"layered weights must be a list of numbers: {exc}") from exc
-        f = sampled_function(vals, weights)
+        f = ioformats.layered_values_from_obj(ioformats.read_json(args.values), layout)
         tail = args.tail or 0.0
     checks, _ = acceptance.layered_checks(f, layout, args.mode, tail, args.tol)
     return _report("layered", {"preset": args.preset, "shells": layout.n_shells,
@@ -328,6 +300,14 @@ def _cmd_transfer(args):
                                 "points": len(pts), "seed": args.seed}, checks)
 
 
+def _failure(c) -> str:
+    """A failing gate as ``name value > tol``, or as ``name value (tol ...)`` when either is
+    not a number."""
+    if isinstance(c.value, float) and isinstance(c.tol, float):
+        return f"{c.name} {c.value:.2e} > {c.tol:g}"
+    return f"{c.name} {c.value} (tol {c.tol})"
+
+
 def _cmd_suite(args):
     _defaults(args, seed=acceptance.DEFAULT_SEED)
     checks = []
@@ -336,10 +316,10 @@ def _cmd_suite(args):
                f"  ({res.elapsed_s:.2f}s)"
         print(line, file=sys.stderr)
         if not res.passed:
-            failing = [k for k, v in res.checks.items() if not v]
+            failing = [_failure(c) for c in res.records if c.passed is not None and not c.passed]
             print(f"  failing checks: {', '.join(failing)}", file=sys.stderr)
         checks.append(Check(f"criterion_{res.index}_{res.name.replace(' ', '_')}",
-                            {"checks": res.checks, "details": res.details,
+                            {"checks": res.checks, "records": _rows(res.records),
                              "elapsed_s": res.elapsed_s},
                             None, res.passed))
     return _report("suite", {"seed": args.seed}, checks)

@@ -235,15 +235,22 @@ def _blocked_fft(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(blocks, axis=1, out=blocks)
 
 
+# the smallest norm whose square is a normal float64
+_NORM_FLOOR = np.sqrt(np.finfo(float).tiny)
+
+
 def _negative_fraction(coefficients: np.ndarray) -> float:
     """2-norm fraction of the coefficients in the upper half of the last axis."""
     with np.errstate(over="ignore"):
         total = np.linalg.norm(coefficients)
-    if np.isinf(total):  # the squares overflow, and the ratio does not depend on the scale
-        coefficients = coefficients / np.max(np.abs(coefficients))
+    # the squares overflow or underflow, and the ratio depends only on the scaled moduli
+    if not _NORM_FLOOR <= total < np.inf:
+        coefficients = np.abs(coefficients)
+        peak = coefficients.max()
+        if peak == 0.0:
+            return 0.0
+        coefficients /= peak
         total = np.linalg.norm(coefficients)
-    if total == 0.0:
-        return 0.0
     upper = coefficients[..., coefficients.shape[-1] // 2:]
     # one dot product per row: a norm of the strided upper half would copy it first
     return float(np.sqrt(np.sum(np.vecdot(upper, upper).real)) / total)

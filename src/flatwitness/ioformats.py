@@ -1,6 +1,9 @@
 """Readers for the input formats: complex sequences, relations, sampled
 functions, layered spaces, and boundary grids; and the report's JSON form.
 
+An object reader refuses a malformed object with InvalidInput and its own
+message, never with the error that reading it raised.
+
 Complex numbers travel as [re, im] pairs in JSON, nested to an array's
 depth in a report.  Sequences may also be CSV with columns index,re,im.
 Grid functions may be JSON or a little-endian binary: an 8-byte unsigned
@@ -13,10 +16,12 @@ import csv
 import json
 import operator
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from .bezout_ops import SampledFunction, sampled_function
 from .errors import InvalidInput
 from .hardy_engine import GridFunction
 from .layered_factor import LayeredSpace
@@ -24,19 +29,32 @@ from .pointwise_witness import PointwiseRelation, pointwise_relation
 
 __all__ = [
     "complex_array",
+    "real_array",
     "read_sequence",
     "read_json",
     "relation_from_obj",
     "layered_space_from_obj",
+    "layered_values_from_obj",
+    "bezout_pair_from_obj",
     "read_grid_function",
     "jsonable",
 ]
 
 
+@contextmanager
+def _refusing(message, *nested):
+    """Raise InvalidInput(message.format(error)) for a malformed value read in the block: a
+    KeyError, TypeError, ValueError or OverflowError, or one of ``nested`` (a field reader's)."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, *nested) as exc:
+        raise InvalidInput(message.format(exc)) from exc
+
+
 def complex_array(entries) -> np.ndarray:
     """Array from a list of [re, im] pairs (bare reals are accepted)."""
     out = []
-    try:
+    with _refusing("not a list of complex entries: {}"):
         for e in entries:
             if isinstance(e, (list, tuple)):
                 if len(e) != 2:
@@ -44,9 +62,14 @@ def complex_array(entries) -> np.ndarray:
                 out.append(complex(e[0], e[1]))
             else:
                 out.append(complex(e))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"not a list of complex entries: {exc}") from exc
     return np.asarray(out, dtype=complex)
+
+
+def real_array(entries) -> np.ndarray:
+    """Array from a list of real numbers; a refusal gives the conversion's own message,
+    for the object reader to say which field it read."""
+    with _refusing("{}"):
+        return np.asarray(entries, dtype=float)
 
 
 def read_sequence(path) -> np.ndarray:
@@ -79,12 +102,10 @@ def read_json(path):
 
 
 def relation_from_obj(obj) -> PointwiseRelation:
-    try:
+    with _refusing("malformed relation object: {}"):
         weights = np.asarray(obj["weights"], dtype=float)
         r_rows = np.vstack([complex_array(row) for row in obj["r"]])
         m_rows = np.vstack([complex_array(row) for row in obj["m"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"malformed relation object: {exc}") from exc
     return pointwise_relation(weights, r_rows, m_rows)
 
 
@@ -96,15 +117,45 @@ def layered_space_from_obj(obj) -> LayeredSpace:
 
     Every atom must have an ``id``, though only its ``weight`` is kept.
     """
-    try:
+    with _refusing("malformed layered space: {}"):
         shells = sorted(obj["shells"], key=lambda sh: sh["n"])
         numbers = [int(sh["n"]) for sh in shells]
         weights = [[float(w) for _, w in map(_ATOM, sh["atoms"])] for sh in shells]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"malformed layered space: {exc}") from exc
     if numbers != list(range(1, len(shells) + 1)):
         raise InvalidInput("shell numbers n must be consecutive from 1")
     return LayeredSpace(weights)
+
+
+def layered_values_from_obj(obj, layout: LayeredSpace) -> SampledFunction:
+    """The sampled function of a layered values object {values, weights}, or of a bare
+    list of values; the weights default to the layout's atom weights, and ``factor``
+    refuses any others."""
+    if not isinstance(obj, dict):
+        obj = {"values": obj}
+    if "values" not in obj:
+        raise InvalidInput("layered values need a 'values' key")
+    values = complex_array(obj["values"])
+    with _refusing("layered weights must be a list of numbers: {}", InvalidInput):
+        weights = real_array(obj.get("weights", layout.flat_weights))
+    return sampled_function(values, weights)
+
+
+def bezout_pair_from_obj(obj):
+    """The sampled pair (f, g) of a bezout input object {f, g, weights}; a refused value
+    names its field."""
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"bezout input must be an object with keys f and g, "
+                           f"not a {type(obj).__name__}")
+
+    def field(key, read):
+        with _refusing("bezout input must be an object with keys f and g: {}"):
+            entries = obj[key]
+        with _refusing(f"bezout input field {key}: {{}}", InvalidInput):
+            return read(entries)
+
+    weights = field("weights", real_array) if obj.get("weights") is not None else None
+    f, g = field("f", complex_array), field("g", complex_array)
+    return sampled_function(f, weights), sampled_function(g, weights)
 
 
 _GRID_HEADER = struct.Struct("<Q")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flatwitness import acceptance, cli
+from flatwitness import acceptance, cli, ioformats
 from flatwitness.errors import InvalidInput
 
 
@@ -606,27 +606,18 @@ def test_non_finite_report_is_input_error(tmp_path, capsys):
     assert json.loads(out.err.strip().splitlines()[-1])["error"] == "InvalidInput"
 
 
-# gate of `hardy factor` -> the details key under which criterion 6 reports its value
-CRITERION_6_VALUE_KEY = {
-    "g_matches_reciprocal_weight": "gw_deviation",
-    "h_norm_sq_vs_majorant": "h_norm_sq",
-    "h_leakage": "h_leakage",
-    "radial_ratio": "radial_ratio",
-    "log_integral_vs_bound": "log_integral",
-}
-
-
 def test_hardy_factor_defaults_match_criterion_6(capsys):
+    # criterion 6 runs `hardy factor`'s pipeline at its defaults and reports every
+    # record of it, gates and safety valves alike, with the same value and tol
     _, report, _ = run_cli(capsys, ["hardy", "factor"])
     c6 = acceptance.criterion_6()
     checks = {c["name"]: c for c in report["checks"]}
     shared = {name for name, c in checks.items() if c["pass"] is not None} & set(c6.checks)
-    assert shared == set(CRITERION_6_VALUE_KEY)
-    for name in shared:
-        assert checks[name]["pass"] == c6.checks[name]
-        assert checks[name]["value"] == c6.details[CRITERION_6_VALUE_KEY[name]]
-    for valve in ("weight_floored", "clamp_count", "empty_shells"):
-        assert checks[valve]["value"] == c6.details[valve]
+    assert shared == {"g_matches_reciprocal_weight", "h_norm_sq_vs_majorant", "h_leakage",
+                      "radial_ratio", "log_integral_vs_bound"}
+    records = {c["name"]: c for c in ioformats.jsonable(cli._rows(c6.records))}
+    for name in checks:
+        assert records[name] == checks[name]
 
 
 @pytest.mark.parametrize("argv, criterion", [
@@ -638,6 +629,62 @@ def test_subcommand_gates_reappear_in_its_criterion(capsys, argv, criterion):
     _, report, _ = run_cli(capsys, argv)
     gates = {c["name"] for c in report["checks"] if c["pass"] is not None}
     assert gates and gates <= set(criterion().checks)
+
+
+def untoleranced_gates(rows):
+    """Gated rows, the suite's nested records included, that carry no tol and are no bool."""
+    for row in rows:
+        if isinstance(row["value"], dict) and "records" in row["value"]:
+            yield from untoleranced_gates(row["value"]["records"])
+        elif row["pass"] is not None and row["tol"] is None and not isinstance(row["value"], bool):
+            yield row["name"]
+
+
+# each criterion's gates and verdicts, in order; criterion 6 fails two standing gates
+SUITE_GATES = [
+    {"bound_holds_all_windows": True},
+    dict.fromkeys(["coeff_residual", "reconstruction_residual", "rho_bound", "mu_norm_bound"],
+                  True),
+    dict.fromkeys(["f_eq_Fd", "g_eq_Gd", "d_membership", "F_bound", "cf_unimodular"], True),
+    dict.fromkeys(["factorization_residual", "star_bound_lhs_vs_rhs", "g_shell_nonincreasing",
+                   "g_matches_closed_form", "h_norm_matches_closed_form",
+                   "compact_weights_exact"], True),
+    dict.fromkeys(["boundary_modulus_deviation", "constant_reproduced",
+                   "one_minus_z_coefficients", "constant_leakage"], True),
+    {"g_matches_reciprocal_weight": True, "h_norm_sq_vs_majorant": True, "h_leakage": False,
+     "radial_ratio": False, "log_integral_vs_bound": True,
+     "radial_strictly_decreasing_from_4": True},
+    dict.fromkeys(["inner_boundary_deviation", "idempotence_residual",
+                   "distance_to_shifted_space", "blaschke_distances", "self_adjoint"], True),
+    dict.fromkeys(["transferred_identity_residual", "fixture_one_minus_z", "round_trip"], True),
+    dict.fromkeys(["principal_limits_exact", "decaying_in_ideal", "alternating_undecidable"],
+                  True),
+]
+
+
+@pytest.mark.parametrize("seed", ["20250811", "4099"])
+def test_suite_reports_every_gate_with_its_tol(capsys, seed):
+    code, report, err = run_cli(capsys, ["suite", "--seed", seed, "--json"])
+    assert code == 1 and list(untoleranced_gates(report["checks"])) == []
+    assert [list(c["value"]) for c in report["checks"]] == [["checks", "records", "elapsed_s"]] * 9
+    assert [list(c["value"]["checks"].items()) for c in report["checks"]] == \
+        [list(gates.items()) for gates in SUITE_GATES]
+    for c in report["checks"]:
+        records = c["value"]["records"]
+        assert c["value"]["checks"] == {r["name"]: r["pass"] for r in records
+                                        if r["pass"] is not None}
+    # a failing criterion's line gives each failing gate with its value and tol
+    failing = [ln for ln in err.splitlines() if ln.startswith("  failing checks:")]
+    assert failing == ["  failing checks: h_leakage 6.29e-04 > 1e-06, radial_ratio 2.53e-01 > 0.1"]
+    assert "Warning" not in err and "Traceback" not in err
+
+
+def test_untoleranced_gates_finds_a_gate_without_tol():
+    rows = cli._rows([acceptance.Check("bool_gate", True, None, True),
+                      acceptance.Check("number_gate", 0.5, None, True),
+                      acceptance.Check("informational", 0.5)])
+    suite = cli._rows([acceptance.Check("criterion", {"records": rows}, None, True)])
+    assert list(untoleranced_gates(suite)) == ["number_gate"]
 
 
 # ---------------------------------------------------------------------------

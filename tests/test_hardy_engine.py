@@ -398,11 +398,14 @@ def test_leakage_and_projection_match_twiddled_spectrum(log2n):
 
 @pytest.mark.filterwarnings("error")
 def test_leakage_survives_overflowing_squares():
-    # squares of 1e300 overflow float64, but the leakage is a ratio of norms
+    # squares of 1e300 overflow float64 and those of 1e-200 underflow to 0, but the
+    # leakage is a ratio of norms, and the inner-function gate sees it at every scale
     th = grid_thetas(64)
-    for scale in (1.0, 1e300):
+    for scale in (1.0, 1e300, 1e-200):
         h = GridFunction(scale * (np.exp(1j * th) + 0.5 * np.exp(-1j * th)))
         assert neg_mode_leakage(h) == pytest.approx(0.5 / np.sqrt(1.25), rel=1e-12)
+        with pytest.raises(InvalidInput, match="not analytic"):
+            inner_check(h)
 
 
 U = np.finfo(float).eps / 2  # unit roundoff

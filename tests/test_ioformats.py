@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from flatwitness import ioformats
 from flatwitness.errors import InvalidInput
+from flatwitness.layered_factor import LayeredSpace
 from flatwitness.pointwise_witness import (
     WitnessCertificate,
     pointwise_relation,
@@ -228,8 +229,10 @@ def _returns_or_invalid(read, arg):
 @FUZZ
 @given(obj=JSON_VALUES)
 def test_object_readers_fuzz(obj):
-    for read in (ioformats.complex_array, ioformats.relation_from_obj,
-                 ioformats.layered_space_from_obj):
+    layout = LayeredSpace([[0.5, 0.25], [0.5, 0.25]])
+    for read in (ioformats.complex_array, ioformats.real_array, ioformats.relation_from_obj,
+                 ioformats.layered_space_from_obj, ioformats.bezout_pair_from_obj,
+                 lambda o: ioformats.layered_values_from_obj(o, layout)):
         _returns_or_invalid(read, obj)
 
 
