@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -56,7 +57,13 @@ def _emit(report, args, t0) -> int:
         except OSError as exc:
             raise InvalidInput(f"cannot write the report to {args.out}: {exc}") from exc
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # a closed pipe, say: the text left in stdout's buffer goes to the null
+            # device, so the flush at exit does not fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InvalidInput(f"cannot write the report to stdout: {exc}") from exc
     return 0 if report["pass"] else 1
 
 

@@ -15,8 +15,13 @@ transforming back.  The boundary samples are exp(k) * (cos c + i sin c), so
 their log-modulus is k itself, sample for sample, and the boundary modulus
 matches the prescription to the rounding of exp.  The analytic completion
 k + i c, whose power-series coefficients come from the same real transform
-(doubled on the positive bins), becomes an explicit polynomial in z, built
-on first use, for evaluation anywhere in the closed disk.
+(doubled on the positive bins), is kept as an explicit polynomial in z for
+evaluation anywhere in the closed disk.  The arc-shell weight depends only
+on |theta|, so its log-modulus is mirrored (sample N-1-j equals sample j),
+its spectrum is real and c is odd: such an input is synthesized on the half
+grid, by a DCT-II and a DST-III of length N/2 that are one real transform
+each (Makhoul's method), and its second half is the conjugate mirror of
+the first.
 """
 
 from __future__ import annotations
@@ -402,27 +407,16 @@ def check_log_integrable(w: np.ndarray, layout: ArcLayout) -> LogIntegralReport:
 class OuterFunction:
     """Zero-free analytic function with prescribed boundary modulus.
 
-    ``boundary`` holds the grid samples and ``log_spectrum`` the real
-    transform of the (clamped) log-modulus over N, modes 0..N/2.
-    ``log_coeffs`` are the power-series coefficients (degree N/2) of the
-    analytic completion A, so the function itself is exp(A(z)) anywhere in
-    the closed disk; they are built from ``log_spectrum`` on first access.
+    ``boundary`` holds the grid samples.  ``log_coeffs`` are the
+    power-series coefficients (degree N/2) of the analytic completion A of
+    the (clamped) log-modulus, so the function itself is exp(A(z)) anywhere
+    in the closed disk.  A mirrored log-modulus has A(conj z) = conj A(z):
+    its coefficients are real and the one of degree N/2 is 0.
     """
 
     boundary: GridFunction
-    log_spectrum: np.ndarray
+    log_coeffs: np.ndarray
     clamp_count: int
-
-    @cached_property
-    def log_coeffs(self) -> np.ndarray:
-        # bin m carries exp(2i pi m j/N) = z_j^m e^{-i pi m/N} for m < N/2, and
-        # the Nyquist bin carries (-1)^j = -i z_j^{N/2}; the positive modes count twice
-        half = self.boundary.n // 2
-        coeffs = self.log_spectrum.copy()
-        coeffs[1:half] *= 2.0
-        coeffs[:half] *= _cis((-np.pi / self.boundary.n) * np.arange(half))
-        coeffs[half] *= -1j
-        return coeffs
 
     def __call__(self, z):
         return np.exp(eval_series(self.log_coeffs, z))
@@ -435,7 +429,9 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     legal.  Samples below log(clamp) are lifted to log(clamp) and counted.
     The boundary modulus of the result reproduces the (clamped) prescription
     at every sample to rounding error.  A complex array must be real to
-    rounding, and its real part is used.
+    rounding, and its real part is used.  A log-modulus whose sample N-1-j
+    equals sample j exactly is synthesized from its first half
+    (``_mirrored_outer``).
     """
     vals = np.asarray(log_modulus)
     if vals.ndim != 1 or vals.size < 4 or vals.size & (vals.size - 1):
@@ -452,25 +448,86 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     if np.isnan(top) or top == np.inf:
         raise InvalidInput("log-modulus must be bounded above and not NaN")
     floor = np.log(clamp)
-    clamp_count = int(np.count_nonzero(vals < floor))
-    k = np.maximum(vals, floor)  # a fresh array: the caller's is never written
-    n = k.size
+    n = vals.size
+    half = n // 2
     # the transforms of the boundary sum N samples of size up to exp(peak)
     limit = min(EXP_OVERFLOW_LIMIT, float(np.log(np.finfo(float).max) - np.log(n)))
     peak = max(top, float(floor))
     if peak > limit:
         raise ScaleOverflow(limit - peak)
+    if np.array_equal(vals[:half], vals[:half - 1:-1]):
+        return _mirrored_outer(vals[:half], floor)
 
+    clamp_count = int(np.count_nonzero(vals < floor))
+    k = np.maximum(vals, floor)  # a fresh array: the caller's is never written
     spec = np.fft.rfft(k)  # modes 0..N/2 of the real log-modulus
-    log_spectrum = spec / n
+    # bin m carries exp(2i pi m j/N) = z_j^m e^{-i pi m/N} for m < N/2, and
+    # the Nyquist bin carries (-1)^j = -i z_j^{N/2}; the positive modes count twice
+    log_coeffs = spec / n
+    log_coeffs[1:half] *= 2.0
+    log_coeffs[:half] *= _cis((-np.pi / n) * np.arange(half))
+    log_coeffs[half] *= -1j
     # harmonic conjugate c: -i on the positive modes, zero and Nyquist dropped
     spec *= -1j
-    spec[0] = spec[n // 2] = 0.0
+    spec[0] = spec[half] = 0.0
     samples = _cis(np.fft.irfft(spec, n))
     np.exp(k, out=k)
     samples.real *= k
     samples.imag *= k
-    return OuterFunction(boundary=GridFunction(samples), log_spectrum=log_spectrum,
+    return OuterFunction(boundary=GridFunction(samples), log_coeffs=log_coeffs,
+                         clamp_count=clamp_count)
+
+
+def _mirrored_outer(first_half: np.ndarray, floor: float) -> OuterFunction:
+    """The outer synthesis of a mirrored log-modulus k from its samples j < L = N/2.
+
+    k is even in theta, so its twiddled spectrum is real: 2 Y_m/N for the
+    DCT-II Y_m = sum_{j<L} k_j cos(pi m (2j+1)/(2L)), with mode N/2 zero.
+    Makhoul's method takes Y from one real transform V of length L of the
+    permuted samples v = (k_0, k_2, ..., k_{L-2}, k_{L-1}, ..., k_3, k_1) and
+    the twiddle W_m = e^{-i pi m/(2L)} V_m on modes 0..L/2:
+    Y_m = Re W_m and Y_{L-m} = -Im W_m.  The conjugate
+    c_j = (2/L) sum_m Y_m sin(pi m (2j+1)/(2L)) is a DST-III, (-1)^j times the
+    DCT-III of Y reversed, which is Makhoul's inverse: the spectrum
+    -i conj(e^{-i pi m/(2L)} W_m) with mode 0 dropped, one inverse real
+    transform of length L, and the permutation undone with the odd samples
+    negated.  Everything is computed in v's order and written to the first
+    half of the output through strided views; c is odd and k even, so
+    sample N-1-j is the conjugate of sample j.
+    """
+    half = first_half.size
+    quarter = half // 2
+    out = np.empty(2 * half, dtype=complex)
+    clamp_count = 2 * int(np.count_nonzero(first_half < floor))
+    v = np.empty(half)
+    np.maximum(first_half[::2], floor, out=v[:quarter])
+    np.maximum(first_half[::-2], floor, out=v[quarter:])
+    spec = np.fft.rfft(v)
+    twiddle = _cis((-np.pi / (2 * half)) * np.arange(quarter + 1))
+    spec *= twiddle
+    log_coeffs = np.empty(half + 1)  # 2 Y_0/N, then 4 Y_m/N, then 0 at N/2
+    log_coeffs[: quarter + 1] = spec.real
+    np.negative(spec.imag[quarter - 1:0:-1], out=log_coeffs[quarter + 1: half])
+    log_coeffs[half] = 0.0
+    log_coeffs *= 2.0 / half
+    log_coeffs[0] *= 0.5
+    spec *= twiddle
+    np.conjugate(spec, out=spec)
+    spec *= -1j
+    spec[0] = 0.0
+    c = np.fft.irfft(spec, half)  # c_{2j} = c[j] and c_{2j+1} = -c[L-1-j]
+    c[quarter:] *= -1.0  # now the conjugate in v's order
+    np.exp(v, out=v)
+    first = out[:half]
+    # the views first[::2] and first[::-2] are samples 0, 2, ..., L-2 and L-1, ..., 3, 1
+    for part, view in ((slice(None, quarter), slice(None, None, 2)),
+                       (slice(quarter, None), slice(None, None, -2))):
+        np.cos(c[part], out=first.real[view])
+        np.sin(c[part], out=first.imag[view])
+        first.real[view] *= v[part]
+        first.imag[view] *= v[part]
+    np.conjugate(first[::-1], out=out[half:])
+    return OuterFunction(boundary=GridFunction(out), log_coeffs=log_coeffs,
                          clamp_count=clamp_count)
 
 

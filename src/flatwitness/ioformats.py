@@ -51,6 +51,13 @@ def _refusing(message, *nested):
         raise InvalidInput(message.format(exc)) from exc
 
 
+def _refuse_text(entry):
+    """A ValueError for a str entry, which complex() and numpy would parse as a number."""
+    if isinstance(entry, str):
+        raise ValueError(f"could not convert string to float: {str(entry)!r} "
+                         "(numbers are not quoted)")
+
+
 def complex_array(entries) -> np.ndarray:
     """Array from a list of [re, im] pairs (bare reals are accepted)."""
     out = []
@@ -59,8 +66,9 @@ def complex_array(entries) -> np.ndarray:
             if isinstance(e, (list, tuple)):
                 if len(e) != 2:
                     raise InvalidInput(f"complex entry must be a [re, im] pair, got {e!r}")
-                out.append(complex(e[0], e[1]))
+                out.append(complex(e[0], e[1]))  # complex() refuses a str in a pair
             else:
+                _refuse_text(e)
                 out.append(complex(e))
     return np.asarray(out, dtype=complex)
 
@@ -69,7 +77,11 @@ def real_array(entries) -> np.ndarray:
     """Array from a list of real numbers; a refusal gives the conversion's own message,
     for the object reader to say which field it read."""
     with _refusing("{}"):
-        return np.asarray(entries, dtype=float)
+        arr = np.asarray(entries)
+        if arr.dtype.kind in "OU":  # mixed or text entries
+            for e in arr.flat:
+                _refuse_text(e)
+        return arr.astype(float, copy=False)
 
 
 def read_sequence(path) -> np.ndarray:
@@ -102,8 +114,9 @@ def read_json(path):
 
 
 def relation_from_obj(obj) -> PointwiseRelation:
+    with _refusing("malformed relation object: {}", InvalidInput):
+        weights = real_array(obj["weights"])
     with _refusing("malformed relation object: {}"):
-        weights = np.asarray(obj["weights"], dtype=float)
         r_rows = np.vstack([complex_array(row) for row in obj["r"]])
         m_rows = np.vstack([complex_array(row) for row in obj["m"]])
     return pointwise_relation(weights, r_rows, m_rows)

@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,6 +529,60 @@ def test_bezout_input_refusal_names_its_field(tmp_path, capsys, text, message):
     [line] = out.err.strip().splitlines()
     error = json.loads(line)
     assert error["error"] == "InvalidInput" and error["message"].startswith(message)
+
+
+# each file holds one quoted number, and reads as valid input once it is unquoted
+QUOTED_NUMBERS = {
+    "witness": (["witness", "--input", "rel.json"],
+                '{"weights": ["0.5"], "r": [[[1.0, 0.0]]], "m": [[[0.0, 0.0]]]}'),
+    "bezout": (["bezout", "--input", "pair.json"],
+               '{"f": [[1.0, 0.0]], "g": [[0.0, 1.0]], "weights": ["0.5"]}'),
+    "layered": (["layered", "--layout", "layout.json", "--values", "values.json"],
+                '{"values": ["0.5"]}'),
+    "sequence": (["olympiad", "--input", "seq.json"], '[[1.0, 0.0], "0.5", [0.25, 0.0]]'),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", QUOTED_NUMBERS)
+def test_quoted_number_is_one_json_error_line(tmp_path, monkeypatch, capsys, case):
+    argv, text = QUOTED_NUMBERS[case]
+    (tmp_path / "layout.json").write_text(BAD_INPUT_FILES["layout.json"])
+    path = tmp_path / argv[-1]
+    monkeypatch.chdir(tmp_path)
+    path.write_text(text)
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "Traceback" not in out.err
+    [line] = out.err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "InvalidInput" and "'0.5' (numbers are not quoted)" in error["message"]
+    path.write_text(text.replace('"0.5"', "0.5"))
+    assert cli.main(argv) in (0, 1)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_one_json_error_line(unbuffered):
+    # a report that cannot be written is an input error, as an unwritable --out is,
+    # and the text left in stdout's buffer does not fail again at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run([sys.executable, "-m", "flatwitness.cli", "olympiad", "--geometric",
+                               "0.5", "--terms", "200"], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    [line] = done.stderr.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "InvalidInput"
+    assert error["message"].startswith("cannot write the report to stdout")
 
 
 IGNORED_OPTIONS = [

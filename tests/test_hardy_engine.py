@@ -305,14 +305,16 @@ def test_outer_rejects_bad_input():
 
 @pytest.mark.parametrize("clamp", [1e-12, 0.5])
 def test_outer_real_and_zero_imaginary_input_agree_bitwise(clamp):
+    # on both paths: the real part of a complex array is a strided view
     rng = np.random.default_rng(11)
-    k = rng.standard_normal(2**12)
-    k[::97] = -np.inf
-    real, cplx = outer_from_modulus(k, clamp), outer_from_modulus(k.astype(complex), clamp)
-    assert real.clamp_count == cplx.clamp_count > 0
-    assert np.array_equal(real.boundary.samples, cplx.boundary.samples)
-    assert np.array_equal(real.log_spectrum, cplx.log_spectrum)
-    assert np.array_equal(real.log_coeffs, cplx.log_coeffs)
+    asymmetric = rng.standard_normal(2**12)
+    asymmetric[::97] = -np.inf
+    mirrored = np.concatenate((asymmetric[:2**11], asymmetric[2**11 - 1::-1]))
+    for k in (asymmetric, mirrored):
+        real, cplx = outer_from_modulus(k, clamp), outer_from_modulus(k.astype(complex), clamp)
+        assert real.clamp_count == cplx.clamp_count > 0
+        assert np.array_equal(real.boundary.samples, cplx.boundary.samples)
+        assert np.array_equal(real.log_coeffs, cplx.log_coeffs)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -365,20 +367,38 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _mirrored_log_modulus(n, rng):
+    """Random region values of an arc layout on the n-point grid, expanded: exactly mirrored."""
+    layout = arc_layout(n, max(1, n // 16))
+    return layout.expand(rng.standard_normal(layout.max_shell + 2))
+
+
 @pytest.mark.parametrize("log2n", range(4, 17))
 def test_outer_matches_complex_transform_reference(log2n):
+    # asymmetric inputs take the full-length path and mirrored ones the half-length one
     n = 2**log2n
     rng = np.random.default_rng(log2n)
     plain = rng.standard_normal(n)
     zeros = plain.copy()
     zeros[rng.choice(n, size=max(1, n // 16), replace=False)] = -np.inf
-    for k in (plain, zeros):
-        out = outer_from_modulus(k)
-        boundary, log_coeffs, taylor = _reference_outer(k)
-        assert out.clamp_count == int(np.sum(np.isinf(k)))
-        assert _rel_err(out.boundary.samples, boundary) <= 1e-12
-        assert _rel_err(out.log_coeffs, log_coeffs) <= 1e-12
-        assert _rel_err(out.boundary.taylor(), taylor) <= 1e-12
+    mirrored = _mirrored_log_modulus(n, rng)
+    mirrored_zeros = mirrored.copy()
+    hit = rng.choice(n // 2, size=max(1, n // 32), replace=False)
+    mirrored_zeros[hit] = mirrored_zeros[n - 1 - hit] = -np.inf
+    for k in (plain, zeros, mirrored, mirrored_zeros):
+        even = k is mirrored or k is mirrored_zeros
+        for clamp in (1e-12, 0.5):
+            out = outer_from_modulus(k, clamp)
+            boundary, log_coeffs, taylor = _reference_outer(k, clamp)
+            # the mirrored path clamps one half and counts both
+            assert out.clamp_count == int(np.sum(k < np.log(clamp)))
+            # and its second half is exactly the conjugate mirror, its coefficients real
+            samples = out.boundary.samples
+            assert np.array_equal(samples[::-1], np.conj(samples)) == even
+            assert np.isrealobj(out.log_coeffs) == even
+            assert _rel_err(samples, boundary) <= 1e-12
+            assert _rel_err(out.log_coeffs, log_coeffs) <= 1e-12
+            assert _rel_err(out.boundary.taylor(), taylor) <= 1e-12
 
 
 @pytest.mark.parametrize("log2n", range(4, 17))
@@ -451,6 +471,33 @@ def test_blocked_fft_matches_plain_transform_within_error_model(log2n):
     assert dist <= (eps_blocked + eps_plain) / (1 - eps_plain) * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("log2n", [*range(4, 17), 20])
+def test_outer_mirrored_path_matches_general_path_within_error_model(log2n):
+    # one ulp at one sample breaks the mirror and sends the input down the full-length path
+    n = 2**log2n
+    rng = np.random.default_rng(400 + log2n)
+    k = _mirrored_log_modulus(n, rng)
+    bent = k.copy()
+    bent[1] = np.nextafter(bent[1], np.inf)
+    even, general = outer_from_modulus(k), outer_from_modulus(bent)
+    assert np.isrealobj(even.log_coeffs) and np.iscomplexobj(general.log_coeffs)
+    # each path is at most 2 log2 N + 2 stages (the full-length rfft and irfft, or the
+    # half-length pair and its two twiddles), with roots within the table bound of
+    # _transform_errors, so the conjugates differ by 2 eps ||k|| in 2-norm; the ulp
+    # moves them by at most 2u ||k||
+    table_root = (4 * np.pi + 2 * np.sqrt(2)) * U
+    eps = _fft_error_bound(2 * log2n + 2, table_root)
+    k_norm = np.linalg.norm(k)
+    # a sample's relative distance is its conjugates' distance, plus exp, cos, sin and the
+    # two products rounded in each path and the ulp in its modulus
+    dist = np.abs(even.boundary.samples - general.boundary.samples)
+    dist /= np.abs(general.boundary.samples)
+    assert np.linalg.norm(dist) <= (2 * eps + 4 * U) * k_norm + 16 * U * np.sqrt(n)
+    # the coefficients are 2/N times the spectrum, of norm at most 2 ||k|| / sqrt(N)
+    coeff_dist = np.linalg.norm(even.log_coeffs - general.log_coeffs)
+    assert coeff_dist <= (2 * eps + 2 * U) * 2 * k_norm / np.sqrt(n)
+
+
 def test_leakage_traced_peak_is_one_blocked_buffer():
     # the (N1, N2) transform buffer is 16 bytes a sample and the twiddle tables
     # under 4 more; a copy of the strided upper half would add 8
@@ -504,22 +551,27 @@ def test_hardy_factor_modulus_is_reciprocal_weight():
 
 def test_hardy_factor_fft_budget(monkeypatch):
     # two leakage transforms, each two batched passes over all N points with
-    # cores of N1 = 64 and N2 = 128, and one real transform pair for the outer
-    # factor; each read of g's Taylor data costs one more, full-length, transform
+    # cores of N1 = 64 and N2 = 128, and one real transform pair of length N/2 for
+    # the outer factor of the mirrored weight; each read of g's Taylor data costs
+    # one more, full-length, transform
     n = 2**13
     f = from_taylor([1.0, 0.5, 0.25], n)
     counts = collections.Counter()
     passes = []  # (core length, points covered) of each complex forward transform
+    real_lengths = []  # the signal length of each real transform
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(a, *args, _name=name, _kernel=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
             if _name == "fft":
                 passes.append((np.shape(a)[kwargs.get("axis", -1)], np.size(a)))
+            elif _name in ("rfft", "irfft"):
+                real_lengths.append(args[0] if args else np.size(a))
             return _kernel(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     res = hardy_factor(f, 64)
     assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [4, 0, 1, 1]
     assert passes == [(64, n), (128, n)] * 2
+    assert real_lengths == [n // 2] * 2
     first = res.g.taylor()
     assert counts["fft"] == 5 and passes[-1] == (n, n)
     assert np.array_equal(res.g.taylor(), first)
@@ -528,8 +580,8 @@ def test_hardy_factor_fft_budget(monkeypatch):
 
 
 def test_hardy_factor_traced_peak_per_sample():
-    # a rescaled input keeps the most: g and h, the weight and the log spectrum,
-    # about 48 bytes a sample; a normalized copy of the input would add 16 to each
+    # a rescaled input keeps the most: g and h, the weight and the log coefficients,
+    # about 44 bytes a sample; a normalized copy of the input would add 16 to each
     # figure, and a per-sample region array 8
     n = 2**16
     rng = np.random.default_rng(2)

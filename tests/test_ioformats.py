@@ -50,6 +50,30 @@ def test_complex_array_accepts_pairs_and_scalars():
         ioformats.complex_array([[1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize("read, entries", [
+    (ioformats.complex_array, ["1+2j", " 3 "]),
+    (ioformats.complex_array, [[1.0, 0.0], "0.5"]),
+    (ioformats.complex_array, [["1", 0.0]]),
+    (ioformats.real_array, ["1.5"]),
+    (ioformats.real_array, [1.0, "2"]),
+    (ioformats.real_array, [[1.0], ["2"]]),
+])
+def test_array_readers_refuse_quoted_numbers(read, entries):
+    # complex() and numpy would parse the text; the file formats take JSON numbers only
+    with pytest.raises(InvalidInput, match="string"):
+        read(entries)
+
+
+def test_relation_reads_its_weights_as_a_real_array():
+    obj = {"weights": ["1.0"], "r": [[[1.0, 0.0]]], "m": [[[0.0, 0.0]]]}
+    with pytest.raises(InvalidInput, match="^malformed relation object: could not convert"):
+        ioformats.relation_from_obj(obj)
+    with pytest.raises(InvalidInput, match="^malformed relation object: 'weights'"):
+        ioformats.relation_from_obj({"r": obj["r"], "m": obj["m"]})
+    obj["weights"] = [1.0]
+    assert np.array_equal(ioformats.relation_from_obj(obj).point_weights, [1.0])
+
+
 def test_relation_round_trip():
     # weights, then r and m as one list of [re, im] pairs per point
     text = ('{"weights": [1.0, 0.5], "r": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],'
