@@ -138,7 +138,11 @@ class GridFunction:
         n = arr.size
         if arr.ndim != 1 or n < 4 or n & (n - 1):
             raise InvalidInput("samples must be a 1-d array whose length is a power of two >= 4")
-        if not np.all(np.isfinite(arr)):
+        # a NaN or an infinity makes the sum non-finite, so the elementwise check runs
+        # only for the rare finite samples whose sum overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise InvalidInput("samples must be finite")
         self.samples = arr
 
@@ -168,12 +172,22 @@ class GridFunction:
 
     @property
     def norm_sq(self) -> float:
-        sq = np.abs(self.samples)
-        return float(np.mean(np.square(sq, out=sq)))
+        return _mean_sq(self.samples)
 
     @property
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq))
+
+
+def _mean_sq(x: np.ndarray) -> float:
+    """The mean of |x_j|^2 as one dot product, with no per-sample buffer."""
+    return float(np.vecdot(x, x).real) / x.size
+
+
+def _unit_deviation(x: np.ndarray) -> float:
+    """max_j |x_j - 1| of a real array from its extremes: fl(x - 1) rises with x and
+    fl(1 - x) = -fl(x - 1), so this is the elementwise maximum bit for bit."""
+    return max(float(np.max(x)) - 1.0, 1.0 - float(np.min(x)))
 
 
 def constant_function(n: int) -> GridFunction:
@@ -485,7 +499,7 @@ def _mirrored_outer(first_half: np.ndarray, floor: float) -> OuterFunction:
     DCT-II Y_m = sum_{j<L} k_j cos(pi m (2j+1)/(2L)), with mode N/2 zero.
     Makhoul's method takes Y from one real transform V of length L of the
     permuted samples v = (k_0, k_2, ..., k_{L-2}, k_{L-1}, ..., k_3, k_1) and
-    the twiddle W_m = e^{-i pi m/(2L)} V_m on modes 0..L/2:
+    the twiddle W_m = e^{-i pi m/(2L)} V_m on modes 0..L/2 (``_twiddle_quarter``):
     Y_m = Re W_m and Y_{L-m} = -Im W_m.  The conjugate
     c_j = (2/L) sum_m Y_m sin(pi m (2j+1)/(2L)) is a DST-III, (-1)^j times the
     DCT-III of Y reversed, which is Makhoul's inverse: the spectrum
@@ -503,15 +517,14 @@ def _mirrored_outer(first_half: np.ndarray, floor: float) -> OuterFunction:
     np.maximum(first_half[::2], floor, out=v[:quarter])
     np.maximum(first_half[::-2], floor, out=v[quarter:])
     spec = np.fft.rfft(v)
-    twiddle = _cis((-np.pi / (2 * half)) * np.arange(quarter + 1))
-    spec *= twiddle
+    _twiddle_quarter(spec)
     log_coeffs = np.empty(half + 1)  # 2 Y_0/N, then 4 Y_m/N, then 0 at N/2
     log_coeffs[: quarter + 1] = spec.real
     np.negative(spec.imag[quarter - 1:0:-1], out=log_coeffs[quarter + 1: half])
     log_coeffs[half] = 0.0
     log_coeffs *= 2.0 / half
     log_coeffs[0] *= 0.5
-    spec *= twiddle
+    _twiddle_quarter(spec)
     np.conjugate(spec, out=spec)
     spec *= -1j
     spec[0] = 0.0
@@ -529,6 +542,22 @@ def _mirrored_outer(first_half: np.ndarray, floor: float) -> OuterFunction:
     np.conjugate(first[::-1], out=out[half:])
     return OuterFunction(boundary=GridFunction(out), log_coeffs=log_coeffs,
                          clamp_count=clamp_count)
+
+
+def _twiddle_quarter(spec: np.ndarray) -> None:
+    """Multiply mode m = 0..Q of a spectrum of Q + 1 modes by e^{-i pi m/(4Q)} in place.
+
+    As in ``_blocked_fft``, with m = a + S*b, S = 2^floor(log2(Q)/2), the
+    root is the product of an S-root and a (Q/S + 1)-root table entry.
+    """
+    quarter = spec.size - 1
+    s = 1 << ((quarter.bit_length() - 1) // 2)
+    step = -np.pi / (4 * quarter)
+    high = _cis(step * (s * np.arange(quarter // s + 1)))
+    rows = spec[:quarter].reshape(-1, s)
+    rows *= _cis(step * np.arange(s))
+    rows *= high[:-1, None]
+    spec[quarter] *= high[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -573,28 +602,50 @@ def _weighted_tail_series(profile: TailProfile) -> float:
     return float(np.sum(np.where(a2 > 0, a2 / np.sqrt(r_prev), 0.0)))
 
 
+def _input_norm(samples: np.ndarray) -> tuple[float, float]:
+    """The squared 2-norm and the 2-norm of the samples.
+
+    When the mean square overflows or falls below the smallest normal float,
+    the norm is taken of the samples divided by their largest real or
+    imaginary part, as ``_negative_fraction`` does, and scaled back; the
+    squared norm is then its square.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the discarded imaginary part may be NaN
+        norm_sq = _mean_sq(samples)
+    if _NORM_FLOOR**2 <= norm_sq < np.inf:
+        return norm_sq, float(np.sqrt(norm_sq))
+    peak = max(float(np.max(np.abs(samples.real))), float(np.max(np.abs(samples.imag))))
+    if peak == 0.0:
+        return 0.0, 0.0
+    norm = peak * float(np.sqrt(_mean_sq(samples / peak)))
+    return norm * norm, norm
+
+
 def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     """Factor an analytic boundary function against the arc-shell weight.
 
     Pipeline: arc masses -> weight -> log-integrability report -> outer
     function with modulus 1/w -> h = f/g on the grid.  The input must be
     analytic to ANALYTIC_TOL (negative-mode fraction) and not the zero
-    function; it is divided by its norm when that norm exceeds 1.
+    function; it is divided by its norm when that norm exceeds 1.  A norm
+    whose square overflows or underflows is taken on the rescaled samples
+    (``_input_norm``), so a large input is still normalized and a tiny one
+    is factored as it is.
     """
-    sq = np.abs(f.samples)  # |f|^2, and on the rescale path |fn|^2 in the same buffer
-    norm_sq = float(np.mean(np.square(sq, out=sq)))
-    if norm_sq == 0.0:
+    norm_sq, norm = _input_norm(f.samples)
+    if norm == 0.0:
         raise InvalidInput("cannot factor the zero function")
+    if norm == np.inf:
+        raise InvalidInput("the input's 2-norm overflows float64")
     leak = neg_mode_leakage(f)
     if leak > ANALYTIC_TOL:
         raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
-    scale = max(1.0, float(np.sqrt(norm_sq)))
+    scale = max(1.0, norm)
     if scale > 1.0:
         fn = GridFunction(f.samples / scale)
-        norm_sq = float(np.mean(np.square(np.abs(fn.samples, out=sq), out=sq)))
+        norm_sq = _mean_sq(fn.samples)
     else:
         fn = f
-    del sq
 
     layout = arc_layout(fn.n, max_shell)
     profile = arc_energies(fn, layout)
@@ -606,10 +657,10 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     h = GridFunction(fn.samples / g.samples)
     del fn  # the result rebuilds it from f and scale when it is read
 
-    dev = np.abs(g.samples)
-    dev *= weight.values
-    dev -= 1.0
-    gw_dev = float(np.max(np.abs(dev, out=dev)))
+    gw = np.abs(g.samples)
+    gw *= weight.values
+    gw_dev = _unit_deviation(gw)
+    del gw  # freed before h's leakage transform allocates its own N-long buffer
     core_term = float(profile.tail / np.sqrt(max(profile.suffix_sums[-1], SUFFIX_FLOOR))) \
         if profile.tail > 0 else 0.0
     star_rhs = norm_sq + _weighted_tail_series(profile) + core_term
@@ -657,7 +708,7 @@ def inner_check(b: GridFunction) -> InnerFunction:
     spectrum = b.spectrum()  # the twiddle and the 1/N scale leave the leakage ratio as it is
     if _negative_fraction(spectrum[None, :]) > INNER_TOL:
         raise InvalidInput("candidate is not analytic to tolerance")
-    dev = float(np.max(np.abs(np.abs(b.samples) - 1.0)))
+    dev = _unit_deviation(np.abs(b.samples))
     radii = np.linspace(0.15, 0.9, 6)
     angles = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     pts = (radii[:, None] * angles[None, :]).ravel()

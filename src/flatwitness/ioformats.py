@@ -125,15 +125,23 @@ def relation_from_obj(obj) -> PointwiseRelation:
 _ATOM = operator.itemgetter("id", "weight")
 
 
+def _shell_number(shell) -> int:
+    """A shell's ``n``, which must be a JSON integer: not quoted, not a float, not a bool."""
+    n = shell["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"shell number n must be an integer, not {n!r}")
+    return n
+
+
 def layered_space_from_obj(obj) -> LayeredSpace:
     """The space of a layered-space object, whose shells, sorted by n, are numbered 1..N.
 
     Every atom must have an ``id``, though only its ``weight`` is kept.
     """
-    with _refusing("malformed layered space: {}"):
-        shells = sorted(obj["shells"], key=lambda sh: sh["n"])
-        numbers = [int(sh["n"]) for sh in shells]
-        weights = [[float(w) for _, w in map(_ATOM, sh["atoms"])] for sh in shells]
+    with _refusing("malformed layered space: {}", InvalidInput):
+        shells = sorted(obj["shells"], key=_shell_number)
+        numbers = [sh["n"] for sh in shells]
+        weights = [real_array([w for _, w in map(_ATOM, sh["atoms"])]) for sh in shells]
     if numbers != list(range(1, len(shells) + 1)):
         raise InvalidInput("shell numbers n must be consecutive from 1")
     return LayeredSpace(weights)

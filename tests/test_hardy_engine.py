@@ -14,6 +14,9 @@ from flatwitness.hardy_engine import (
     GridFunction,
     _block_size,
     _blocked_fft,
+    _input_norm,
+    _mean_sq,
+    _unit_deviation,
     analytic_project,
     arc_energies,
     arc_layout,
@@ -78,6 +81,62 @@ def test_grid_validation():
         GridFunction(np.ones(3))  # not a power of two
     with pytest.raises(InvalidInput):
         GridFunction(np.array([1.0, np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [
+    [np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [complex(np.inf, 0.0)],
+    [complex(0.0, -np.inf)], [complex(np.nan, 1.0)], [complex(1.0, np.nan)], [1e308, np.inf],
+])
+def test_grid_refuses_every_non_finite_sample(bad):
+    # the sum is tested first: inf - inf is NaN and NaN propagates, so no bad entry hides
+    samples = np.full(8, 0.5 + 0.5j)
+    samples[:len(bad)] = bad
+    with pytest.raises(InvalidInput, match="samples must be finite"):
+        GridFunction(samples)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [1e308, -1e308, 1e308j, 1e308 - 1e308j])
+def test_grid_accepts_finite_samples_whose_sum_overflows(big):
+    samples = np.full(8, big, dtype=complex)
+    assert np.array_equal(GridFunction(samples).samples, samples)
+
+
+def _reference_mean_sq(x):
+    # the parent rule: abs, square and the mean, each term within 3u of |x_j|^2
+    return float(np.mean(np.abs(x) ** 2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("log2n", [2, 7, 12, 16])
+def test_norms_match_mean_of_squared_moduli_within_error_model(log2n, scale):
+    # both forms sum N terms each within 3u of |x_j|^2, so they differ by at most
+    # 2 (gamma_N + 3u) sum |x_j|^2 (Higham, ch. 4); the 1/N is a power of two
+    n = 2**log2n
+    rng = np.random.default_rng(500 + log2n)
+    x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    want = _reference_mean_sq(x)
+    model = 2 * (_gamma(n) + 3 * U) / (1 - _gamma(n) - 3 * U) * want
+    got = GridFunction(x).norm_sq
+    assert got == _mean_sq(x) and abs(got - want) <= model
+    norm_sq, norm = _input_norm(x)
+    assert norm_sq == got and norm == math.sqrt(got)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+def test_input_norm_rescales_squares_that_overflow_or_underflow(scale):
+    # divided by the largest part, scaled back: one more rounding per sample and the
+    # product and square root, on top of the two sums' model
+    n = 2**10
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = math.sqrt(_reference_mean_sq(x))
+    norm_sq, norm = _input_norm(scale * x)
+    assert abs(norm / scale - want) <= (_gamma(n) + 8 * U) * want
+    assert norm_sq == norm * norm
+    assert _input_norm(np.zeros(n, dtype=complex)) == (0.0, 0.0)
 
 
 def test_analytic_project_kills_negative_mode():
@@ -484,7 +543,9 @@ def test_outer_mirrored_path_matches_general_path_within_error_model(log2n):
     # each path is at most 2 log2 N + 2 stages (the full-length rfft and irfft, or the
     # half-length pair and its two twiddles), with roots within the table bound of
     # _transform_errors, so the conjugates differ by 2 eps ||k|| in 2-norm; the ulp
-    # moves them by at most 2u ||k||
+    # moves them by at most 2u ||k||.  A twiddle root of the half-length path is the
+    # product of two table roots, as in _blocked_fft, and its excess over the table
+    # bound is less than the bound's excess over numpy's own roots in the other stages
     table_root = (4 * np.pi + 2 * np.sqrt(2)) * U
     eps = _fft_error_bound(2 * log2n + 2, table_root)
     k_norm = np.linalg.norm(k)
@@ -545,8 +606,56 @@ def test_hardy_factor_modulus_is_reciprocal_weight():
     f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=2**11)) / np.arange(1, 2**11 + 1), 2**12)
     res = hardy_factor(f, 64)
     w = res.w.values
-    assert np.max(np.abs(np.abs(res.g.samples) * w - 1.0)) <= 1e-14
-    assert res.gw_deviation <= 1e-14
+    chain = np.max(np.abs(np.abs(res.g.samples) * w - 1.0))
+    assert chain <= 1e-14
+    assert res.gw_deviation.hex() == float(chain).hex()
+
+
+_NEAR_ONE = st.one_of(st.floats(0.5, 2.0),
+                      st.integers(-2**20, 2**20).map(lambda k: 1.0 + k * U))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_NEAR_ONE, min_size=1, max_size=64),
+       side=st.sampled_from(["both", "above", "below"]))
+def test_unit_deviation_equals_the_elementwise_chain_bit_for_bit(values, side):
+    # fl(x - 1) rises with x and fl(1 - x) = -fl(x - 1), so the extremes decide
+    x = np.array(values)
+    if side == "above":
+        x = np.where(x < 1.0, 2.0 - x, x)
+    elif side == "below":
+        x = np.where(x > 1.0, 2.0 - x, x)
+    want = float(np.max(np.abs(x - 1.0)))
+    assert _unit_deviation(x).hex() == want.hex()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_hardy_factor_normalizes_an_input_whose_squares_overflow(scale):
+    n = 2**12
+    f = from_taylor([1.0, 0.5, 0.25], n)
+    unit = hardy_factor(f, 64)
+    res = hardy_factor(GridFunction(scale * f.samples), 64)
+    assert res.scale / scale == pytest.approx(unit.scale, rel=8 * U)
+    for name in ("h_norm_sq", "star_rhs", "h_leakage"):
+        assert getattr(res, name) == pytest.approx(getattr(unit, name), rel=1e-13)
+    assert res.gw_deviation <= 1e-14 and res.w.floored == unit.w.floored
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e-300])
+def test_hardy_factor_factors_an_input_whose_squares_underflow(scale):
+    # the norm is far below 1, so the input is factored as it is; every arc mass
+    # underflows, so every suffix sum is floored and the weight is the cap
+    res = hardy_factor(GridFunction(scale * from_taylor([1.0, 0.5, 0.25], 2**12).samples), 64)
+    assert res.scale == 1.0 and res.w.floored == 64
+    assert res.gw_deviation <= 1e-14 and res.h_norm_sq <= res.star_rhs + 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_hardy_factor_refuses_a_norm_beyond_float64():
+    with pytest.raises(InvalidInput, match="2-norm overflows float64"):
+        hardy_factor(GridFunction(np.full(2**6, 1.5e308 + 1.5e308j)), 8)
 
 
 def test_hardy_factor_fft_budget(monkeypatch):

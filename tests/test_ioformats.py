@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -118,6 +119,25 @@ def test_layered_space_parse():
             {"n": 3, "atoms": [{"id": 2, "weight": 1.0}]}]})
     with pytest.raises(InvalidInput):  # every atom needs an id, though none is kept
         ioformats.layered_space_from_obj({"shells": [{"n": 1, "atoms": [{"weight": 1.0}]}]})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", "1", "shell number n must be an integer, not '1'"),
+    ("n", 2.7, "shell number n must be an integer, not 2.7"),
+    ("n", 1.0, "shell number n must be an integer, not 1.0"),
+    ("n", True, "shell number n must be an integer, not True"),
+    ("n", None, "shell number n must be an integer, not None"),
+    ("weight", "0.5", "could not convert string to float: '0.5'"),
+])
+def test_layered_space_refuses_text_and_non_integral_shell_numbers(field, value, message):
+    # int() would truncate 2.7 and parse "1", float() would parse "0.5"
+    shell = {"n": 1, "atoms": [{"id": 1, "weight": 0.5}]}
+    if field == "n":
+        shell["n"] = value
+    else:
+        shell["atoms"][0]["weight"] = value
+    with pytest.raises(InvalidInput, match="^malformed layered space: " + re.escape(message)):
+        ioformats.layered_space_from_obj({"shells": [shell]})
 
 
 def test_grid_function_binary_round_trip(tmp_path):
