@@ -26,6 +26,9 @@ the first.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -134,7 +137,8 @@ class GridFunction:
     __slots__ = ("samples",)
 
     def __init__(self, samples):
-        arr = np.asarray(samples, dtype=complex)
+        # contiguous, so the norms can read the real and imaginary parts as one float view
+        arr = np.ascontiguousarray(samples, dtype=complex)
         n = arr.size
         if arr.ndim != 1 or n < 4 or n & (n - 1):
             raise InvalidInput("samples must be a 1-d array whose length is a power of two >= 4")
@@ -179,9 +183,20 @@ class GridFunction:
         return float(np.sqrt(self.norm_sq))
 
 
+def _sum_sq(v: np.ndarray) -> float:
+    """The sum of v_j^2 over every entry of a real array, by ``np.einsum``.
+
+    einsum's own sum-of-products loop never enters BLAS, so the sum, unlike
+    a BLAS dot product's, does not depend on the BLAS thread count; it reads
+    a strided view in place, with no per-sample buffer.
+    """
+    axes = [*range(v.ndim)]
+    return float(np.einsum(v, axes, v, axes, []))
+
+
 def _mean_sq(x: np.ndarray) -> float:
-    """The mean of |x_j|^2 as one dot product, with no per-sample buffer."""
-    return float(np.vecdot(x, x).real) / x.size
+    """The mean of |x_j|^2 of complex samples: the squares of their float view, summed."""
+    return _sum_sq(x.view(float)) / x.size
 
 
 def _unit_deviation(x: np.ndarray) -> float:
@@ -231,6 +246,34 @@ def neg_mode_leakage(h: GridFunction) -> float:
     return _negative_fraction(_blocked_fft(h.samples))
 
 
+# numpy copies a broadcast operand into a buffer of this many elements per ufunc call,
+# 8192 by default: two halves twiddling at once would hold two of 128 KiB, which at
+# N = 2^16 is more than both tables; 1024 is 16 KiB each
+_TWIDDLE_BUFSIZE = 1024
+
+
+def _start_helper() -> None:
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatwitness-fft")
+
+
+# the one helper thread, started on first use; a forked child has no copy of the
+# parent's thread, so it gets a helper of its own
+_start_helper()
+os.register_at_fork(after_in_child=_start_helper)
+
+
+def _in_halves(task: Callable[[int, int], None], size: int) -> None:
+    """task(0, size/2) on the calling thread and task(size/2, size) on the helper,
+    which runs in a copy of the caller's context, so numpy's errstate holds there too."""
+    half = size // 2
+    done = _HELPER.submit(contextvars.copy_context().run, task, half, size)
+    try:
+        task(0, half)
+    finally:
+        done.result()
+
+
 def _blocked_fft(x: np.ndarray) -> np.ndarray:
     """The raw transform of N = N1*N2 samples as an (N1, N2) array C, C[k1, k2] = X[k1 + N1*k2].
 
@@ -239,19 +282,38 @@ def _blocked_fft(x: np.ndarray) -> np.ndarray:
     exp(-2i pi k1*n2/N), and a length-N2 pass along the rows, written in
     place.  N1 = 2^floor(log2(N)/2), so every row fits in cache and no N-long
     scratch is needed.  With n2 = a + S*b, S = 2^floor(log2(N2)/2), the
-    twiddle is the product of an N1 x S and an N1 x N2/S table of roots.
+    twiddle is the product of an N1 x S and an N1 x N2/S table of roots,
+    built once.  Each pass runs in two halves, the column pass over columns
+    and the twiddle and row pass over rows, one on the calling thread and
+    one on the helper; every column and row is transformed alone, so C is
+    the one-thread result bit for bit.
     """
     n = x.size
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
     s = 1 << ((n2.bit_length() - 1) // 2)
-    blocks = np.fft.fft(x.reshape(n1, n2), axis=0)
+    grid = x.reshape(n1, n2)
+    blocks = np.empty((n1, n2), dtype=complex)
+
+    def columns(lo, hi):
+        np.fft.fft(grid[:, lo:hi], axis=0, out=blocks[:, lo:hi])
+
+    _in_halves(columns, n2)
     k1 = np.arange(n1)[:, None, None]
     step = -2.0 * np.pi / n
+    low = _cis(step * (k1 * np.arange(s)))
+    high = _cis(step * (k1 * (s * np.arange(n2 // s))[:, None]))
     rows = blocks.reshape(n1, n2 // s, s)
-    rows *= _cis(step * (k1 * np.arange(s)))
-    rows *= _cis(step * (k1 * (s * np.arange(n2 // s))[:, None]))
-    return np.fft.fft(blocks, axis=1, out=blocks)
+
+    def twiddled_rows(lo, hi):
+        rows[lo:hi] *= low[lo:hi]
+        rows[lo:hi] *= high[lo:hi]
+        np.fft.fft(blocks[lo:hi], axis=1, out=blocks[lo:hi])
+
+    with np.errstate():  # the scope of setbufsize
+        np.setbufsize(_TWIDDLE_BUFSIZE)
+        _in_halves(twiddled_rows, n1)
+    return blocks
 
 
 # the smallest norm whose square is a normal float64
@@ -259,20 +321,23 @@ _NORM_FLOOR = np.sqrt(np.finfo(float).tiny)
 
 
 def _negative_fraction(coefficients: np.ndarray) -> float:
-    """2-norm fraction of the coefficients in the upper half of the last axis."""
-    with np.errstate(over="ignore"):
-        total = np.linalg.norm(coefficients)
-    # the squares overflow or underflow, and the ratio depends only on the scaled moduli
-    if not _NORM_FLOOR <= total < np.inf:
-        coefficients = np.abs(coefficients)
-        peak = coefficients.max()
-        if peak == 0.0:
-            return 0.0
-        coefficients /= peak
-        total = np.linalg.norm(coefficients)
-    upper = coefficients[..., coefficients.shape[-1] // 2:]
-    # one dot product per row: a norm of the strided upper half would copy it first
-    return float(np.sqrt(np.sum(np.vecdot(upper, upper).real)) / total)
+    """2-norm fraction of the coefficients in the upper half of the last axis.
+
+    Both norms are ``_sum_sq`` of the float view, in which the upper half of
+    the complex last axis is the upper half of the float one.
+    """
+    parts = coefficients.view(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sqrt(_sum_sq(parts))
+        # the squares overflow or underflow, and the ratio depends only on the scaled moduli
+        if not _NORM_FLOOR <= total < np.inf:
+            parts = np.abs(coefficients)
+            peak = parts.max()
+            if peak == 0.0:
+                return 0.0
+            parts /= peak
+            total = np.sqrt(_sum_sq(parts))
+        return float(np.sqrt(_sum_sq(parts[..., parts.shape[-1] // 2:])) / total)
 
 
 # ---------------------------------------------------------------------------

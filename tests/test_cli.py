@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -583,6 +584,33 @@ def test_closed_stdout_is_one_json_error_line(unbuffered):
     error = json.loads(line)
     assert error["error"] == "InvalidInput"
     assert error["message"].startswith("cannot write the report to stdout")
+
+
+# the timing fields, masked as the CI workflow masks them
+_TIMING = re.compile(rb'"(wall_time_s|elapsed_s)": [-0-9.eE+]+')
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--seed", "20250811"],
+    ["suite", "--seed", "4099"],
+    ["hardy", "factor", "--grid", "262144", "--shells", "1024", "--input", "constant1"],
+], ids=" ".join)
+def test_reports_do_not_depend_on_the_blas_thread_count(argv):
+    # no reported value is summed by a threaded BLAS call, so one BLAS thread and
+    # four give the same bytes, timing aside; both runs go at once
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen([sys.executable, "-m", "flatwitness.cli", *argv, "--json"],
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env))
+    reports = []
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert run.returncode in (0, 1), err.decode()  # 1: criterion 6's standing failures
+        reports.append(_TIMING.sub(rb'"\1": null', out))
+    assert reports[0] == reports[1]
 
 
 IGNORED_OPTIONS = [

@@ -1,6 +1,10 @@
 import collections
 import math
+import multiprocessing
+import queue
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,8 +18,11 @@ from flatwitness.hardy_engine import (
     GridFunction,
     _block_size,
     _blocked_fft,
+    _cis,
     _input_norm,
     _mean_sq,
+    _negative_fraction,
+    _sum_sq,
     _unit_deviation,
     analytic_project,
     arc_energies,
@@ -44,6 +51,9 @@ def test_grid_round_trip_and_parseval():
     back = GridFunction.from_spectrum(g.spectrum())
     assert np.max(np.abs(back.samples - x)) <= 1e-12 * np.max(np.abs(x))
     assert abs(g.norm_sq - np.sum(np.abs(g.spectrum()) ** 2)) <= 1e-12 * g.norm_sq
+    # a strided view is copied into one block, whose float view the norms read
+    strided = GridFunction(np.repeat(x, 2)[::2])
+    assert strided.samples.flags.c_contiguous and strided.norm_sq == g.norm_sq
 
 
 def test_spectrum_follows_the_current_samples():
@@ -111,8 +121,10 @@ def _reference_mean_sq(x):
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
 @pytest.mark.parametrize("log2n", [2, 7, 12, 16])
 def test_norms_match_mean_of_squared_moduli_within_error_model(log2n, scale):
-    # both forms sum N terms each within 3u of |x_j|^2, so they differ by at most
-    # 2 (gamma_N + 3u) sum |x_j|^2 (Higham, ch. 4); the 1/N is a power of two
+    # the reference sums N terms each within 3u of |x_j|^2, and the einsum the 2N
+    # squares of the float view; the measured distances sit far inside
+    # 2 (gamma_N + 3u) sum |x_j|^2, while the proven model of the einsum is pinned
+    # against math.fsum below; the 1/N is a power of two
     n = 2**log2n
     rng = np.random.default_rng(500 + log2n)
     x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -122,6 +134,31 @@ def test_norms_match_mean_of_squared_moduli_within_error_model(log2n, scale):
     assert got == _mean_sq(x) and abs(got - want) <= model
     norm_sq, norm = _input_norm(x)
     assert norm_sq == got and norm == math.sqrt(got)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("log2n", [2, 12, 16])
+def test_einsum_reductions_match_fsum_within_error_model(log2n, scale):
+    # each of the m terms is one product, rounded or fused, and einsum adds them in
+    # lanes and blocks of its own; Higham's bound for a sum in any order, gamma_{m-1}
+    # on the rounded terms (Lemma 3.1, sec. 4.2), covers every block length, so with
+    # the products' rounding the sum is within gamma_m S of the exact S, and
+    # math.fsum of the rounded squares within 2u S
+    n = 2**log2n
+    rng = np.random.default_rng(600 + log2n)
+    x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    blocks = x.reshape(2 ** (log2n // 2), -1)
+    parts = blocks.view(float)
+    upper = parts[:, parts.shape[1] // 2:]
+    for v in (x.view(float), parts, upper):
+        exact = math.fsum((v * v).ravel())
+        assert abs(_sum_sq(v) - exact) <= (_gamma(v.size) + 2 * U) * exact
+    exact = math.fsum((parts * parts).ravel())
+    assert abs(_mean_sq(x) - exact / n) <= (_gamma(2 * n) + 2 * U) * exact / n
+    # the fraction adds the two square roots and the quotient, three roundings
+    want = math.sqrt(math.fsum((upper * upper).ravel()) / exact)
+    assert abs(_negative_fraction(blocks) - want) <= (_gamma(2 * n) + 2 * U + 3 * U) * want
 
 
 @pytest.mark.filterwarnings("error")
@@ -559,6 +596,98 @@ def test_outer_mirrored_path_matches_general_path_within_error_model(log2n):
     assert coeff_dist <= (2 * eps + 2 * U) * 2 * k_norm / np.sqrt(n)
 
 
+def _one_call_blocked_fft(x):
+    # the transform as one call per pass, on one thread, kept as the reference
+    n = x.size
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    n2 = n // n1
+    s = 1 << ((n2.bit_length() - 1) // 2)
+    blocks = np.fft.fft(x.reshape(n1, n2), axis=0)
+    k1 = np.arange(n1)[:, None, None]
+    step = -2.0 * np.pi / n
+    rows = blocks.reshape(n1, n2 // s, s)
+    rows *= _cis(step * (k1 * np.arange(s)))
+    rows *= _cis(step * (k1 * (s * np.arange(n2 // s))[:, None]))
+    return np.fft.fft(blocks, axis=1, out=blocks)
+
+
+@pytest.mark.parametrize("log2n", range(2, 21))
+def test_blocked_fft_halves_equal_one_call_bit_for_bit(log2n):
+    n = 2**log2n
+    rng = np.random.default_rng(700 + log2n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got, want = _blocked_fft(x), _one_call_blocked_fft(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_blocked_fft_halves_keep_the_callers_errstate():
+    # an infinite sample leaves infinite entries in every row after the column pass,
+    # and the twiddle's complex products raise the invalid flag in both halves; the
+    # caller's errstate must hold on the helper too
+    x = np.ones(64, dtype=complex)
+    x[40] = np.inf
+    with np.errstate(invalid="ignore"):
+        got, want = _blocked_fft(x), _one_call_blocked_fft(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+        _blocked_fft(x)
+
+
+def test_concurrent_callers_share_the_helper():
+    # four callers on two cores queue their halves on the one helper, with the
+    # interpreter switching threads every microsecond; each must get its own transform
+    inputs = [np.random.default_rng(900 + i).standard_normal(2**10) + 0j for i in range(4)]
+    wants = [_one_call_blocked_fft(x) for x in inputs]
+    mismatches = []
+
+    def call(x, want):
+        for _ in range(25):
+            if not np.array_equal(_blocked_fft(x), want):
+                mismatches.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=pair) for pair in zip(inputs, wants)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and not mismatches
+
+
+def _leakage_in_child(samples, results):
+    results.put(neg_mode_leakage(GridFunction(samples)))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_forked_child_takes_the_leakage_with_its_own_helper():
+    # the parent's helper thread is not copied into a forked child; a child that
+    # handed its half to it would wait for ever
+    samples = np.random.default_rng(8).standard_normal(2**12) + 0j
+    want = neg_mode_leakage(GridFunction(samples))  # the parent's helper is running
+    fork = multiprocessing.get_context("fork")
+    results = fork.Queue()
+    child = fork.Process(target=_leakage_in_child, args=(samples, results))
+    child.start()
+    try:
+        got = results.get(timeout=30)
+    except queue.Empty:
+        pytest.fail("the forked child did not finish the leakage within 30 s")
+    finally:
+        child.join(timeout=5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == want and child.exitcode == 0
+
+
 def test_leakage_traced_peak_is_one_blocked_buffer():
     # the (N1, N2) transform buffer is 16 bytes a sample and the twiddle tables
     # under 4 more; a copy of the strided upper half would add 8
@@ -659,33 +788,35 @@ def test_hardy_factor_refuses_a_norm_beyond_float64():
 
 
 def test_hardy_factor_fft_budget(monkeypatch):
-    # two leakage transforms, each two batched passes over all N points with
-    # cores of N1 = 64 and N2 = 128, and one real transform pair of length N/2 for
-    # the outer factor of the mirrored weight; each read of g's Taylor data costs
-    # one more, full-length, transform
+    # two leakage transforms, each a column pass of core N1 = 64 and a row pass of
+    # core N2 = 128, each pass over all N points in two calls of N/2, one per thread,
+    # and one real transform pair of length N/2 for the outer factor of the mirrored
+    # weight; each read of g's Taylor data costs one more, full-length, transform
     n = 2**13
     f = from_taylor([1.0, 0.5, 0.25], n)
     counts = collections.Counter()
-    passes = []  # (core length, points covered) of each complex forward transform
+    passes = collections.Counter()  # (core length, points covered) of each complex forward transform
     real_lengths = []  # the signal length of each real transform
+    lock = threading.Lock()  # the helper thread counts too
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(a, *args, _name=name, _kernel=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            if _name == "fft":
-                passes.append((np.shape(a)[kwargs.get("axis", -1)], np.size(a)))
-            elif _name in ("rfft", "irfft"):
-                real_lengths.append(args[0] if args else np.size(a))
+            with lock:
+                counts[_name] += 1
+                if _name == "fft":
+                    passes[np.shape(a)[kwargs.get("axis", -1)], np.size(a)] += 1
+                elif _name in ("rfft", "irfft"):
+                    real_lengths.append(args[0] if args else np.size(a))
             return _kernel(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     res = hardy_factor(f, 64)
-    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [4, 0, 1, 1]
-    assert passes == [(64, n), (128, n)] * 2
+    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [8, 0, 1, 1]
+    assert passes == {(64, n // 2): 4, (128, n // 2): 4}
     assert real_lengths == [n // 2] * 2
     first = res.g.taylor()
-    assert counts["fft"] == 5 and passes[-1] == (n, n)
+    assert counts["fft"] == 9 and passes[n, n] == 1
     assert np.array_equal(res.g.taylor(), first)
-    assert counts["fft"] == 6
-    assert sum(counts.values()) == 8
+    assert counts["fft"] == 10
+    assert sum(counts.values()) == 12
 
 
 def test_hardy_factor_traced_peak_per_sample():
