@@ -4,8 +4,10 @@ Every subcommand parses its arguments, runs its pipeline through the one
 function in ``acceptance`` that the acceptance battery also runs, and emits
 a single JSON report of the resulting check records, each measured value
 next to the tolerance that judges it, so reports are self-verifying and a
-gate carries the same name here as in the battery.  Exit status: 0 when all
-gated checks pass, 1 when a check fails, 2 for usage or input errors.
+gate carries the same name here as in the battery.  The exception is
+``olympiad --m --n``, whose one window the battery never checks: it calls
+``seq_core.verify_olympiad_bound`` itself.  Exit status: 0 when all gated
+checks pass, 1 when a check fails, 2 for usage or input errors.
 Verdict-style outputs (an undecidable limit classification) are
 informational and never fail a run.
 """

@@ -316,28 +316,39 @@ def _blocked_fft(x: np.ndarray) -> np.ndarray:
     return blocks
 
 
-# the smallest norm whose square is a normal float64
-_NORM_FLOOR = np.sqrt(np.finfo(float).tiny)
+_TINY = np.finfo(float).tiny
+
+
+def _scaled_parts(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The float view of complex x, the divisor applied to it, and the sum of its squares.
+
+    When that sum overflows, or its mean over the entries of x falls below the
+    smallest normal float, the view is divided by its largest part, or by that
+    float if it is larger (Blue's scaled 2-norm), so no square overflows and
+    the largest is not lost; a NaN or an infinite entry makes the sum NaN.
+    """
+    parts = x.view(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _sum_sq(parts)
+        if _TINY * x.size <= total < np.inf:
+            return parts, 1.0, total
+        # a NaN maximum stays NaN as max's first argument; numpy's complex division by a
+        # real is the product with its reciprocal, which a subnormal divisor would overflow
+        peak = max(float(parts.max()), -float(parts.min()), _TINY)
+        parts = parts * (1.0 / peak)
+        return parts, peak, _sum_sq(parts)
 
 
 def _negative_fraction(coefficients: np.ndarray) -> float:
     """2-norm fraction of the coefficients in the upper half of the last axis.
 
-    Both norms are ``_sum_sq`` of the float view, in which the upper half of
-    the complex last axis is the upper half of the float one.
+    Both norms are ``_sum_sq`` of the float view (``_scaled_parts``), in which
+    the upper half of the complex last axis is the upper half of the float one.
     """
-    parts = coefficients.view(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sqrt(_sum_sq(parts))
-        # the squares overflow or underflow, and the ratio depends only on the scaled moduli
-        if not _NORM_FLOOR <= total < np.inf:
-            parts = np.abs(coefficients)
-            peak = parts.max()
-            if peak == 0.0:
-                return 0.0
-            parts /= peak
-            total = np.sqrt(_sum_sq(parts))
-        return float(np.sqrt(_sum_sq(parts[..., parts.shape[-1] // 2:])) / total)
+    parts, _, total = _scaled_parts(coefficients)
+    if total == 0.0:
+        return 0.0
+    return float(np.sqrt(_sum_sq(parts[..., parts.shape[-1] // 2:])) / np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
@@ -667,50 +678,32 @@ def _weighted_tail_series(profile: TailProfile) -> float:
     return float(np.sum(np.where(a2 > 0, a2 / np.sqrt(r_prev), 0.0)))
 
 
-def _input_norm(samples: np.ndarray) -> tuple[float, float]:
-    """The squared 2-norm and the 2-norm of the samples.
-
-    When the mean square overflows or falls below the smallest normal float,
-    the norm is taken of the samples divided by their largest real or
-    imaginary part, as ``_negative_fraction`` does, and scaled back; the
-    squared norm is then its square.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # the discarded imaginary part may be NaN
-        norm_sq = _mean_sq(samples)
-    if _NORM_FLOOR**2 <= norm_sq < np.inf:
-        return norm_sq, float(np.sqrt(norm_sq))
-    peak = max(float(np.max(np.abs(samples.real))), float(np.max(np.abs(samples.imag))))
-    if peak == 0.0:
-        return 0.0, 0.0
-    norm = peak * float(np.sqrt(_mean_sq(samples / peak)))
-    return norm * norm, norm
-
-
 def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     """Factor an analytic boundary function against the arc-shell weight.
 
     Pipeline: arc masses -> weight -> log-integrability report -> outer
     function with modulus 1/w -> h = f/g on the grid.  The input must be
     analytic to ANALYTIC_TOL (negative-mode fraction) and not the zero
-    function; it is divided by its norm when that norm exceeds 1.  A norm
-    whose square overflows or underflows is taken on the rescaled samples
-    (``_input_norm``), so a large input is still normalized and a tiny one
-    is factored as it is.
+    function; it is divided by its ``_scaled_parts`` norm when that exceeds 1,
+    before any stage reads it, so a large input is still normalized and its
+    transform for the analyticity gate cannot overflow, while a tiny one is
+    factored as it is.  A NaN leakage is refused.
     """
-    norm_sq, norm = _input_norm(f.samples)
+    _, peak, total = _scaled_parts(f.samples)
+    norm = peak * float(np.sqrt(total / f.n))
     if norm == 0.0:
         raise InvalidInput("cannot factor the zero function")
     if norm == np.inf:
         raise InvalidInput("the input's 2-norm overflows float64")
-    leak = neg_mode_leakage(f)
-    if leak > ANALYTIC_TOL:
-        raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
     scale = max(1.0, norm)
     if scale > 1.0:
         fn = GridFunction(f.samples / scale)
         norm_sq = _mean_sq(fn.samples)
     else:
-        fn = f
+        fn, norm_sq = f, peak * peak * (total / f.n)
+    leak = neg_mode_leakage(fn)
+    if not leak <= ANALYTIC_TOL:
+        raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
 
     layout = arc_layout(fn.n, max_shell)
     profile = arc_energies(fn, layout)
@@ -771,7 +764,7 @@ def inner_check(b: GridFunction) -> InnerFunction:
     """The one gate for inner functions, to INNER_TOL: InvalidInput unless b is analytic,
     NotInner unless it is unimodular on the grid and at most 1 on a coarse interior grid."""
     spectrum = b.spectrum()  # the twiddle and the 1/N scale leave the leakage ratio as it is
-    if _negative_fraction(spectrum[None, :]) > INNER_TOL:
+    if not _negative_fraction(spectrum[None, :]) <= INNER_TOL:  # NaN included
         raise InvalidInput("candidate is not analytic to tolerance")
     dev = _unit_deviation(np.abs(b.samples))
     radii = np.linspace(0.15, 0.9, 6)

@@ -51,11 +51,14 @@ def _refusing(message, *nested):
         raise InvalidInput(message.format(exc)) from exc
 
 
-def _refuse_text(entry):
-    """A ValueError for a str entry, which complex() and numpy would parse as a number."""
+def _refuse_non_number(entry):
+    """A ValueError for a str or bool entry, which complex() and numpy would read as a number."""
     if isinstance(entry, str):
         raise ValueError(f"could not convert string to float: {str(entry)!r} "
                          "(numbers are not quoted)")
+    if isinstance(entry, bool):
+        raise ValueError(f"could not convert boolean to float: {str(entry).lower()} "
+                         "(true and false are not numbers)")
 
 
 def complex_array(entries) -> np.ndarray:
@@ -63,13 +66,13 @@ def complex_array(entries) -> np.ndarray:
     out = []
     with _refusing("not a list of complex entries: {}"):
         for e in entries:
-            if isinstance(e, (list, tuple)):
-                if len(e) != 2:
-                    raise InvalidInput(f"complex entry must be a [re, im] pair, got {e!r}")
-                out.append(complex(e[0], e[1]))  # complex() refuses a str in a pair
-            else:
-                _refuse_text(e)
-                out.append(complex(e))
+            if not isinstance(e, (list, tuple)):
+                e = (e,)
+            elif len(e) != 2:
+                raise InvalidInput(f"complex entry must be a [re, im] pair, got {e!r}")
+            for part in e:
+                _refuse_non_number(part)
+            out.append(complex(*e))
     return np.asarray(out, dtype=complex)
 
 
@@ -77,11 +80,11 @@ def real_array(entries) -> np.ndarray:
     """Array from a list of real numbers; a refusal gives the conversion's own message,
     for the object reader to say which field it read."""
     with _refusing("{}"):
-        arr = np.asarray(entries)
-        if arr.dtype.kind in "OU":  # mixed or text entries
-            for e in arr.flat:
-                _refuse_text(e)
-        return arr.astype(float, copy=False)
+        # read as objects, since numpy reads a bool among numbers as one
+        arr = np.asarray(entries, dtype=object)
+        for e in arr.flat:
+            _refuse_non_number(e)
+        return arr.astype(float)
 
 
 def read_sequence(path) -> np.ndarray:

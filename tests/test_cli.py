@@ -532,15 +532,39 @@ def test_bezout_input_refusal_names_its_field(tmp_path, capsys, text, message):
     assert error["error"] == "InvalidInput" and error["message"].startswith(message)
 
 
-# each file holds one quoted number, and reads as valid input once it is unquoted
+# each file holds one number written as a JSON string or boolean, and reads as valid
+# input once it is written as the number: a boolean as the 1 or 0 it would have read as
+NON_NUMBERS = {
+    '"0.5"': ("0.5", "'0.5' (numbers are not quoted)"),
+    "true": ("1", "true (true and false are not numbers)"),
+    "false": ("0", "false (true and false are not numbers)"),
+}
+LAYERED = ["layered", "--layout", "layout.json", "--values", "values.json"]
 QUOTED_NUMBERS = {
     "witness": (["witness", "--input", "rel.json"],
                 '{"weights": ["0.5"], "r": [[[1.0, 0.0]]], "m": [[[0.0, 0.0]]]}'),
     "bezout": (["bezout", "--input", "pair.json"],
                '{"f": [[1.0, 0.0]], "g": [[0.0, 1.0]], "weights": ["0.5"]}'),
-    "layered": (["layered", "--layout", "layout.json", "--values", "values.json"],
-                '{"values": ["0.5"]}'),
+    "layered": (LAYERED, '{"values": ["0.5"]}'),
     "sequence": (["olympiad", "--input", "seq.json"], '[[1.0, 0.0], "0.5", [0.25, 0.0]]'),
+    "witness_weights_bool": (["witness", "--input", "rel.json"],
+                             '{"weights": [true], "r": [[[1.0, 0.0]]], "m": [[[0.0, 0.0]]]}'),
+    "witness_r_bool": (["witness", "--input", "rel.json"],
+                       '{"weights": [0.5], "r": [[[true, 0.0]]], "m": [[[0.0, 0.0]]]}'),
+    "witness_m_bool": (["witness", "--input", "rel.json"],
+                       '{"weights": [0.5], "r": [[[1.0, 0.0]]], "m": [[[0.0, false]]]}'),
+    "bezout_f_bool": (["bezout", "--input", "pair.json"], '{"f": [[1.0, false]], "g": [[0.0, 1.0]]}'),
+    "bezout_g_bool": (["bezout", "--input", "pair.json"], '{"f": [[1.0, 0.0]], "g": [true]}'),
+    "bezout_weights_bool": (["bezout", "--input", "pair.json"],
+                            '{"f": [[1.0, 0.0]], "g": [[0.0, 1.0]], "weights": [true]}'),
+    "layered_values_bool": (LAYERED, '{"values": [[true, 0.0]]}'),
+    "layered_weights_bool": (LAYERED, '{"values": [[0.5, 0.0]], "weights": [true]}'),
+    "layout_weight_bool": (["layered", "--values", "values.json", "--layout", "layout.json"],
+                           '{"shells": [{"n": 1, "atoms": [{"id": 1, "weight": true}]}]}'),
+    "sequence_bool": (["olympiad", "--input", "seq.json"], '[[1.0, 0.0], [true, 0.0], [0.25, 0.0]]'),
+    "grid_bool": (["hardy", "outer", "--input", "grid.json"],
+                  '[[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [true, 0.0]]'),
+    "points_bool": (["transfer", "--points", "pts.json"], '[[0.5, 0.0], [1.0, true]]'),
 }
 
 
@@ -548,7 +572,10 @@ QUOTED_NUMBERS = {
 @pytest.mark.parametrize("case", QUOTED_NUMBERS)
 def test_quoted_number_is_one_json_error_line(tmp_path, monkeypatch, capsys, case):
     argv, text = QUOTED_NUMBERS[case]
+    [bad] = [literal for literal in NON_NUMBERS if literal in text]
+    number, message = NON_NUMBERS[bad]
     (tmp_path / "layout.json").write_text(BAD_INPUT_FILES["layout.json"])
+    (tmp_path / "values.json").write_text("[[0.5, 0.0]]")
     path = tmp_path / argv[-1]
     monkeypatch.chdir(tmp_path)
     path.write_text(text)
@@ -557,8 +584,8 @@ def test_quoted_number_is_one_json_error_line(tmp_path, monkeypatch, capsys, cas
     assert code == 2 and out.out == "" and "Traceback" not in out.err
     [line] = out.err.strip().splitlines()
     error = json.loads(line)
-    assert error["error"] == "InvalidInput" and "'0.5' (numbers are not quoted)" in error["message"]
-    path.write_text(text.replace('"0.5"', "0.5"))
+    assert error["error"] == "InvalidInput" and message in error["message"]
+    path.write_text(text.replace(bad, number))
     assert cli.main(argv) in (0, 1)
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatwitness import hardy_engine
 from flatwitness.errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
 from flatwitness.hardy_engine import (
     RADIAL_DEPTHS,
@@ -19,9 +20,9 @@ from flatwitness.hardy_engine import (
     _block_size,
     _blocked_fft,
     _cis,
-    _input_norm,
     _mean_sq,
     _negative_fraction,
+    _scaled_parts,
     _sum_sq,
     _unit_deviation,
     analytic_project,
@@ -132,8 +133,9 @@ def test_norms_match_mean_of_squared_moduli_within_error_model(log2n, scale):
     model = 2 * (_gamma(n) + 3 * U) / (1 - _gamma(n) - 3 * U) * want
     got = GridFunction(x).norm_sq
     assert got == _mean_sq(x) and abs(got - want) <= model
-    norm_sq, norm = _input_norm(x)
-    assert norm_sq == got and norm == math.sqrt(got)
+    # inside float64's range the sum is not rescaled, so the input norm is this mean
+    _, peak, total = _scaled_parts(x)
+    assert peak == 1.0 and total / n == got
 
 
 @pytest.mark.filterwarnings("error")
@@ -170,10 +172,18 @@ def test_input_norm_rescales_squares_that_overflow_or_underflow(scale):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     want = math.sqrt(_reference_mean_sq(x))
-    norm_sq, norm = _input_norm(scale * x)
+    parts, peak, total = _scaled_parts(scale * x)
+    norm = peak * math.sqrt(total / n)
     assert abs(norm / scale - want) <= (_gamma(n) + 8 * U) * want
-    assert norm_sq == norm * norm
-    assert _input_norm(np.zeros(n, dtype=complex)) == (0.0, 0.0)
+    assert peak == np.max(np.abs((scale * x).view(float))) and parts.shape == (2 * n,)
+    zeros = np.zeros(n, dtype=complex)
+    assert _scaled_parts(zeros)[2] == 0.0 and _negative_fraction(zeros) == 0.0
+    # a NaN or an infinity, wherever it sits, makes the sum NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in (0, n - 1):
+            y = scale * x
+            y[at] = complex(bad, 0.0) if at else complex(0.0, bad)
+            assert math.isnan(_scaled_parts(y)[2])
 
 
 def test_analytic_project_kills_negative_mode():
@@ -759,8 +769,10 @@ def test_unit_deviation_equals_the_elementwise_chain_bit_for_bit(values, side):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 1e305, 1e307])
 def test_hardy_factor_normalizes_an_input_whose_squares_overflow(scale):
+    # from 1e305 on the raw transform of the input overflows; the gate reads the
+    # normalized input, whose transform cannot
     n = 2**12
     f = from_taylor([1.0, 0.5, 0.25], n)
     unit = hardy_factor(f, 64)
@@ -772,13 +784,34 @@ def test_hardy_factor_normalizes_an_input_whose_squares_overflow(scale):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e-170, 1e-300])
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e-310])
 def test_hardy_factor_factors_an_input_whose_squares_underflow(scale):
     # the norm is far below 1, so the input is factored as it is; every arc mass
-    # underflows, so every suffix sum is floored and the weight is the cap
+    # underflows, so every suffix sum is floored and the weight is the cap; at
+    # 1e-310 every sample is subnormal, and the divisor is the smallest normal float
     res = hardy_factor(GridFunction(scale * from_taylor([1.0, 0.5, 0.25], 2**12).samples), 64)
     assert res.scale == 1.0 and res.w.floored == 64
     assert res.gw_deviation <= 1e-14 and res.h_norm_sq <= res.star_rhs + 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_hardy_factor_refuses_noise_whose_transform_overflows():
+    # the raw transform of this input passes float64's maximum, so its leakage would be
+    # NaN; the gate reads the normalized input, so the noise is measured and refused
+    n = 2**14
+    rng = np.random.default_rng(27)
+    noise = 1e307 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    with pytest.raises(InvalidInput, match="not analytic"):
+        hardy_factor(GridFunction(noise), 64)
+
+
+def test_analyticity_gates_refuse_a_nan_leakage(monkeypatch):
+    # NaN > tol is false, so each gate must ask for ratio <= tol instead
+    monkeypatch.setattr(hardy_engine, "_negative_fraction", lambda coefficients: math.nan)
+    with pytest.raises(InvalidInput, match="not analytic: negative-mode fraction nan"):
+        hardy_factor(from_taylor([1.0, 0.5, 0.25], 2**8), 16)
+    with pytest.raises(InvalidInput, match="not analytic to tolerance"):
+        inner_check(coordinate_function(2**8))
 
 
 @pytest.mark.filterwarnings("error")

@@ -58,10 +58,15 @@ def test_complex_array_accepts_pairs_and_scalars():
     (ioformats.real_array, ["1.5"]),
     (ioformats.real_array, [1.0, "2"]),
     (ioformats.real_array, [[1.0], ["2"]]),
+    (ioformats.complex_array, [True]),
+    (ioformats.complex_array, [[1.0, 0.0], [0.5, False]]),
+    (ioformats.real_array, [True, 0.5]),
+    (ioformats.real_array, [[1.0], [False]]),
 ])
 def test_array_readers_refuse_quoted_numbers(read, entries):
-    # complex() and numpy would parse the text; the file formats take JSON numbers only
-    with pytest.raises(InvalidInput, match="string"):
+    # complex() and numpy would parse the text, and read true and false as 1 and 0;
+    # the file formats take JSON numbers only
+    with pytest.raises(InvalidInput, match="could not convert (string|boolean) to float"):
         read(entries)
 
 
