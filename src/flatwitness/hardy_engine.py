@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,7 +244,8 @@ def neg_mode_leakage(h: GridFunction) -> float:
     negative-mode bins N/2..N-1 are then exactly the columns k2 >= N2/2,
     the upper half of the last axis, so the bins are never put back in order.
     """
-    return _negative_fraction(_blocked_fft(h.samples))
+    blocks = np.empty(_blocked_shape(h.n), dtype=complex)
+    return _negative_fraction(_blocked_fft(h.samples, blocks))
 
 
 # numpy copies a broadcast operand into a buffer of this many elements per ufunc call,
@@ -252,9 +254,17 @@ def neg_mode_leakage(h: GridFunction) -> float:
 _TWIDDLE_BUFSIZE = 1024
 
 
+_ON_HELPER = threading.local()  # is_helper is set on the helper thread alone
+
+
+def _mark_helper() -> None:
+    _ON_HELPER.is_helper = True
+
+
 def _start_helper() -> None:
     global _HELPER
-    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatwitness-fft")
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatwitness-fft",
+                                 initializer=_mark_helper)
 
 
 # the one helper thread, started on first use; a forked child has no copy of the
@@ -263,37 +273,55 @@ _start_helper()
 os.register_at_fork(after_in_child=_start_helper)
 
 
+def _on_helper(task: Callable, *args):
+    """Submit task(*args) to the helper, in a copy of the caller's context, so numpy's
+    errstate holds there too; returns its future."""
+    return _HELPER.submit(contextvars.copy_context().run, task, *args)
+
+
 def _in_halves(task: Callable[[int, int], None], size: int) -> None:
-    """task(0, size/2) on the calling thread and task(size/2, size) on the helper,
-    which runs in a copy of the caller's context, so numpy's errstate holds there too."""
+    """task(0, size/2) on the calling thread and task(size/2, size) on the helper.
+
+    Called on the helper itself (the analyticity gate of ``hardy_factor`` runs
+    there), both halves run in turn on it: a half queued behind the running
+    task would wait for ever.
+    """
     half = size // 2
-    done = _HELPER.submit(contextvars.copy_context().run, task, half, size)
+    if getattr(_ON_HELPER, "is_helper", False):
+        task(0, half)
+        task(half, size)
+        return
+    done = _on_helper(task, half, size)
     try:
         task(0, half)
     finally:
         done.result()
 
 
-def _blocked_fft(x: np.ndarray) -> np.ndarray:
+def _blocked_shape(n: int) -> tuple[int, int]:
+    """(N1, N2) of ``_blocked_fft`` for N samples: N1 = 2^floor(log2(N)/2), N2 = N/N1."""
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    return n1, n // n1
+
+
+def _blocked_fft(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """The raw transform of N = N1*N2 samples as an (N1, N2) array C, C[k1, k2] = X[k1 + N1*k2].
 
     Bailey's four-step transform without the final transpose: a length-N1
     pass down the columns of x viewed as (N1, N2), the twiddle
     exp(-2i pi k1*n2/N), and a length-N2 pass along the rows, written in
-    place.  N1 = 2^floor(log2(N)/2), so every row fits in cache and no N-long
-    scratch is needed.  With n2 = a + S*b, S = 2^floor(log2(N2)/2), the
+    place into ``blocks``, a complex array of ``_blocked_shape(N)`` that the
+    caller allocates.  N1 = 2^floor(log2(N)/2), so every row fits in cache and
+    no N-long scratch is needed.  With n2 = a + S*b, S = 2^floor(log2(N2)/2), the
     twiddle is the product of an N1 x S and an N1 x N2/S table of roots,
     built once.  Each pass runs in two halves, the column pass over columns
-    and the twiddle and row pass over rows, one on the calling thread and
-    one on the helper; every column and row is transformed alone, so C is
-    the one-thread result bit for bit.
+    and the twiddle and row pass over rows, by ``_in_halves``; every column
+    and row is transformed alone, so C is the one-thread result bit for bit.
     """
     n = x.size
-    n1 = 1 << ((n.bit_length() - 1) // 2)
-    n2 = n // n1
+    n1, n2 = blocks.shape
     s = 1 << ((n2.bit_length() - 1) // 2)
     grid = x.reshape(n1, n2)
-    blocks = np.empty((n1, n2), dtype=complex)
 
     def columns(lo, hi):
         np.fft.fft(grid[:, lo:hi], axis=0, out=blocks[:, lo:hi])
@@ -361,10 +389,12 @@ class ArcLayout:
 
     Sample j lies in region 0 for |theta_j| >= 1, region n for the shell
     1/(n+1) <= |theta_j| < 1/n, and region M+1 for the core |theta_j| < 1/(M+1).
-    Each region is one arc on either side of theta = 0, and sample N-1-j
-    (theta = -theta_j exactly, and the same region after rounding) shares
-    sample j's region, so the layout is M + 2 run lengths: ``half_counts[r]``
-    samples of region r on 0 < theta < pi.  In sample order the runs are
+    Each region is one arc on either side of theta = 0.  The layout gives
+    sample N-1-j sample j's region by construction: it is M + 2 run lengths,
+    ``half_counts[r]`` samples of region r on 0 < theta < pi, mirrored.  The
+    angles of ``grid_thetas`` are mirrored only to one rounding, since each is
+    formed on its own as 2 pi (j + 1/2)/N, wrapped, so the layout is read from
+    the half grid alone.  In sample order the runs are
     core, M, ..., 1, outer, then outer, 1, ..., M, core.
     """
 
@@ -375,11 +405,15 @@ class ArcLayout:
     def counts(self) -> np.ndarray:
         return 2 * self.half_counts
 
+    def expand_half(self, region_values) -> np.ndarray:
+        """The samples j < N/2 of ``expand``: the runs core, M, ..., 1, outer."""
+        return np.repeat(np.asarray(region_values)[::-1], self.half_counts[::-1])
+
     def expand(self, region_values) -> np.ndarray:
-        """The per-sample array taking ``region_values[r]`` on region r."""
-        v = np.asarray(region_values)
-        return np.repeat(np.concatenate((v[::-1], v)),
-                         np.concatenate((self.half_counts[::-1], self.half_counts)))
+        """The per-sample array taking ``region_values[r]`` on region r: the half
+        grid, then its mirror."""
+        first = self.expand_half(region_values)
+        return np.concatenate((first, first[::-1]))
 
 
 def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
@@ -521,7 +555,7 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     at every sample to rounding error.  A complex array must be real to
     rounding, and its real part is used.  A log-modulus whose sample N-1-j
     equals sample j exactly is synthesized from its first half
-    (``_mirrored_outer``).
+    (``_mirrored_transform``, then ``_mirrored_boundary``).
     """
     vals = np.asarray(log_modulus)
     if vals.ndim != 1 or vals.size < 4 or vals.size & (vals.size - 1):
@@ -546,7 +580,9 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     if peak > limit:
         raise ScaleOverflow(limit - peak)
     if np.array_equal(vals[:half], vals[:half - 1:-1]):
-        return _mirrored_outer(vals[:half], floor)
+        modulus, conj, log_coeffs, clamp_count = _mirrored_transform(vals[:half], floor)
+        return OuterFunction(boundary=GridFunction(_mirrored_boundary(modulus, conj)),
+                             log_coeffs=log_coeffs, clamp_count=clamp_count)
 
     clamp_count = int(np.count_nonzero(vals < floor))
     k = np.maximum(vals, floor)  # a fresh array: the caller's is never written
@@ -568,8 +604,11 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
                          clamp_count=clamp_count)
 
 
-def _mirrored_outer(first_half: np.ndarray, floor: float) -> OuterFunction:
-    """The outer synthesis of a mirrored log-modulus k from its samples j < L = N/2.
+def _mirrored_transform(first_half: np.ndarray, floor: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The transform step of the outer synthesis of a mirrored log-modulus k from its
+    samples j < L = N/2: exp(k) and the conjugate c, both in v's order (below), the
+    log coefficients and the clamp count.  ``_mirrored_boundary`` writes the samples.
 
     k is even in theta, so its twiddled spectrum is real: 2 Y_m/N for the
     DCT-II Y_m = sum_{j<L} k_j cos(pi m (2j+1)/(2L)), with mode N/2 zero.
@@ -581,13 +620,10 @@ def _mirrored_outer(first_half: np.ndarray, floor: float) -> OuterFunction:
     DCT-III of Y reversed, which is Makhoul's inverse: the spectrum
     -i conj(e^{-i pi m/(2L)} W_m) with mode 0 dropped, one inverse real
     transform of length L, and the permutation undone with the odd samples
-    negated.  Everything is computed in v's order and written to the first
-    half of the output through strided views; c is odd and k even, so
-    sample N-1-j is the conjugate of sample j.
+    negated.  Of the spectrum, only the coefficients leave.
     """
     half = first_half.size
     quarter = half // 2
-    out = np.empty(2 * half, dtype=complex)
     clamp_count = 2 * int(np.count_nonzero(first_half < floor))
     v = np.empty(half)
     np.maximum(first_half[::2], floor, out=v[:quarter])
@@ -607,17 +643,35 @@ def _mirrored_outer(first_half: np.ndarray, floor: float) -> OuterFunction:
     c = np.fft.irfft(spec, half)  # c_{2j} = c[j] and c_{2j+1} = -c[L-1-j]
     c[quarter:] *= -1.0  # now the conjugate in v's order
     np.exp(v, out=v)
-    first = out[:half]
-    # the views first[::2] and first[::-2] are samples 0, 2, ..., L-2 and L-1, ..., 3, 1
-    for part, view in ((slice(None, quarter), slice(None, None, 2)),
-                       (slice(quarter, None), slice(None, None, -2))):
-        np.cos(c[part], out=first.real[view])
-        np.sin(c[part], out=first.imag[view])
-        first.real[view] *= v[part]
-        first.imag[view] *= v[part]
-    np.conjugate(first[::-1], out=out[half:])
-    return OuterFunction(boundary=GridFunction(out), log_coeffs=log_coeffs,
-                         clamp_count=clamp_count)
+    return v, c, log_coeffs, clamp_count
+
+
+def _mirrored_boundary(modulus: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """The boundary step: the N samples modulus * e^{i conj} from the two arrays of
+    ``_mirrored_transform``, in v's order.
+
+    They are written to the first half through strided views, the even samples
+    on one thread and the odd ones on the other (``_in_halves``); c is odd and k
+    even, so sample N-1-j is the conjugate of sample j.
+    """
+    half = conj.size
+    quarter = half // 2
+    out = np.empty(2 * half, dtype=complex)
+    first, mirror = out[:half], out[:half - 1:-1]  # mirror[j] is sample N-1-j
+    # the views [::2] and [::-2] are samples 0, 2, ..., L-2 and L-1, ..., 3, 1
+    parts = ((slice(None, quarter), slice(None, None, 2)),
+             (slice(quarter, None), slice(None, None, -2)))
+
+    def write(lo, hi):
+        for part, view in parts[lo:hi]:
+            np.cos(conj[part], out=first.real[view])
+            np.sin(conj[part], out=first.imag[view])
+            first.real[view] *= modulus[part]
+            first.imag[view] *= modulus[part]
+            np.conjugate(first[view], out=mirror[view])
+
+    _in_halves(write, 2)
+    return out
 
 
 def _twiddle_quarter(spec: np.ndarray) -> None:
@@ -681,13 +735,22 @@ def _weighted_tail_series(profile: TailProfile) -> float:
 def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     """Factor an analytic boundary function against the arc-shell weight.
 
-    Pipeline: arc masses -> weight -> log-integrability report -> outer
-    function with modulus 1/w -> h = f/g on the grid.  The input must be
-    analytic to ANALYTIC_TOL (negative-mode fraction) and not the zero
-    function; it is divided by its ``_scaled_parts`` norm when that exceeds 1,
-    before any stage reads it, so a large input is still normalized and its
-    transform for the analyticity gate cannot overflow, while a tiny one is
-    factored as it is.  A NaN leakage is refused.
+    The input must be analytic to ANALYTIC_TOL (negative-mode fraction) and
+    not the zero function; it is divided by its ``_scaled_parts`` norm when
+    that exceeds 1, before any stage reads it, so a large input is still
+    normalized and its transform for the analyticity gate cannot overflow,
+    while a tiny one is factored as it is.  A NaN leakage is refused.
+
+    Stage order.  After the norm, the analyticity gate (the blocked
+    transform of the normalized input and its negative-mode fraction) runs
+    on the helper thread while the calling thread takes the arc layout, the
+    arc masses, the weight, the log-integrability report and the outer
+    synthesis's transform step (of -log w on the half grid, from the weight's
+    M + 2 region values).  The caller then waits for the gate, and only then
+    writes the outer boundary g (in two halves, on both threads), the
+    quotient h = f/g, |g| w, and h's leakage (both threads again).  When a
+    stage on the calling thread raises, the gate's refusal is raised in its
+    place, as when the gate ran first.
     """
     _, peak, total = _scaled_parts(f.samples)
     norm = peak * float(np.sqrt(total / f.n))
@@ -701,17 +764,29 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
         norm_sq = _mean_sq(fn.samples)
     else:
         fn, norm_sq = f, peak * peak * (total / f.n)
-    leak = neg_mode_leakage(fn)
-    if not leak <= ANALYTIC_TOL:
-        raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
-
-    layout = arc_layout(fn.n, max_shell)
-    profile = arc_energies(fn, layout)
-    weight = build_circle_weight(profile, layout)
-    log_report = check_log_integrable(weight.values, layout)
-    # the weight takes M + 2 values, so their logs are taken once each
-    outer = outer_from_modulus(layout.expand(-np.log(weight.region_values)))
-    g = outer.boundary
+    # the gate's buffer is allocated here, not on the helper: a block the helper
+    # allocates stays in its own malloc arena once freed, where the calling thread's
+    # later N-long arrays cannot reuse it.  It goes to the gate in a list the gate
+    # empties, so it is freed when the gate returns, before g is allocated
+    buffer = [np.empty(_blocked_shape(fn.n), dtype=complex)]
+    gate = _on_helper(_gate_leakage, fn.samples, buffer)
+    try:
+        layout = arc_layout(fn.n, max_shell)
+        profile = arc_energies(fn, layout)
+        weight = build_circle_weight(profile, layout)
+        log_report = check_log_integrable(weight.values, layout)
+        # -log w is finite, at most rounding above 0 and mirrored by construction, so
+        # none of outer_from_modulus's refusals or tests applies; its M + 2 logs are
+        # taken once each
+        modulus, conj, log_coeffs, clamp_count = _mirrored_transform(
+            layout.expand_half(-np.log(weight.region_values)), np.log(DEFAULT_CLAMP))
+    except BaseException:
+        _refuse_unless_analytic(gate)
+        raise
+    _refuse_unless_analytic(gate)
+    g = GridFunction(_mirrored_boundary(modulus, conj))
+    del modulus, conj
+    outer = OuterFunction(boundary=g, log_coeffs=log_coeffs, clamp_count=clamp_count)
     h = GridFunction(fn.samples / g.samples)
     del fn  # the result rebuilds it from f and scale when it is read
 
@@ -727,6 +802,18 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
         scale=scale, gw_deviation=gw_dev, h_norm_sq=h.norm_sq, star_rhs=star_rhs,
         h_leakage=neg_mode_leakage(h), log_report=log_report,
     )
+
+
+def _gate_leakage(samples: np.ndarray, buffer: list) -> float:
+    """The negative-mode fraction of samples, transformed into the one array of buffer."""
+    return _negative_fraction(_blocked_fft(samples, buffer.pop()))
+
+
+def _refuse_unless_analytic(gate) -> None:
+    """Wait for the analyticity gate; InvalidInput unless its leakage is at most ANALYTIC_TOL."""
+    leak = gate.result()
+    if not leak <= ANALYTIC_TOL:
+        raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -762,15 +849,23 @@ class InnerFunction:
 
 def inner_check(b: GridFunction) -> InnerFunction:
     """The one gate for inner functions, to INNER_TOL: InvalidInput unless b is analytic,
-    NotInner unless it is unimodular on the grid and at most 1 on a coarse interior grid."""
-    spectrum = b.spectrum()  # the twiddle and the 1/N scale leave the leakage ratio as it is
+    NotInner unless it is unimodular on the grid and at most 1 on a coarse interior grid.
+
+    The spectrum is taken of b divided by its ``_scaled_parts`` divisor, so no
+    bin overflows; the interior maximum is the scaled series' times the divisor,
+    a product of Python floats, which overflows to inf without a warning.  A b
+    of unit scale (every inner function among them) is transformed as it is.
+    """
+    parts, divisor, _ = _scaled_parts(b.samples)
+    scaled = b if divisor == 1.0 else GridFunction(parts.view(complex))
+    spectrum = scaled.spectrum()  # the twiddle and the 1/N scale leave the leakage ratio as it is
     if not _negative_fraction(spectrum[None, :]) <= INNER_TOL:  # NaN included
         raise InvalidInput("candidate is not analytic to tolerance")
     dev = _unit_deviation(np.abs(b.samples))
     radii = np.linspace(0.15, 0.9, 6)
     angles = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     pts = (radii[:, None] * angles[None, :]).ravel()
-    interior_max = float(np.max(np.abs(eval_series(spectrum[: b.n // 2], pts))))
+    interior_max = float(np.max(np.abs(eval_series(spectrum[: b.n // 2], pts)))) * divisor
     if dev > INNER_TOL or not interior_max <= 1.0 + INNER_TOL:
         raise NotInner(f"boundary deviation {dev:.2e}, interior max {interior_max:.6g}")
     return InnerFunction(b, dev, interior_max)

@@ -19,6 +19,7 @@ from flatwitness.hardy_engine import (
     GridFunction,
     _block_size,
     _blocked_fft,
+    _blocked_shape,
     _cis,
     _mean_sq,
     _negative_fraction,
@@ -562,12 +563,17 @@ def _transform_errors(n):
     return _fft_error_bound(log2n, 2 * U), _fft_error_bound(log2n + 1, blocked_mu)
 
 
+def _blocked(x):
+    # the blocked transform into a buffer of its own, as neg_mode_leakage takes it
+    return _blocked_fft(x, np.empty(_blocked_shape(x.size), dtype=complex))
+
+
 @pytest.mark.parametrize("log2n", [*range(2, 17), 20])
 def test_blocked_fft_matches_plain_transform_within_error_model(log2n):
     n = 2**log2n
     rng = np.random.default_rng(300 + log2n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    blocked = _blocked_fft(x)
+    blocked = _blocked(x)
     n1 = 2 ** (log2n // 2)
     assert blocked.shape == (n1, n // n1)
     want = np.fft.fft(x)
@@ -626,7 +632,7 @@ def test_blocked_fft_halves_equal_one_call_bit_for_bit(log2n):
     n = 2**log2n
     rng = np.random.default_rng(700 + log2n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got, want = _blocked_fft(x), _one_call_blocked_fft(x)
+    got, want = _blocked(x), _one_call_blocked_fft(x)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -639,10 +645,10 @@ def test_blocked_fft_halves_keep_the_callers_errstate():
     x = np.ones(64, dtype=complex)
     x[40] = np.inf
     with np.errstate(invalid="ignore"):
-        got, want = _blocked_fft(x), _one_call_blocked_fft(x)
+        got, want = _blocked(x), _one_call_blocked_fft(x)
     assert np.array_equal(got, want, equal_nan=True)
     with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
-        _blocked_fft(x)
+        _blocked(x)
 
 
 def test_concurrent_callers_share_the_helper():
@@ -654,7 +660,7 @@ def test_concurrent_callers_share_the_helper():
 
     def call(x, want):
         for _ in range(25):
-            if not np.array_equal(_blocked_fft(x), want):
+            if not np.array_equal(_blocked(x), want):
                 mismatches.append(1)
 
     interval = sys.getswitchinterval()
@@ -696,6 +702,89 @@ def test_forked_child_takes_the_leakage_with_its_own_helper():
             child.kill()
             child.join()
     assert got == want and child.exitcode == 0
+
+
+def test_in_halves_on_the_helper_runs_both_halves_inline():
+    # a half queued on the helper from the helper itself would wait for ever behind
+    # the task that queued it
+    ran = []
+
+    def task(lo, hi):
+        ran.append((lo, hi, threading.get_ident()))
+
+    helper = hardy_engine._on_helper(threading.get_ident).result(timeout=30)
+    hardy_engine._on_helper(hardy_engine._in_halves, task, 8).result(timeout=30)
+    assert ran == [(0, 4, helper), (4, 8, helper)]
+
+
+def _factor_bytes(res):
+    # every array and value of a factorization, as bytes
+    arrays = (res.g.samples, res.h.samples, res.outer.log_coeffs, res.w.values,
+              res.profile.suffix_sums)
+    values = (res.scale, res.gw_deviation, res.h_norm_sq, res.star_rhs, res.h_leakage,
+              res.log_report.integral_value, res.log_report.comparison_bound)
+    return [a.tobytes() for a in arrays] + [np.float64(v).tobytes() for v in values] \
+        + [res.outer.clamp_count, res.w.floored]
+
+
+def _overlap_inputs():
+    rng = np.random.default_rng(28)
+    series = np.exp(2j * np.pi * rng.uniform(size=2**10)) / np.arange(1, 2**10 + 1)
+    return [from_taylor(series, 2**12).samples, constant_function(2**11).samples,
+            from_taylor([1.0, 0.5, 0.25], 2**10).samples, 3.0 * coordinate_function(2**12).samples]
+
+
+def test_concurrent_hardy_factor_calls_match_a_serial_call():
+    # four callers each put their analyticity gate and halves on the one helper, with
+    # the interpreter switching threads every microsecond; each must get its own result
+    inputs = _overlap_inputs()
+    wants = [_factor_bytes(hardy_factor(GridFunction(x), 64)) for x in inputs]
+    mismatches = []
+
+    def call(x, want):
+        for _ in range(10):
+            if _factor_bytes(hardy_factor(GridFunction(x), 64)) != want:
+                mismatches.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=pair) for pair in zip(inputs, wants)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and not mismatches
+
+
+def _factor_in_child(inputs, results):
+    results.put([_factor_bytes(hardy_factor(GridFunction(x), 64)) for x in inputs])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_forked_child_factors_with_its_own_helper():
+    # the child's analyticity gate goes to a helper of its own, not to the parent's
+    # thread, which the child has no copy of
+    inputs = _overlap_inputs()
+    wants = [_factor_bytes(hardy_factor(GridFunction(x), 64)) for x in inputs]
+    fork = multiprocessing.get_context("fork")
+    results = fork.Queue()
+    child = fork.Process(target=_factor_in_child, args=(inputs, results))
+    child.start()
+    try:
+        got = results.get(timeout=30)
+    except queue.Empty:
+        pytest.fail("the forked child did not finish the factorizations within 30 s")
+    finally:
+        child.join(timeout=5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == wants and child.exitcode == 0
 
 
 def test_leakage_traced_peak_is_one_blocked_buffer():
@@ -812,6 +901,16 @@ def test_analyticity_gates_refuse_a_nan_leakage(monkeypatch):
         hardy_factor(from_taylor([1.0, 0.5, 0.25], 2**8), 16)
     with pytest.raises(InvalidInput, match="not analytic to tolerance"):
         inner_check(coordinate_function(2**8))
+
+
+def test_hardy_factor_refuses_a_non_analytic_input_before_a_later_stage_error():
+    # the gate runs beside the layout, which refuses zero shells; the input's refusal
+    # still comes first, as when the gate ran before every other stage
+    z = coordinate_function(2**10)
+    with pytest.raises(InvalidInput, match="not analytic"):
+        hardy_factor(GridFunction(np.conj(z.samples)), 0)
+    with pytest.raises(InvalidInput, match="need at least one shell"):
+        hardy_factor(z, 0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -935,6 +1034,23 @@ def test_arc_layout_runs_match_per_sample_rule(log2n):
         assert layout.half_counts.shape == (m + 2,)
         assert np.array_equal(layout.expand(np.arange(m + 2)), region)
         assert np.array_equal(layout.counts(), np.bincount(region, minlength=m + 2))
+
+
+@pytest.mark.parametrize("log2n", range(2, 21))
+def test_hardy_factor_outer_is_the_expanded_weights_outer_bit_for_bit(log2n):
+    # hardy_factor synthesizes g from the half grid's log-modulus; the full-length
+    # array expand mirrors must give the same outer function through outer_from_modulus
+    n = 2**log2n
+    res = hardy_factor(from_taylor([1.0, 0.5], n), max(1, 2 ** (log2n // 2)))
+    logs = -np.log(res.w.region_values)
+    full = res.layout.expand(logs)
+    assert np.array_equal(res.layout.expand_half(logs), full[: n // 2])
+    want = outer_from_modulus(full)
+    got = res.outer
+    assert got.boundary.samples.tobytes() == want.boundary.samples.tobytes()
+    assert got.log_coeffs.dtype == want.log_coeffs.dtype
+    assert got.log_coeffs.tobytes() == want.log_coeffs.tobytes()
+    assert got.clamp_count == want.clamp_count
 
 
 @pytest.mark.parametrize("n, m", [(2**4, 3), (2**10, 256), (2**12, 16), (2**14, 64), (2**16, 1000)])
@@ -1127,6 +1243,16 @@ def test_inner_check_rejects_average():
     # |b| = |cos(theta/2)| dips to 0 near theta = pi, so the deviation is ~1
     assert dev == pytest.approx(1.0, abs=1e-3)
     assert dev > 0.49
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e305, 1e308])
+def test_inner_check_refuses_a_huge_b_without_a_warning(scale):
+    # the raw transform of b would overflow; the gate reads b over its divisor, and the
+    # interior is the scaled series' maximum times the divisor
+    b = GridFunction(scale * coordinate_function(2**14).samples)
+    with pytest.raises(NotInner, match=r"^boundary deviation \S+, interior max 9e\+30[47]$"):
+        inner_check(b)
 
 
 def test_projection_onto_shifted_space():
