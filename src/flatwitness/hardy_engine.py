@@ -273,29 +273,31 @@ _start_helper()
 os.register_at_fork(after_in_child=_start_helper)
 
 
-def _on_helper(task: Callable, *args):
-    """Submit task(*args) to the helper, in a copy of the caller's context, so numpy's
-    errstate holds there too; returns its future."""
-    return _HELPER.submit(contextvars.copy_context().run, task, *args)
+def _alongside(here: Callable, there: Callable) -> tuple:
+    """(here(), there()), with there() on the helper while here() runs on the calling thread.
+
+    there() runs in a copy of the caller's context, so numpy's errstate holds
+    there too, and it is always waited for: when both raise, there()'s
+    exception is raised, with here()'s as its ``__context__``.  Called on the
+    helper itself (the analyticity gate of ``hardy_factor`` runs there),
+    there() and then here() run in turn on it, with the same precedence: a task
+    queued behind the running one would wait for ever.
+    """
+    if getattr(_ON_HELPER, "is_helper", False):
+        last = there()
+        return here(), last
+    done = _HELPER.submit(contextvars.copy_context().run, there)
+    try:
+        first = here()
+    finally:
+        last = done.result()
+    return first, last
 
 
 def _in_halves(task: Callable[[int, int], None], size: int) -> None:
-    """task(0, size/2) on the calling thread and task(size/2, size) on the helper.
-
-    Called on the helper itself (the analyticity gate of ``hardy_factor`` runs
-    there), both halves run in turn on it: a half queued behind the running
-    task would wait for ever.
-    """
+    """task(0, size/2) on the calling thread alongside task(size/2, size) (``_alongside``)."""
     half = size // 2
-    if getattr(_ON_HELPER, "is_helper", False):
-        task(0, half)
-        task(half, size)
-        return
-    done = _on_helper(task, half, size)
-    try:
-        task(0, half)
-    finally:
-        done.result()
+    _alongside(lambda: task(0, half), lambda: task(half, size))
 
 
 def _blocked_shape(n: int) -> tuple[int, int]:
@@ -555,7 +557,7 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     at every sample to rounding error.  A complex array must be real to
     rounding, and its real part is used.  A log-modulus whose sample N-1-j
     equals sample j exactly is synthesized from its first half
-    (``_mirrored_transform``, then ``_mirrored_boundary``).
+    (``_mirrored_transform``, then ``_mirrored_outer``).
     """
     vals = np.asarray(log_modulus)
     if vals.ndim != 1 or vals.size < 4 or vals.size & (vals.size - 1):
@@ -580,9 +582,7 @@ def outer_from_modulus(log_modulus, clamp: float = DEFAULT_CLAMP) -> OuterFuncti
     if peak > limit:
         raise ScaleOverflow(limit - peak)
     if np.array_equal(vals[:half], vals[:half - 1:-1]):
-        modulus, conj, log_coeffs, clamp_count = _mirrored_transform(vals[:half], floor)
-        return OuterFunction(boundary=GridFunction(_mirrored_boundary(modulus, conj)),
-                             log_coeffs=log_coeffs, clamp_count=clamp_count)
+        return _mirrored_outer(*_mirrored_transform(vals[:half], floor))
 
     clamp_count = int(np.count_nonzero(vals < floor))
     k = np.maximum(vals, floor)  # a fresh array: the caller's is never written
@@ -608,7 +608,7 @@ def _mirrored_transform(first_half: np.ndarray, floor: float
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The transform step of the outer synthesis of a mirrored log-modulus k from its
     samples j < L = N/2: exp(k) and the conjugate c, both in v's order (below), the
-    log coefficients and the clamp count.  ``_mirrored_boundary`` writes the samples.
+    log coefficients and the clamp count.  ``_mirrored_outer`` writes the samples.
 
     k is even in theta, so its twiddled spectrum is real: 2 Y_m/N for the
     DCT-II Y_m = sum_{j<L} k_j cos(pi m (2j+1)/(2L)), with mode N/2 zero.
@@ -646,32 +646,32 @@ def _mirrored_transform(first_half: np.ndarray, floor: float
     return v, c, log_coeffs, clamp_count
 
 
-def _mirrored_boundary(modulus: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """The boundary step: the N samples modulus * e^{i conj} from the two arrays of
-    ``_mirrored_transform``, in v's order.
+def _mirrored_outer(modulus: np.ndarray, conj: np.ndarray, log_coeffs: np.ndarray,
+                    clamp_count: int) -> OuterFunction:
+    """The boundary step: the outer function of ``_mirrored_transform``'s four results,
+    its N samples modulus * e^{i conj}, with modulus and conj in v's order.
 
     They are written to the first half through strided views, the even samples
-    on one thread and the odd ones on the other (``_in_halves``); c is odd and k
-    even, so sample N-1-j is the conjugate of sample j.
+    on the calling thread and the odd ones alongside (``_alongside``); c is odd
+    and k even, so sample N-1-j is the conjugate of sample j.
     """
     half = conj.size
     quarter = half // 2
     out = np.empty(2 * half, dtype=complex)
     first, mirror = out[:half], out[:half - 1:-1]  # mirror[j] is sample N-1-j
+
+    def write(part, view):
+        np.cos(conj[part], out=first.real[view])
+        np.sin(conj[part], out=first.imag[view])
+        first.real[view] *= modulus[part]
+        first.imag[view] *= modulus[part]
+        np.conjugate(first[view], out=mirror[view])
+
     # the views [::2] and [::-2] are samples 0, 2, ..., L-2 and L-1, ..., 3, 1
-    parts = ((slice(None, quarter), slice(None, None, 2)),
-             (slice(quarter, None), slice(None, None, -2)))
-
-    def write(lo, hi):
-        for part, view in parts[lo:hi]:
-            np.cos(conj[part], out=first.real[view])
-            np.sin(conj[part], out=first.imag[view])
-            first.real[view] *= modulus[part]
-            first.imag[view] *= modulus[part]
-            np.conjugate(first[view], out=mirror[view])
-
-    _in_halves(write, 2)
-    return out
+    _alongside(lambda: write(slice(None, quarter), slice(None, None, 2)),
+               lambda: write(slice(quarter, None), slice(None, None, -2)))
+    return OuterFunction(boundary=GridFunction(out), log_coeffs=log_coeffs,
+                         clamp_count=clamp_count)
 
 
 def _twiddle_quarter(spec: np.ndarray) -> None:
@@ -741,16 +741,16 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     normalized and its transform for the analyticity gate cannot overflow,
     while a tiny one is factored as it is.  A NaN leakage is refused.
 
-    Stage order.  After the norm, the analyticity gate (the blocked
-    transform of the normalized input and its negative-mode fraction) runs
-    on the helper thread while the calling thread takes the arc layout, the
-    arc masses, the weight, the log-integrability report and the outer
-    synthesis's transform step (of -log w on the half grid, from the weight's
-    M + 2 region values).  The caller then waits for the gate, and only then
-    writes the outer boundary g (in two halves, on both threads), the
-    quotient h = f/g, |g| w, and h's leakage (both threads again).  When a
-    stage on the calling thread raises, the gate's refusal is raised in its
-    place, as when the gate ran first.
+    Stage order.  After the norm, ``_alongside`` runs the analyticity gate
+    (the blocked transform of the normalized input, its negative-mode
+    fraction and the refusal) on the helper thread while the calling thread
+    takes the arc layout, the arc masses, the weight, the log-integrability
+    report and the outer synthesis's transform step (of -log w on the half
+    grid, from the weight's M + 2 region values).  Once both are done,
+    ``_mirrored_outer`` writes the outer boundary g (in two halves, on both
+    threads), then come the quotient h = f/g, |g| w, and h's leakage (both
+    threads again).  The gate's exception wins over a stage's, so its
+    refusal comes first, as when the gate ran first.
     """
     _, peak, total = _scaled_parts(f.samples)
     norm = peak * float(np.sqrt(total / f.n))
@@ -764,13 +764,17 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
         norm_sq = _mean_sq(fn.samples)
     else:
         fn, norm_sq = f, peak * peak * (total / f.n)
-    # the gate's buffer is allocated here, not on the helper: a block the helper
-    # allocates stays in its own malloc arena once freed, where the calling thread's
-    # later N-long arrays cannot reuse it.  It goes to the gate in a list the gate
-    # empties, so it is freed when the gate returns, before g is allocated
+    # the gate's buffer is allocated here: in the helper's malloc arena this thread's later
+    # N-long arrays could not reuse it (README, "Threads"); the gate empties the list, so
+    # the buffer is freed before g is allocated
     buffer = [np.empty(_blocked_shape(fn.n), dtype=complex)]
-    gate = _on_helper(_gate_leakage, fn.samples, buffer)
-    try:
+
+    def gate():
+        leak = _negative_fraction(_blocked_fft(fn.samples, buffer.pop()))
+        if not leak <= ANALYTIC_TOL:
+            raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
+
+    def stages():
         layout = arc_layout(fn.n, max_shell)
         profile = arc_energies(fn, layout)
         weight = build_circle_weight(profile, layout)
@@ -778,15 +782,13 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
         # -log w is finite, at most rounding above 0 and mirrored by construction, so
         # none of outer_from_modulus's refusals or tests applies; its M + 2 logs are
         # taken once each
-        modulus, conj, log_coeffs, clamp_count = _mirrored_transform(
+        return layout, profile, weight, log_report, _mirrored_transform(
             layout.expand_half(-np.log(weight.region_values)), np.log(DEFAULT_CLAMP))
-    except BaseException:
-        _refuse_unless_analytic(gate)
-        raise
-    _refuse_unless_analytic(gate)
-    g = GridFunction(_mirrored_boundary(modulus, conj))
-    del modulus, conj
-    outer = OuterFunction(boundary=g, log_coeffs=log_coeffs, clamp_count=clamp_count)
+
+    (layout, profile, weight, log_report, transform), _ = _alongside(stages, gate)
+    outer = _mirrored_outer(*transform)
+    del transform  # exp(k) and c, freed before h is allocated
+    g = outer.boundary
     h = GridFunction(fn.samples / g.samples)
     del fn  # the result rebuilds it from f and scale when it is read
 
@@ -802,18 +804,6 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
         scale=scale, gw_deviation=gw_dev, h_norm_sq=h.norm_sq, star_rhs=star_rhs,
         h_leakage=neg_mode_leakage(h), log_report=log_report,
     )
-
-
-def _gate_leakage(samples: np.ndarray, buffer: list) -> float:
-    """The negative-mode fraction of samples, transformed into the one array of buffer."""
-    return _negative_fraction(_blocked_fft(samples, buffer.pop()))
-
-
-def _refuse_unless_analytic(gate) -> None:
-    """Wait for the analyticity gate; InvalidInput unless its leakage is at most ANALYTIC_TOL."""
-    leak = gate.result()
-    if not leak <= ANALYTIC_TOL:
-        raise InvalidInput(f"input is not analytic: negative-mode fraction {leak:.2e}")
 
 
 # ---------------------------------------------------------------------------

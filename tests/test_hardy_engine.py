@@ -1,10 +1,13 @@
 import collections
 import math
 import multiprocessing
+import os
 import queue
 import re
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -651,7 +654,21 @@ def test_blocked_fft_halves_keep_the_callers_errstate():
         _blocked(x)
 
 
-def test_concurrent_callers_share_the_helper():
+def _in_child(body):
+    # a helper task that never finishes keeps an interpreter from exiting, since
+    # concurrent.futures joins its worker at exit; so a body that could deadlock the
+    # helper runs in a child interpreter, which a timeout kills: the test fails, not hangs
+    paths = [os.path.dirname(os.path.dirname(hardy_engine.__file__)), os.path.dirname(__file__)]
+    code = f"import sys; sys.path[:0] = {paths!r}; import {__name__} as t; t.{body.__name__}()"
+    try:
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{body.__name__} did not finish within 60 s in a child interpreter")
+    assert done.returncode == 0, done.stderr
+
+
+def _callers_share_the_helper():
     # four callers on two cores queue their halves on the one helper, with the
     # interpreter switching threads every microsecond; each must get its own transform
     inputs = [np.random.default_rng(900 + i).standard_normal(2**10) + 0j for i in range(4)]
@@ -674,6 +691,10 @@ def test_concurrent_callers_share_the_helper():
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers) and not mismatches
+
+
+def test_concurrent_callers_share_the_helper():
+    _in_child(_callers_share_the_helper)
 
 
 def _leakage_in_child(samples, results):
@@ -704,17 +725,49 @@ def test_forked_child_takes_the_leakage_with_its_own_helper():
     assert got == want and child.exitcode == 0
 
 
-def test_in_halves_on_the_helper_runs_both_halves_inline():
+def test_alongside_returns_both_results_with_there_on_another_thread():
+    here, there = hardy_engine._alongside(threading.get_ident, threading.get_ident)
+    assert here == threading.get_ident() != there
+
+
+def _raise(error):
+    raise error
+
+
+def test_alongside_raises_theres_error_with_heres_as_its_context():
+    with pytest.raises(ValueError, match="there") as caught:
+        hardy_engine._alongside(lambda: _raise(KeyError("here")),
+                                lambda: _raise(ValueError("there")))
+    assert isinstance(caught.value.__context__, KeyError)
+
+
+def test_alongside_waits_for_there_when_only_here_raises():
+    finished = threading.Event()
+
+    def there():
+        time.sleep(0.05)
+        finished.set()
+
+    with pytest.raises(KeyError):
+        hardy_engine._alongside(lambda: _raise(KeyError("here")), there)
+    assert finished.is_set()
+
+
+def _in_halves_on_the_helper():
     # a half queued on the helper from the helper itself would wait for ever behind
-    # the task that queued it
+    # the task that queued it; there() runs first, then here()
     ran = []
 
     def task(lo, hi):
         ran.append((lo, hi, threading.get_ident()))
 
-    helper = hardy_engine._on_helper(threading.get_ident).result(timeout=30)
-    hardy_engine._on_helper(hardy_engine._in_halves, task, 8).result(timeout=30)
-    assert ran == [(0, 4, helper), (4, 8, helper)]
+    _, helper = hardy_engine._alongside(lambda: None, threading.get_ident)
+    hardy_engine._alongside(lambda: None, lambda: hardy_engine._in_halves(task, 8))
+    assert ran == [(4, 8, helper), (0, 4, helper)]
+
+
+def test_in_halves_on_the_helper_runs_both_halves_inline():
+    _in_child(_in_halves_on_the_helper)
 
 
 def _factor_bytes(res):
@@ -734,7 +787,7 @@ def _overlap_inputs():
             from_taylor([1.0, 0.5, 0.25], 2**10).samples, 3.0 * coordinate_function(2**12).samples]
 
 
-def test_concurrent_hardy_factor_calls_match_a_serial_call():
+def _concurrent_hardy_factor_calls():
     # four callers each put their analyticity gate and halves on the one helper, with
     # the interpreter switching threads every microsecond; each must get its own result
     inputs = _overlap_inputs()
@@ -757,6 +810,10 @@ def test_concurrent_hardy_factor_calls_match_a_serial_call():
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers) and not mismatches
+
+
+def test_concurrent_hardy_factor_calls_match_a_serial_call():
+    _in_child(_concurrent_hardy_factor_calls)
 
 
 def _factor_in_child(inputs, results):
