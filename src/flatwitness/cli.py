@@ -7,9 +7,9 @@ next to the tolerance that judges it, so reports are self-verifying and a
 gate carries the same name here as in the battery.  The exception is
 ``olympiad --m --n``, whose one window the battery never checks: it calls
 ``seq_core.verify_olympiad_bound`` itself.  Exit status: 0 when all gated
-checks pass, 1 when a check fails, 2 for usage or input errors.
-Verdict-style outputs (an undecidable limit classification) are
-informational and never fail a run.
+checks pass, 1 when a check fails, 2 for usage or input errors and for memory
+that cannot be allocated.  Verdict-style outputs (an undecidable limit
+classification) are informational and never fail a run.
 """
 
 from __future__ import annotations
@@ -81,21 +81,25 @@ def _checked(kind, rule, holds):
     return parse
 
 
-# numpy meets a negative size or seed with a bare ValueError, and a log of <= 0 with a warning
-_COUNT = _checked(int, "a nonnegative count", lambda v: v >= 0)
+# numpy meets a negative size or seed with a bare ValueError, and a log of <= 0 with a warning;
+# a count past 2^29 (n * P of --random, shells * atoms per shell of layered too) is refused,
+# so the witness frames' n^2 P complex entries fit numpy's 2^63-byte array limit
+_MAX_COUNT = 2**29
+_SEED = _checked(int, "a nonnegative integer", lambda v: v >= 0)
 _FINITE = _checked(float, "finite", np.isfinite)
 _NONNEGATIVE = _checked(float, "finite and >= 0", lambda v: np.isfinite(v) and v >= 0)
 _POSITIVE = _checked(float, "finite and > 0", lambda v: np.isfinite(v) and v > 0)
 _FRACTION = _checked(float, "in (0, 1)", lambda v: 0 < v < 1)
 _INDEX = _checked(int, "an index >= 1", lambda v: v >= 1)
-_SIZE = _checked(int, "a count >= 1", lambda v: v >= 1)
-_EVEN_SIZE = _checked(int, "an even count >= 2", lambda v: v >= 2 and v % 2 == 0)
-_GRID = _checked(int, "a power of two >= 4", lambda v: v >= 4 and v & (v - 1) == 0)
+_SIZE = _checked(int, f"a count in [1, {_MAX_COUNT}]", lambda v: 1 <= v <= _MAX_COUNT)
+_EVEN_SIZE = _checked(int, "an even count >= 2", lambda v: v >= 2 and v % 2 == 0 and _SIZE(v))
+_GRID = _checked(int, "a power of two >= 4", lambda v: v >= 4 and v & (v - 1) == 0 and _SIZE(v))
 _DEFAULT_GRID = 2**14  # N of the hardy actions' built-in inputs and fixtures, and of transfer
 # --random and --fixture keep their text, which the report shows; _SIZE and
 # _POSITIVE refuse a bad n, P or C with their own message
-_SIZE_PAIR = _checked(str, "two counts 'n,P'",
-                      lambda text: len([_SIZE(n) for n in text.split(",")]) == 2)
+_SIZE_PAIR = _checked(str, f"two counts 'n,P' with n * P <= {_MAX_COUNT}",
+                      lambda text: len(pair := [_SIZE(n) for n in text.split(",")]) == 2
+                      and pair[0] * pair[1] <= _MAX_COUNT)
 _FIXTURE = _checked(str, "const:C or log-sin", lambda text: text == "log-sin"
                     or text.startswith("const:") and _POSITIVE(text[6:]))
 # refused before the pipeline runs; _emit still refuses a file it cannot write
@@ -222,6 +226,8 @@ def _cmd_layered(args):
         other = "atoms_per_shell" if option == "geometric" else "geometric"
         _unread(args, f"--preset {args.preset}", "layout", "values", "tail", other)
         _defaults(args, shells=64, **{option: default})
+        if args.shells * (args.atoms_per_shell or 1) > _MAX_COUNT:
+            raise InvalidInput(f"--shells times --atoms-per-shell must be at most {_MAX_COUNT}")
         f, layout, tail = build(args.shells, getattr(args, option))
     else:
         if not (args.layout and args.values):
@@ -251,21 +257,12 @@ def _built_in(spec, n):
     return None
 
 
-def _grid_file(spec):
-    """The grid function in the grid file ``spec``, whose length is its N."""
-    f = ioformats.read_grid_function(spec)
-    with np.errstate(over="ignore"):  # the norms taken later would overflow, with a warning
-        if np.isinf(np.sum(np.abs(f.samples) ** 2)):
-            raise InvalidInput(f"the squared samples of {spec} overflow float64")
-    return f
-
-
 def _hardy_input(args):
     """``--input`` of ``hardy factor``/``project``, at ``--grid`` unless a grid file sets N."""
     f = _built_in(args.input, args.grid or _DEFAULT_GRID)
     if f is None:
         _unread(args, "a grid file", "grid")
-        f = _grid_file(args.input)
+        f = ioformats.read_grid_function(args.input)
     return f
 
 
@@ -291,7 +288,7 @@ def _cmd_hardy(args):
                        checks, **extra)
 
     f = _hardy_input(args)
-    b = _built_in(args.inner, f.n) or _grid_file(args.inner)
+    b = _built_in(args.inner, f.n) or ioformats.read_grid_function(args.inner)
     checks, _ = acceptance.project_checks(f, inner_check(b))
     return _report("hardy project", {"grid": f.n, "input": args.input, "inner": args.inner},
                    checks)
@@ -349,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=_OUT, help="write the JSON report here instead of stdout")
         p.add_argument("--json", action="store_true", help="compact single-line JSON")
         if seeded:
-            p.add_argument("--seed", type=_COUNT, help=f"default {acceptance.DEFAULT_SEED}")
+            p.add_argument("--seed", type=_SEED, help=f"default {acceptance.DEFAULT_SEED}")
 
     p = sub.add_parser("olympiad", help="suffix-sum weighted series bound")
     common(p)
@@ -450,9 +447,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
         return _emit(args.func(args), args, t0)
-    except FlatwitnessError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+    except (FlatwitnessError, MemoryError) as exc:  # numpy's is a subclass of MemoryError
+        error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

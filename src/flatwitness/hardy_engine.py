@@ -133,7 +133,8 @@ def eval_series(coeffs, z):
 
 
 class GridFunction:
-    """Complex boundary samples on the midpoint circle grid."""
+    """Complex boundary samples on the midpoint circle grid, any finite ones: the norms read
+    one ``_scaled_parts`` sum, so they hold where the squares overflow or underflow."""
 
     __slots__ = ("samples",)
 
@@ -177,11 +178,13 @@ class GridFunction:
 
     @property
     def norm_sq(self) -> float:
-        return _mean_sq(self.samples)
+        _, peak, total = _scaled_parts(self.samples)
+        return peak * peak * (total / self.n)
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq))
+        _, peak, total = _scaled_parts(self.samples)
+        return peak * float(np.sqrt(total / self.n))
 
 
 def _sum_sq(v: np.ndarray) -> float:
@@ -193,11 +196,6 @@ def _sum_sq(v: np.ndarray) -> float:
     """
     axes = [*range(v.ndim)]
     return float(np.einsum(v, axes, v, axes, []))
-
-
-def _mean_sq(x: np.ndarray) -> float:
-    """The mean of |x_j|^2 of complex samples: the squares of their float view, summed."""
-    return _sum_sq(x.view(float)) / x.size
 
 
 def _unit_deviation(x: np.ndarray) -> float:
@@ -761,7 +759,7 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     scale = max(1.0, norm)
     if scale > 1.0:
         fn = GridFunction(f.samples / scale)
-        norm_sq = _mean_sq(fn.samples)
+        norm_sq = fn.norm_sq
     else:
         fn, norm_sq = f, peak * peak * (total / f.n)
     # the gate's buffer is allocated here: in the helper's malloc arena this thread's later
@@ -873,11 +871,14 @@ def project_onto_bH2(f: GridFunction, inner: InnerFunction) -> ProjectionResult:
     ``inner`` is ``inner_check``'s verdict on b, which is not checked again.
     For unimodular-boundary b this is b P+(conj(b) f).  The distance from
     the constant function 1 is positive for every nonconstant inner b,
-    which exhibits the subspace as proper.
+    which exhibits the subspace as proper.  An f whose squared samples, which
+    the distance sums, sum past float64 is refused.
     """
     b = inner.b
     if f.n != b.n:
         raise InvalidInput("f and b must share a grid")
+    if _scaled_parts(f.samples)[1] > 1.0:  # divided down only when the sum overflows
+        raise InvalidInput("the squared samples of f sum past float64")
     inner_part = analytic_project(GridFunction(np.conj(b.samples) * f.samples))
     proj = GridFunction(b.samples * inner_part.samples)
     distance = float(np.sqrt(np.mean(np.abs(f.samples - proj.samples) ** 2)))

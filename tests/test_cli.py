@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flatwitness import acceptance, cli, ioformats
+from flatwitness import acceptance, cli, hardy_engine, ioformats
 from flatwitness.errors import InvalidInput
 
 
@@ -216,10 +216,13 @@ def test_hardy_project_blaschke(capsys):
     assert checks["strict_subspace"]["value"] is True
 
 
-@pytest.mark.parametrize("value, error", [(1.0, "InvalidInput"), (0.5, "NotInner")])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value, error", [(1.0, "InvalidInput"), (0.5, "NotInner"),
+                                          (1e200, "NotInner")])
 def test_hardy_project_checks_b_before_its_grid(tmp_path, capsys, value, error):
     # an 8-sample constant b on a 64-point input: an inner b meets the grid
-    # refusal, while one that is not inner is refused as such first
+    # refusal, while one that is not inner is refused as such first, a b whose
+    # squares overflow float64 among them, without a warning
     path = tmp_path / "b.json"
     path.write_text(json.dumps([[value, 0.0]] * 8))
     code, report, err = run_cli(capsys, ["hardy", "project", "--grid", "64",
@@ -228,6 +231,48 @@ def test_hardy_project_checks_b_before_its_grid(tmp_path, capsys, value, error):
     refusal = json.loads(err)
     assert refusal["error"] == error
     assert ("share a grid" in refusal["message"]) == (error == "InvalidInput")
+
+
+@pytest.mark.filterwarnings("error")
+def test_hardy_factor_rescales_a_grid_file_whose_squares_overflow(tmp_path, monkeypatch, capsys):
+    # hardy_factor sizes the grid by one scaled sum of squares, so the file is factored
+    # at its norm 1e200 and the run exits by its gates, with no warning
+    (tmp_path / "huge_grid.json").write_text(BAD_INPUT_FILES["huge_grid.json"])
+    monkeypatch.chdir(tmp_path)
+    code, report, err = run_cli(capsys, ["hardy", "factor", "--input", "huge_grid.json"])
+    assert err == "" and code == (0 if report["pass"] else 1)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["input_rescale"]["value"] == pytest.approx(1e200, rel=1e-15)
+
+
+def _logmod_file(path):
+    """The CI fixture logmod.json: 0.5 cos(t) + 0.25 sin(2t) at 4096 midpoint angles."""
+    t = 2.0 * np.pi * (np.arange(4096) + 0.5) / 4096
+    path.write_text(json.dumps([[v, 0.0] for v in 0.5 * np.cos(t) + 0.25 * np.sin(2.0 * t)]))
+    return str(path)
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda tmp: cli.main(["hardy", "outer", "--fixture", "const:2.5"]), 1),
+    (lambda tmp: hardy_engine.hardy_factor(hardy_engine.constant_function(4096), 64), 1),
+    (lambda tmp: cli.main(["hardy", "outer", "--input", _logmod_file(tmp / "logmod.json")]), 0),
+    (lambda tmp: acceptance.outer_checks(acceptance.outer_fixture("log-sin", 2**14), 1e-12), 0),
+], ids=["const:2.5", "hardy_factor", "logmod.json", "log-sin"])
+def test_each_outer_input_takes_its_documented_path(tmp_path, monkeypatch, capsys, run, calls):
+    """A mirrored log-modulus (the constant fixture, -log w of hardy_factor) takes the
+    half-length synthesis, ``_mirrored_transform``, once; logmod.json, not mirrored,
+    takes the full-length one.  So does criterion 5's log-sin fixture, which is
+    mirrored only to one rounding of the angles of ``grid_thetas``: building the
+    second half of the angles as the first half's negation ("One exact mirror for
+    the grid" in ROADMAP.md) would send it down the half-length path, and its case
+    here would flip to 1."""
+    seen = []
+    real = hardy_engine._mirrored_transform
+    monkeypatch.setattr(hardy_engine, "_mirrored_transform",
+                        lambda *args: seen.append(args[0].size) or real(*args))
+    run(tmp_path)
+    capsys.readouterr()
+    assert len(seen) == calls
 
 
 def test_hardy_factor_small_grid_gates(capsys):
@@ -338,6 +383,70 @@ def test_out_file_and_compact_json(tmp_path, capsys):
     assert text.count("\n") == 1  # compact form plus trailing newline
     assert json.loads(text)["pass"] is True
     assert capsys.readouterr().out == ""
+
+
+def test_unwritable_out_file_is_one_json_error_line(tmp_path, monkeypatch, capsys):
+    # the parser admits the path; the write itself fails (a full disk, say), which is
+    # simulated, since file permissions do not stop a test run as root
+    def refuse(self, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    code = cli.main(["olympiad", "--terms", "8", "--out", str(tmp_path / "report.json")])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    [line] = out.err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "InvalidInput"
+    assert error["message"].startswith("cannot write the report to ")
+
+
+def test_failure_line_shows_a_value_that_is_not_a_number():
+    check = acceptance.Check("decaying_in_ideal", "no", "yes", False)
+    assert cli._failure(check) == "decaying_in_ideal no (tol yes)"
+
+
+# counts numpy cannot hold: each once ended in a ValueError traceback from numpy's size
+# limits, or in a MemoryError; the parser refuses them before anything is allocated
+OVERSIZED = [
+    ["hardy", "factor", "--grid", "4611686018427387904"],
+    ["hardy", "factor", "--shells", "100000000000000000000"],
+    ["bezout", "--atoms", "100000000000000000000"],
+    ["bezout", "--atoms", "100000000000"],
+    ["transfer", "--num-points", "100000000000000000000"],
+    ["transfer", "--num-points", "1000000000"],
+    ["witness", "--random", "100000000000000000000,2"],
+    # each count within the ceiling, their product past it
+    ["witness", "--random", "65536,16384"],
+    ["layered", "--preset", "circle", "--shells", "65536", "--atoms-per-shell", "16384"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", OVERSIZED, ids=" ".join)
+def test_counts_past_the_ceiling_are_refused(capsys, argv):
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "Traceback" not in out.err
+    [line] = out.err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "InvalidInput" and str(cli._MAX_COUNT) in error["message"]
+
+
+def test_memory_error_is_one_json_error_line(monkeypatch, capsys):
+    class ArrayMemoryError(MemoryError):  # numpy raises a subclass of its own
+        pass
+
+    def exhausted(*args):
+        raise ArrayMemoryError("Unable to allocate 4.47 GiB for an array")
+
+    monkeypatch.setattr(acceptance, "bezout_checks", exhausted)
+    code = cli.main(["bezout", "--atoms", "8"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "Traceback" not in out.err
+    [line] = out.err.strip().splitlines()
+    assert json.loads(line) == {"error": "MemoryError",
+                                "message": "Unable to allocate 4.47 GiB for an array"}
 
 
 def test_usage_error_exit_code(capsys):
@@ -475,7 +584,6 @@ BAD_INPUTS = [
       for fraction in ("0", "1", "1.5", "nan")),
     *([cmd, "--geometric", ratio] for cmd in ("olympiad", "layered")
       for ratio in ("0", "1", "-0.5", "nan")),
-    ["hardy", "factor", "--input", "huge_grid.json"],
     ["hardy", "project", "--input", "huge_grid.json"],
     *SCALE_OVERFLOWS,
 ]

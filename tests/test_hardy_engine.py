@@ -24,7 +24,6 @@ from flatwitness.hardy_engine import (
     _blocked_fft,
     _blocked_shape,
     _cis,
-    _mean_sq,
     _negative_fraction,
     _scaled_parts,
     _sum_sq,
@@ -136,7 +135,7 @@ def test_norms_match_mean_of_squared_moduli_within_error_model(log2n, scale):
     want = _reference_mean_sq(x)
     model = 2 * (_gamma(n) + 3 * U) / (1 - _gamma(n) - 3 * U) * want
     got = GridFunction(x).norm_sq
-    assert got == _mean_sq(x) and abs(got - want) <= model
+    assert abs(got - want) <= model
     # inside float64's range the sum is not rescaled, so the input norm is this mean
     _, peak, total = _scaled_parts(x)
     assert peak == 1.0 and total / n == got
@@ -161,7 +160,7 @@ def test_einsum_reductions_match_fsum_within_error_model(log2n, scale):
         exact = math.fsum((v * v).ravel())
         assert abs(_sum_sq(v) - exact) <= (_gamma(v.size) + 2 * U) * exact
     exact = math.fsum((parts * parts).ravel())
-    assert abs(_mean_sq(x) - exact / n) <= (_gamma(2 * n) + 2 * U) * exact / n
+    assert abs(GridFunction(x).norm_sq - exact / n) <= (_gamma(2 * n) + 2 * U) * exact / n
     # the fraction adds the two square roots and the quotient, three roundings
     want = math.sqrt(math.fsum((upper * upper).ravel()) / exact)
     assert abs(_negative_fraction(blocks) - want) <= (_gamma(2 * n) + 2 * U + 3 * U) * want
@@ -179,6 +178,7 @@ def test_input_norm_rescales_squares_that_overflow_or_underflow(scale):
     parts, peak, total = _scaled_parts(scale * x)
     norm = peak * math.sqrt(total / n)
     assert abs(norm / scale - want) <= (_gamma(n) + 8 * U) * want
+    assert GridFunction(scale * x).norm == norm
     assert peak == np.max(np.abs((scale * x).view(float))) and parts.shape == (2 * n,)
     zeros = np.zeros(n, dtype=complex)
     assert _scaled_parts(zeros)[2] == 0.0 and _negative_fraction(zeros) == 0.0
@@ -188,6 +188,15 @@ def test_input_norm_rescales_squares_that_overflow_or_underflow(scale):
             y = scale * x
             y[at] = complex(bad, 0.0) if at else complex(0.0, bad)
             assert math.isnan(_scaled_parts(y)[2])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level", [1e200, 1e-170])
+def test_grid_norm_holds_where_the_squares_overflow_or_underflow(level):
+    # the plain mean of the squares overflows to inf for the first, and to 0.0 for the second
+    f = GridFunction(np.full(8, level, dtype=complex))
+    assert f.norm == level
+    assert f.norm_sq == level * level  # inf and a subnormal, as the square itself is
 
 
 def test_analytic_project_kills_negative_mode():
@@ -401,6 +410,9 @@ def test_outer_clamp_counts_minus_inf():
 
 
 def test_outer_rejects_bad_input():
+    for shape in (2, 6, (4, 4)):
+        with pytest.raises(InvalidInput, match="power-of-two length >= 4"):
+            outer_from_modulus(np.zeros(shape))
     with pytest.raises(InvalidInput, match="must be real"):
         outer_from_modulus(np.full(2**8, 1.0j))
     with pytest.raises(InvalidInput, match="bounded above"):
@@ -1319,6 +1331,17 @@ def test_projection_onto_shifted_space():
     out = project_onto_bH2(one, inner_check(z))
     assert np.max(np.abs(out.projection.samples)) <= 1e-12
     assert out.distance == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_projection_refuses_squares_that_sum_past_float64():
+    inner = inner_check(coordinate_function(8))
+    with pytest.raises(InvalidInput, match="sum past float64"):
+        project_onto_bH2(GridFunction(np.full(8, 1e200, dtype=complex)), inner)
+    # squares that sum within float64 are projected without a warning: the constant's
+    # distance from z H2 is its own modulus
+    out = project_onto_bH2(GridFunction(np.full(8, 1e153, dtype=complex)), inner)
+    assert out.distance == pytest.approx(1e153, rel=1e-14)
 
 
 def test_projection_blaschke_distance():

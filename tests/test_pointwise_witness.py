@@ -169,6 +169,9 @@ def test_shape_mismatch_rejected():
         verify_witness(rel, bad)
     with pytest.raises(InvalidInput):
         pointwise_relation([1.0], [[1.0, 1.0]], [[1.0]])
+    for shape in ((0, 3), (2, 0)):  # no point, no term
+        with pytest.raises(InvalidInput, match="at least one point and one term"):
+            pointwise_relation(np.ones(shape[0]), np.zeros(shape), np.zeros(shape))
 
 
 def test_near_threshold_row_treated_as_zero():
