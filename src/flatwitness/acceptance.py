@@ -227,7 +227,7 @@ def factor_checks(f, shells):
     res = hardy_factor(f, shells)
     radial = radial_decay_check(res.outer)
     log = res.log_report
-    counts = res.layout.counts()[1: shells + 1]
+    empty = res.layout.half_counts[1: shells + 1] == 0  # no sample in either half
     checks = [
         _gate("g_matches_reciprocal_weight", res.gw_deviation, 1e-10),
         _gate("h_norm_sq_vs_majorant", res.h_norm_sq, res.star_rhs + 1e-8),
@@ -239,7 +239,7 @@ def factor_checks(f, shells):
         Check("input_rescale", res.scale),
         Check("weight_floored", res.w.floored),
         Check("clamp_count", res.outer.clamp_count),
-        Check("empty_shells", int(np.count_nonzero(counts == 0))),
+        Check("empty_shells", int(np.count_nonzero(empty))),
     ]
     return checks, res
 

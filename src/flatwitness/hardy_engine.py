@@ -392,9 +392,9 @@ class ArcLayout:
     Each region is one arc on either side of theta = 0.  The layout gives
     sample N-1-j sample j's region by construction: it is M + 2 run lengths,
     ``half_counts[r]`` samples of region r on 0 < theta < pi, mirrored.  The
-    angles of ``grid_thetas`` are mirrored only to one rounding, since each is
-    formed on its own as 2 pi (j + 1/2)/N, wrapped, so the layout is read from
-    the half grid alone.  In sample order the runs are
+    angles of ``grid_thetas`` are mirrored only to one rounding, so the layout
+    is read from, and expands onto, the half grid alone; a region with no
+    sample there has none at all.  In sample order the runs are
     core, M, ..., 1, outer, then outer, 1, ..., M, core.
     """
 
@@ -402,18 +402,10 @@ class ArcLayout:
     max_shell: int
     half_counts: np.ndarray
 
-    def counts(self) -> np.ndarray:
-        return 2 * self.half_counts
-
     def expand_half(self, region_values) -> np.ndarray:
-        """The samples j < N/2 of ``expand``: the runs core, M, ..., 1, outer."""
+        """The samples j < N/2 taking ``region_values[r]`` on region r: the runs
+        core, M, ..., 1, outer; sample N-1-j takes sample j's value."""
         return np.repeat(np.asarray(region_values)[::-1], self.half_counts[::-1])
-
-    def expand(self, region_values) -> np.ndarray:
-        """The per-sample array taking ``region_values[r]`` on region r: the half
-        grid, then its mirror."""
-        first = self.expand_half(region_values)
-        return np.concatenate((first, first[::-1]))
 
 
 def arc_layout(n_samples: int, max_shell: int) -> ArcLayout:
@@ -450,8 +442,8 @@ def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
     a region of n_r samples and exact mass s_r comes out within
     gamma_{n_r} s_r.  Shells narrower than the sample spacing may contain no
     samples at all; they get zero mass, which contributes nothing to either
-    side of the factorization's bounds (``ArcLayout.counts`` tells how many
-    are empty).
+    side of the factorization's bounds (the zeros of ``half_counts`` tell
+    which are empty).
     """
     if layout.n_samples != f.n:
         raise InvalidInput("layout and function grid sizes differ")
@@ -469,7 +461,9 @@ def arc_energies(f: GridFunction, layout: ArcLayout) -> TailProfile:
 
 @dataclass(frozen=True)
 class CircleWeight:
-    values: np.ndarray          # the weight at each grid sample, real and >= 1
+    """The arc-shell weight w >= 1 (to rounding); a function of |theta|, so mirrored."""
+
+    log_half: np.ndarray        # log w at the samples j < N/2
     region_values: np.ndarray   # value on outer, shells 1..M, core
     floored: int                # suffix sums clamped before rooting
 
@@ -481,6 +475,7 @@ def build_circle_weight(profile: TailProfile, layout: ArcLayout) -> CircleWeight
     Requires every used suffix sum at most 1, which holds for profiles of
     functions with 2-norm at most 1.  Suffix sums below SUFFIX_FLOOR (zero
     among them) are floored and counted; the cap min(..., n) then takes over.
+    Only the M + 2 region values are logged; the logs are expanded onto the half grid.
     """
     M = layout.max_shell
     if profile.n_terms != M:
@@ -496,30 +491,32 @@ def build_circle_weight(profile: TailProfile, layout: ArcLayout) -> CircleWeight
     shells = np.arange(2, M + 1, dtype=float)
     region_values[2: M + 1] = np.minimum(r_used[: M - 1] ** -0.25, shells)
     region_values[M + 1] = min(r_used[M - 1] ** -0.25, float(M + 1))
-    return CircleWeight(layout.expand(region_values), region_values, floored)
+    return CircleWeight(layout.expand_half(np.log(region_values)), region_values, floored)
 
 
 @dataclass(frozen=True)
 class LogIntegralReport:
-    integral_value: float     # mean of |log(1/w)| over the circle
-    comparison_bound: float   # 2 sum log(n)/n^2 over the shells, plus the core part
+    integral_value: float     # mean of |log(1/w)| over the N samples of the circle
+    comparison_bound: float   # 2 sum log(n)/n^2 over the shells, plus the core's part
 
 
-def check_log_integrable(w: np.ndarray, layout: ArcLayout) -> LogIntegralReport:
-    """Mean absolute log of 1/w for the real grid weight w, with its summable majorant.
+def check_log_integrable(weight: CircleWeight, layout: ArcLayout) -> LogIntegralReport:
+    """Mean absolute log of 1/w for a weight on the layout's regions, with its summable majorant.
 
+    Every region that holds a sample must be at least 1 - 1e-12.  log max(w, 1)
+    is max(log w, 0) on the half grid, and the sums run over it and then its
+    mirror, the N samples in order.
     The bound is meaningful for weights produced by ``build_circle_weight``;
     for arbitrary w >= 1 only ``integral_value`` is.
     """
-    if np.min(w) < 1.0 - 1e-12:
+    if np.any((weight.region_values < 1.0 - 1e-12) & (layout.half_counts > 0)):
         raise InvalidWeight("weight must be >= 1 everywhere")
-    logs = np.maximum(w, 1.0)
-    np.log(logs, out=logs)
-    integral = float(np.mean(logs))
+    half = np.maximum(weight.log_half, 0.0)
+    integral = float(np.mean(np.concatenate((half, half[::-1]))))
     shells = np.arange(2, layout.max_shell + 1, dtype=float)
-    c = layout.half_counts[-1]  # the core is the first c and the last c samples
-    core = np.concatenate((logs[:c], logs[w.size - c:]))
-    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) + float(np.sum(core) / w.size)
+    core = half[: layout.half_counts[-1]]  # the first c samples, mirrored in the last c
+    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) \
+        + float(np.sum(np.concatenate((core, core[::-1]))) / layout.n_samples)
     return LogIntegralReport(integral, bound)
 
 
@@ -743,12 +740,12 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     (the blocked transform of the normalized input, its negative-mode
     fraction and the refusal) on the helper thread while the calling thread
     takes the arc layout, the arc masses, the weight, the log-integrability
-    report and the outer synthesis's transform step (of -log w on the half
-    grid, from the weight's M + 2 region values).  Once both are done,
-    ``_mirrored_outer`` writes the outer boundary g (in two halves, on both
-    threads), then come the quotient h = f/g, |g| w, and h's leakage (both
-    threads again).  The gate's exception wins over a stage's, so its
-    refusal comes first, as when the gate ran first.
+    report (both from the weight's half-grid log, which took M + 2 logs) and
+    the outer synthesis's transform step (of -log w on the half grid).  Once
+    both are done, ``_mirrored_outer`` writes the outer boundary g (in two
+    halves, on both threads), then come the quotient h = f/g, |g| w on the
+    first half, and h's leakage (both threads again).  The gate's exception
+    wins over a stage's, so its refusal comes first, as when the gate ran first.
     """
     _, peak, total = _scaled_parts(f.samples)
     norm = peak * float(np.sqrt(total / f.n))
@@ -776,12 +773,11 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
         layout = arc_layout(fn.n, max_shell)
         profile = arc_energies(fn, layout)
         weight = build_circle_weight(profile, layout)
-        log_report = check_log_integrable(weight.values, layout)
+        log_report = check_log_integrable(weight, layout)
         # -log w is finite, at most rounding above 0 and mirrored by construction, so
-        # none of outer_from_modulus's refusals or tests applies; its M + 2 logs are
-        # taken once each
+        # none of outer_from_modulus's refusals or tests applies
         return layout, profile, weight, log_report, _mirrored_transform(
-            layout.expand_half(-np.log(weight.region_values)), np.log(DEFAULT_CLAMP))
+            -weight.log_half, np.log(DEFAULT_CLAMP))
 
     (layout, profile, weight, log_report, transform), _ = _alongside(stages, gate)
     outer = _mirrored_outer(*transform)
@@ -790,8 +786,9 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     h = GridFunction(fn.samples / g.samples)
     del fn  # the result rebuilds it from f and scale when it is read
 
-    gw = np.abs(g.samples)
-    gw *= weight.values
+    # |g| and w are both mirrored exactly, so the extremes of |g| w are the first half's
+    gw = np.abs(g.samples[: g.n // 2])
+    gw *= layout.expand_half(weight.region_values)
     gw_dev = _unit_deviation(gw)
     del gw  # freed before h's leakage transform allocates its own N-long buffer
     core_term = float(profile.tail / np.sqrt(max(profile.suffix_sums[-1], SUFFIX_FLOOR))) \

@@ -449,6 +449,28 @@ def test_memory_error_is_one_json_error_line(monkeypatch, capsys):
                                 "message": "Unable to allocate 4.47 GiB for an array"}
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_shell_count_at_the_ceiling_is_a_refused_allocation():
+    # the parser accepts 2^29 shells, whose layout does not fit in the child's 3 GiB of
+    # address space; the refused allocation is one JSON error line.  Without the cap a
+    # host that overcommits may kill the process instead, so it never runs uncapped
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "flatwitness.cli", "hardy", "factor", "--grid",
+                           "8", "--shells", str(cli._MAX_COUNT), "--json"],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cap_address_space, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    [line] = done.stderr.strip().splitlines()
+    assert json.loads(line)["error"] == "MemoryError"
+
+
 def test_usage_error_exit_code(capsys):
     # argparse's usage errors leave through the same one-line JSON error as input errors
     code = cli.main(["frobnicate"])

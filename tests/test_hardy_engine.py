@@ -19,6 +19,7 @@ from flatwitness import hardy_engine
 from flatwitness.errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
 from flatwitness.hardy_engine import (
     RADIAL_DEPTHS,
+    CircleWeight,
     GridFunction,
     _block_size,
     _blocked_fft,
@@ -259,7 +260,7 @@ def test_arc_energies_coarse_grid_policy():
     layout = arc_layout(2**10, 256)
     prof = arc_energies(constant_function(2**10), layout)
     assert prof.n_terms == 256
-    empty = layout.counts()[1:257] == 0
+    empty = layout.half_counts[1:257] == 0
     assert np.any(empty) and np.all(prof.magnitudes_sq[empty] == 0.0)
 
 
@@ -268,7 +269,8 @@ def test_build_circle_weight_flat_profile_gives_unit_weight():
     layout = arc_layout(n, m)
     prof = profile_from_energies(np.zeros(m), tail_sum_sq=1.0)  # every suffix sum 1
     w = build_circle_weight(prof, layout)
-    assert np.all(w.values == 1.0)
+    assert np.all(w.region_values == 1.0) and np.all(w.log_half == 0.0)
+    assert w.log_half.shape == (n // 2,)
 
 
 def test_build_circle_weight_constant_input_matches_arc_asymptotics():
@@ -312,7 +314,7 @@ def test_build_circle_weight_tolerates_rounding_level_excess():
                                    tail_sum_sq=2 * eps)
     assert bumped.suffix_sums[1] > 1.0
     w = build_circle_weight(bumped, layout)
-    check_log_integrable(w.values, layout)  # does not raise
+    check_log_integrable(w, layout)  # does not raise
     # a real violation still raises
     bad = profile_from_energies(np.array([0.1, 1.0, 0.1, 0.1]))
     with pytest.raises(InvalidWeight):
@@ -341,15 +343,32 @@ def test_build_circle_weight_floors_zero_suffixes():
     assert w.region_values[5] == 5.0
 
 
+def _weight_of(layout, region_values):
+    """A CircleWeight taking region_values[r] on region r, built by hand."""
+    region_values = np.asarray(region_values, dtype=float)
+    return CircleWeight(layout.expand_half(np.log(region_values)), region_values, 0)
+
+
 def test_check_log_integrable_values():
     n, m = 2**12, 8
     layout = arc_layout(n, m)
-    unit = check_log_integrable(np.ones(n), layout)
+    unit = check_log_integrable(_weight_of(layout, np.ones(m + 2)), layout)
     assert unit.integral_value == 0.0
-    const_e = check_log_integrable(np.full(n, np.e), layout)
+    const_e = check_log_integrable(_weight_of(layout, np.full(m + 2, np.e)), layout)
     assert const_e.integral_value == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(InvalidWeight):
-        check_log_integrable(np.full(n, 0.5), layout)
+        check_log_integrable(_weight_of(layout, np.full(m + 2, 0.5)), layout)
+    # a value below 1 on a region that holds no sample is never seen on the grid;
+    # the same value on a region that holds samples is refused
+    sparse = arc_layout(2**6, 64)
+    empty = int(np.flatnonzero(sparse.half_counts == 0)[0])
+    held = int(np.flatnonzero(sparse.half_counts > 0)[-1])
+    dipped = np.ones(66)
+    dipped[empty] = 0.5
+    assert check_log_integrable(_weight_of(sparse, dipped), sparse).integral_value == 0.0
+    dipped[held] = 0.5
+    with pytest.raises(InvalidWeight):
+        check_log_integrable(_weight_of(sparse, dipped), sparse)
 
 
 def test_check_log_integrable_bounds_built_weight():
@@ -358,7 +377,7 @@ def test_check_log_integrable_bounds_built_weight():
     layout = arc_layout(n, m)
     prof = arc_energies(f, layout)
     w = build_circle_weight(prof, layout)
-    rep = check_log_integrable(w.values, layout)
+    rep = check_log_integrable(w, layout)
     assert rep.integral_value <= rep.comparison_bound * (1.0 + 1e-12)
 
 
@@ -489,10 +508,15 @@ def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _mirror(half):
+    """The N samples whose first half is ``half`` and whose sample N-1-j is sample j."""
+    return np.concatenate((half, half[::-1]))
+
+
 def _mirrored_log_modulus(n, rng):
     """Random region values of an arc layout on the n-point grid, expanded: exactly mirrored."""
     layout = arc_layout(n, max(1, n // 16))
-    return layout.expand(rng.standard_normal(layout.max_shell + 2))
+    return _mirror(layout.expand_half(rng.standard_normal(layout.max_shell + 2)))
 
 
 @pytest.mark.parametrize("log2n", range(4, 17))
@@ -784,8 +808,8 @@ def test_in_halves_on_the_helper_runs_both_halves_inline():
 
 def _factor_bytes(res):
     # every array and value of a factorization, as bytes
-    arrays = (res.g.samples, res.h.samples, res.outer.log_coeffs, res.w.values,
-              res.profile.suffix_sums)
+    arrays = (res.g.samples, res.h.samples, res.outer.log_coeffs, res.w.log_half,
+              res.w.region_values, res.profile.suffix_sums)
     values = (res.scale, res.gw_deviation, res.h_norm_sq, res.star_rhs, res.h_leakage,
               res.log_report.integral_value, res.log_report.comparison_bound)
     return [a.tobytes() for a in arrays] + [np.float64(v).tobytes() for v in values] \
@@ -902,7 +926,7 @@ def test_hardy_factor_modulus_is_reciprocal_weight():
     rng = np.random.default_rng(9)
     f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=2**11)) / np.arange(1, 2**11 + 1), 2**12)
     res = hardy_factor(f, 64)
-    w = res.w.values
+    w = _mirror(res.layout.expand_half(res.w.region_values))
     chain = np.max(np.abs(np.abs(res.g.samples) * w - 1.0))
     assert chain <= 1e-14
     assert res.gw_deviation.hex() == float(chain).hex()
@@ -1021,9 +1045,9 @@ def test_hardy_factor_fft_budget(monkeypatch):
 
 
 def test_hardy_factor_traced_peak_per_sample():
-    # a rescaled input keeps the most: g and h, the weight and the log coefficients,
-    # about 44 bytes a sample; a normalized copy of the input would add 16 to each
-    # figure, and a per-sample region array 8
+    # a rescaled input keeps the most: g and h, the half-grid log-weight and the log
+    # coefficients, about 40 bytes a sample; a normalized copy of the input would add 16
+    # to each figure, a per-sample region array 8, and an N-long weight 4
     n = 2**16
     rng = np.random.default_rng(2)
     f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=n // 2)) / np.arange(1, n // 2 + 1), n)
@@ -1036,8 +1060,8 @@ def test_hardy_factor_traced_peak_per_sample():
     finally:
         tracemalloc.stop()
     assert res.scale > 1.0
-    assert (peak - start) / n <= 84
-    assert (kept - start) / n <= 50
+    assert (peak - start) / n <= 61
+    assert (kept - start) / n <= 42
 
 
 def test_hardy_factor_normalized_input_is_rebuilt_on_read():
@@ -1078,7 +1102,7 @@ def test_hardy_factor_tail_series_certificate():
 
 def test_arc_layout_partitions_grid():
     layout = arc_layout(2**12, 16)
-    counts = layout.counts()
+    counts = 2 * layout.half_counts
     assert counts.sum() == 2**12
     assert np.all(counts[1:17] > 0)  # resolvable shells are nonempty at this size
 
@@ -1101,19 +1125,18 @@ def test_arc_layout_runs_match_per_sample_rule(log2n):
         layout = arc_layout(n, m)
         region = _per_sample_regions(n, m)
         assert layout.half_counts.shape == (m + 2,)
-        assert np.array_equal(layout.expand(np.arange(m + 2)), region)
-        assert np.array_equal(layout.counts(), np.bincount(region, minlength=m + 2))
+        assert np.array_equal(_mirror(layout.expand_half(np.arange(m + 2))), region)
+        assert np.array_equal(2 * layout.half_counts, np.bincount(region, minlength=m + 2))
 
 
 @pytest.mark.parametrize("log2n", range(2, 21))
 def test_hardy_factor_outer_is_the_expanded_weights_outer_bit_for_bit(log2n):
     # hardy_factor synthesizes g from the half grid's log-modulus; the full-length
-    # array expand mirrors must give the same outer function through outer_from_modulus
+    # array of the mirrored region values must give the same outer function through
+    # outer_from_modulus
     n = 2**log2n
     res = hardy_factor(from_taylor([1.0, 0.5], n), max(1, 2 ** (log2n // 2)))
-    logs = -np.log(res.w.region_values)
-    full = res.layout.expand(logs)
-    assert np.array_equal(res.layout.expand_half(logs), full[: n // 2])
+    full = -np.log(res.w.region_values)[_per_sample_regions(n, res.layout.max_shell)]
     want = outer_from_modulus(full)
     got = res.outer
     assert got.boundary.samples.tobytes() == want.boundary.samples.tobytes()
@@ -1136,20 +1159,50 @@ def test_arc_pipeline_matches_per_sample_references(n, m):
     masses = np.append(prof.magnitudes_sq, prof.tail)  # regions 1..M+1
     exact = np.array([math.fsum(energy[region == r]) for r in range(1, m + 2)])
     # nonnegative terms: any order of summing n_r of them is within gamma_{n_r} of the sum
-    ku = layout.counts()[1:] * (np.finfo(float).eps / 2)
+    ku = 2 * layout.half_counts[1:] * (np.finfo(float).eps / 2)
     gamma = ku / (1.0 - ku)
     assert np.all(np.abs(masses - exact) <= gamma * exact)
     binned = np.bincount(region, weights=energy, minlength=m + 2)[1:]
     assert np.all(np.abs(masses - binned) <= 2.0 * gamma * exact)
     w = build_circle_weight(prof, layout)
-    assert np.array_equal(w.values, w.region_values[region])
-    rep = check_log_integrable(w.values, layout)
-    logs = np.log(np.maximum(w.values, 1.0))
+    per_sample = w.region_values[region]
+    assert np.array_equal(_mirror(layout.expand_half(w.region_values)), per_sample)
+    rep = check_log_integrable(w, layout)
+    logs = np.log(np.maximum(per_sample, 1.0))
     shells = np.arange(2, m + 1, dtype=float)
     bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) \
         + float(np.sum(logs[region == m + 1]) / n)
     assert rep.integral_value == float(np.mean(logs))
     assert rep.comparison_bound == bound
+
+
+def _half_grid_cases():
+    # M = 1 and 64 everywhere; up to 2^14 also M = floor(N/pi), past which no shell holds
+    # a sample, and 4 floor(N/pi), whose core is empty too
+    for log2n in (*range(2, 17), 20):
+        n = 2**log2n
+        shells = {1, 64} | ({n // math.pi, 4 * (n // math.pi)} if log2n <= 14 else set())
+        yield from ((n, int(m)) for m in sorted(shells))
+
+
+@pytest.mark.parametrize("n, m", _half_grid_cases())
+def test_half_grid_weight_readers_match_per_sample_reference(n, m):
+    # the weight is kept as log w on the half grid; |g| w, the log integral and its
+    # bound must be what the per-sample weight gives, bit for bit
+    rng = np.random.default_rng(n + m)
+    k = max(1, n // 8)
+    res = hardy_factor(from_taylor(rng.standard_normal(k) + 1j * rng.standard_normal(k), n), m)
+    region = _per_sample_regions(n, m)
+    w = res.w.region_values[region]
+    chain = float(np.max(np.abs(np.abs(res.g.samples) * w - 1.0)))
+    assert res.gw_deviation.hex() == chain.hex()
+    logs = np.log(np.maximum(w, 1.0))
+    shells = np.arange(2, m + 1, dtype=float)
+    bound = 2.0 * float(np.sum(np.log(shells) / shells**2)) \
+        + float(np.sum(logs[region == m + 1]) / n)
+    assert res.log_report.integral_value.hex() == float(np.mean(logs)).hex()
+    assert res.log_report.comparison_bound.hex() == bound.hex()
+    assert res.w.log_half.tobytes() == np.log(w[: n // 2]).tobytes()
 
 
 def test_hardy_factor_rotation_invariant_arc_masses():
