@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -241,9 +240,10 @@ def neg_mode_leakage(h: GridFunction) -> float:
     as an N1 x N2 array whose entry [k1, k2] is raw bin k1 + N1*k2.  The
     negative-mode bins N/2..N-1 are then exactly the columns k2 >= N2/2,
     the upper half of the last axis, so the bins are never put back in order.
+    Each pass runs in two halves, one on the helper thread (``_in_halves``).
     """
     blocks = np.empty(_blocked_shape(h.n), dtype=complex)
-    return _negative_fraction(_blocked_fft(h.samples, blocks))
+    return _negative_fraction(_blocked_fft(h.samples, blocks, _in_halves))
 
 
 # numpy copies a broadcast operand into a buffer of this many elements per ufunc call,
@@ -252,17 +252,9 @@ def neg_mode_leakage(h: GridFunction) -> float:
 _TWIDDLE_BUFSIZE = 1024
 
 
-_ON_HELPER = threading.local()  # is_helper is set on the helper thread alone
-
-
-def _mark_helper() -> None:
-    _ON_HELPER.is_helper = True
-
-
 def _start_helper() -> None:
     global _HELPER
-    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatwitness-fft",
-                                 initializer=_mark_helper)
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flatwitness-fft")
 
 
 # the one helper thread, started on first use; a forked child has no copy of the
@@ -276,20 +268,21 @@ def _alongside(here: Callable, there: Callable) -> tuple:
 
     there() runs in a copy of the caller's context, so numpy's errstate holds
     there too, and it is always waited for: when both raise, there()'s
-    exception is raised, with here()'s as its ``__context__``.  Called on the
-    helper itself (the analyticity gate of ``hardy_factor`` runs there),
-    there() and then here() run in turn on it, with the same precedence: a task
-    queued behind the running one would wait for ever.
+    exception is raised, with here()'s as its ``__context__``.  there() must
+    not call ``_alongside`` itself: the helper's one thread is busy running it,
+    so a task it queued would wait for ever.
     """
-    if getattr(_ON_HELPER, "is_helper", False):
-        last = there()
-        return here(), last
     done = _HELPER.submit(contextvars.copy_context().run, there)
     try:
         first = here()
     finally:
         last = done.result()
     return first, last
+
+
+def _whole(task: Callable[[int, int], None], size: int) -> None:
+    """task(0, size) on the calling thread."""
+    task(0, size)
 
 
 def _in_halves(task: Callable[[int, int], None], size: int) -> None:
@@ -304,7 +297,7 @@ def _blocked_shape(n: int) -> tuple[int, int]:
     return n1, n // n1
 
 
-def _blocked_fft(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _blocked_fft(x: np.ndarray, blocks: np.ndarray, halves: Callable = _whole) -> np.ndarray:
     """The raw transform of N = N1*N2 samples as an (N1, N2) array C, C[k1, k2] = X[k1 + N1*k2].
 
     Bailey's four-step transform without the final transpose: a length-N1
@@ -314,9 +307,11 @@ def _blocked_fft(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     caller allocates.  N1 = 2^floor(log2(N)/2), so every row fits in cache and
     no N-long scratch is needed.  With n2 = a + S*b, S = 2^floor(log2(N2)/2), the
     twiddle is the product of an N1 x S and an N1 x N2/S table of roots,
-    built once.  Each pass runs in two halves, the column pass over columns
-    and the twiddle and row pass over rows, by ``_in_halves``; every column
-    and row is transformed alone, so C is the one-thread result bit for bit.
+    built once.  ``halves(task, size)`` runs each pass, the column pass over
+    columns and the twiddle and row pass over rows: ``_whole`` as one call on
+    the calling thread, or ``_in_halves`` on two threads, which the helper
+    itself must not take.  Every column and row is transformed alone, so C
+    is the one-call result bit for bit either way.
     """
     n = x.size
     n1, n2 = blocks.shape
@@ -326,7 +321,7 @@ def _blocked_fft(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     def columns(lo, hi):
         np.fft.fft(grid[:, lo:hi], axis=0, out=blocks[:, lo:hi])
 
-    _in_halves(columns, n2)
+    halves(columns, n2)
     k1 = np.arange(n1)[:, None, None]
     step = -2.0 * np.pi / n
     low = _cis(step * (k1 * np.arange(s)))
@@ -340,7 +335,7 @@ def _blocked_fft(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
     with np.errstate():  # the scope of setbufsize
         np.setbufsize(_TWIDDLE_BUFSIZE)
-        _in_halves(twiddled_rows, n1)
+        halves(twiddled_rows, n1)
     return blocks
 
 
@@ -737,15 +732,16 @@ def hardy_factor(f: GridFunction, max_shell: int) -> HardyFactorization:
     while a tiny one is factored as it is.  A NaN leakage is refused.
 
     Stage order.  After the norm, ``_alongside`` runs the analyticity gate
-    (the blocked transform of the normalized input, its negative-mode
-    fraction and the refusal) on the helper thread while the calling thread
-    takes the arc layout, the arc masses, the weight, the log-integrability
-    report (both from the weight's half-grid log, which took M + 2 logs) and
-    the outer synthesis's transform step (of -log w on the half grid).  Once
-    both are done, ``_mirrored_outer`` writes the outer boundary g (in two
-    halves, on both threads), then come the quotient h = f/g, |g| w on the
-    first half, and h's leakage (both threads again).  The gate's exception
-    wins over a stage's, so its refusal comes first, as when the gate ran first.
+    (the blocked transform of the normalized input, each pass as one call,
+    its negative-mode fraction and the refusal) on the helper thread while
+    the calling thread takes the arc layout, the arc masses, the weight, the
+    log-integrability report (both from the weight's half-grid log, which
+    took M + 2 logs) and the outer synthesis's transform step (of -log w on
+    the half grid).  Once both are done, ``_mirrored_outer`` writes the outer
+    boundary g (in two halves, on both threads), then come the quotient
+    h = f/g, |g| w on the first half, and h's leakage (both threads again).
+    The gate's exception wins over a stage's, so its refusal comes first, as
+    when the gate ran first.
     """
     _, peak, total = _scaled_parts(f.samples)
     norm = peak * float(np.sqrt(total / f.n))

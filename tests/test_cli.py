@@ -770,6 +770,26 @@ def test_reports_do_not_depend_on_the_blas_thread_count(argv):
     assert reports[0] == reports[1]
 
 
+# a source line that may reach BLAS: the matrix product operator and the dot-product family
+_BLAS_CALL = re.compile(r" @ |\.dot\(|np\.dot|matmul|vecdot|np\.inner|tensordot|np\.linalg\.")
+
+
+def test_blas_is_reached_from_one_place():
+    # eval_series's powers @ block is the one BLAS product (README, "Threads");
+    # pointwise_witness's row norms are a reduction along an axis, not a dot product.
+    # A new line here needs its reason there, and the test above at 1 and 4 threads
+    src = Path(cli.__file__).resolve().parent
+    found = sorted((path.relative_to(src).as_posix(), line.strip())
+                   for path in src.rglob("*.py")
+                   for line in path.read_text().splitlines() if _BLAS_CALL.search(line))
+    assert found == [
+        ("hardy_engine.py", "acc = acc * z_b + powers @ block"),
+        ("hardy_engine.py", "acc = powers @ blocks[-1]"),
+        ("pointwise_witness.py",
+         "r_norms, m_norms = np.linalg.norm(r, axis=1), np.linalg.norm(m, axis=1)"),
+    ]
+
+
 IGNORED_OPTIONS = [
     *([cmd, "--seed", "3"] for cmd in ("olympiad", "layered")),
     ["ulim", "--input", "seq.json", "--seed", "3"],

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwitness import hardy_engine
+from flatwitness.acceptance import outer_fixture
 from flatwitness.errors import InvalidInput, InvalidWeight, NotInner, ScaleOverflow
 from flatwitness.hardy_engine import (
     RADIAL_DEPTHS,
@@ -602,9 +603,9 @@ def _transform_errors(n):
     return _fft_error_bound(log2n, 2 * U), _fft_error_bound(log2n + 1, blocked_mu)
 
 
-def _blocked(x):
-    # the blocked transform into a buffer of its own, as neg_mode_leakage takes it
-    return _blocked_fft(x, np.empty(_blocked_shape(x.size), dtype=complex))
+def _blocked(x, halves=hardy_engine._in_halves):
+    # the blocked transform into a buffer of its own, on two threads as neg_mode_leakage takes it
+    return _blocked_fft(x, np.empty(_blocked_shape(x.size), dtype=complex), halves)
 
 
 @pytest.mark.parametrize("log2n", [*range(2, 17), 20])
@@ -668,12 +669,15 @@ def _one_call_blocked_fft(x):
 
 @pytest.mark.parametrize("log2n", range(2, 21))
 def test_blocked_fft_halves_equal_one_call_bit_for_bit(log2n):
+    # each pass in two halves on two threads, and as one call (the gate's way)
     n = 2**log2n
     rng = np.random.default_rng(700 + log2n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got, want = _blocked(x), _one_call_blocked_fft(x)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = _one_call_blocked_fft(x)
+    for halves in (hardy_engine._in_halves, hardy_engine._whole):
+        got = _blocked(x, halves)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.filterwarnings("error")
@@ -789,23 +793,6 @@ def test_alongside_waits_for_there_when_only_here_raises():
     assert finished.is_set()
 
 
-def _in_halves_on_the_helper():
-    # a half queued on the helper from the helper itself would wait for ever behind
-    # the task that queued it; there() runs first, then here()
-    ran = []
-
-    def task(lo, hi):
-        ran.append((lo, hi, threading.get_ident()))
-
-    _, helper = hardy_engine._alongside(lambda: None, threading.get_ident)
-    hardy_engine._alongside(lambda: None, lambda: hardy_engine._in_halves(task, 8))
-    assert ran == [(4, 8, helper), (0, 4, helper)]
-
-
-def test_in_halves_on_the_helper_runs_both_halves_inline():
-    _in_child(_in_halves_on_the_helper)
-
-
 def _factor_bytes(res):
     # every array and value of a factorization, as bytes
     arrays = (res.g.samples, res.h.samples, res.outer.log_coeffs, res.w.log_half,
@@ -821,6 +808,12 @@ def _overlap_inputs():
     series = np.exp(2j * np.pi * rng.uniform(size=2**10)) / np.arange(1, 2**10 + 1)
     return [from_taylor(series, 2**12).samples, constant_function(2**11).samples,
             from_taylor([1.0, 0.5, 0.25], 2**10).samples, 3.0 * coordinate_function(2**12).samples]
+
+
+def _rescaled_series(n=2**16):
+    # a long analytic series of norm above 1, so hardy_factor divides it by its scale
+    rng = np.random.default_rng(2)
+    return from_taylor(np.exp(2j * np.pi * rng.uniform(size=n // 2)) / np.arange(1, n // 2 + 1), n)
 
 
 def _concurrent_hardy_factor_calls():
@@ -878,6 +871,54 @@ def test_forked_child_factors_with_its_own_helper():
             child.kill()
             child.join()
     assert got == wants and child.exitcode == 0
+
+
+def test_no_helper_task_queues_work_on_the_helper(monkeypatch):
+    # the helper's one thread runs each task to its end, so a task that queued another
+    # there and waited for it would wait for ever; the spy raises instead, so such a
+    # task fails here at once rather than hanging
+    submit, delegated = hardy_engine._HELPER.submit, []
+
+    def spy(*args, **kwargs):
+        if threading.current_thread().name.startswith("flatwitness-fft"):
+            raise AssertionError("a task on the helper queued work on the helper")
+        delegated.append(1)
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(hardy_engine._HELPER, "submit", spy)
+    for x in _overlap_inputs():
+        hardy_factor(GridFunction(x), 64)
+    hardy_factor(_rescaled_series(), 256)
+    with pytest.raises(InvalidInput, match="not analytic"):
+        hardy_factor(GridFunction(np.conj(coordinate_function(2**10).samples)), 64)
+    for spec in ("const:2.5", "log-sin"):
+        outer_from_modulus(outer_fixture(spec, 2**14))
+    neg_mode_leakage(coordinate_function(2**12))
+    assert delegated
+
+
+def test_threaded_hardy_path_equals_a_one_thread_run_bit_for_bit(monkeypatch):
+    # every reported value is the one-thread pipeline's (README, "Threads"): here each
+    # _alongside runs its two tasks in turn on the calling thread
+    inputs = [*_overlap_inputs(), _rescaled_series().samples]
+    log_moduli = [outer_fixture(spec, 2**14) for spec in ("const:2.5", "log-sin")]
+
+    def run():
+        factors = [_factor_bytes(hardy_factor(GridFunction(x), 64)) for x in inputs]
+        outers = [(outer.boundary.samples.tobytes(), outer.log_coeffs.tobytes())
+                  for outer in map(outer_from_modulus, log_moduli)]
+        leaks = [neg_mode_leakage(GridFunction(x)).hex() for x in inputs]
+        return factors, outers, leaks
+
+    threaded, serial_calls = run(), []
+
+    def serial(here, there):
+        serial_calls.append(1)
+        return here(), there()
+
+    monkeypatch.setattr(hardy_engine, "_alongside", serial)
+    assert run() == threaded
+    assert serial_calls
 
 
 def test_leakage_traced_peak_is_one_blocked_buffer():
@@ -1014,9 +1055,10 @@ def test_hardy_factor_refuses_a_norm_beyond_float64():
 
 def test_hardy_factor_fft_budget(monkeypatch):
     # two leakage transforms, each a column pass of core N1 = 64 and a row pass of
-    # core N2 = 128, each pass over all N points in two calls of N/2, one per thread,
-    # and one real transform pair of length N/2 for the outer factor of the mirrored
-    # weight; each read of g's Taylor data costs one more, full-length, transform
+    # core N2 = 128 over all N points: the gate's in one call each, on the helper, and
+    # h's in two calls of N/2, one per thread; and one real transform pair of length
+    # N/2 for the outer factor of the mirrored weight; each read of g's Taylor data
+    # costs one more, full-length, transform
     n = 2**13
     f = from_taylor([1.0, 0.5, 0.25], n)
     counts = collections.Counter()
@@ -1034,14 +1076,14 @@ def test_hardy_factor_fft_budget(monkeypatch):
             return _kernel(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     res = hardy_factor(f, 64)
-    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [8, 0, 1, 1]
-    assert passes == {(64, n // 2): 4, (128, n // 2): 4}
+    assert [counts[k] for k in ("fft", "ifft", "rfft", "irfft")] == [6, 0, 1, 1]
+    assert passes == {(64, n // 2): 2, (128, n // 2): 2, (64, n): 1, (128, n): 1}
     assert real_lengths == [n // 2] * 2
     first = res.g.taylor()
-    assert counts["fft"] == 9 and passes[n, n] == 1
+    assert counts["fft"] == 7 and passes[n, n] == 1
     assert np.array_equal(res.g.taylor(), first)
-    assert counts["fft"] == 10
-    assert sum(counts.values()) == 12
+    assert counts["fft"] == 8
+    assert sum(counts.values()) == 10
 
 
 def test_hardy_factor_traced_peak_per_sample():
@@ -1049,8 +1091,7 @@ def test_hardy_factor_traced_peak_per_sample():
     # coefficients, about 40 bytes a sample; a normalized copy of the input would add 16
     # to each figure, a per-sample region array 8, and an N-long weight 4
     n = 2**16
-    rng = np.random.default_rng(2)
-    f = from_taylor(np.exp(2j * np.pi * rng.uniform(size=n // 2)) / np.arange(1, n // 2 + 1), n)
+    f = _rescaled_series(n)
     hardy_factor(f, 256)  # transform plans and first-call caches are not the pipeline's
     tracemalloc.start()
     try:
